@@ -19,7 +19,8 @@ whose value upper-bounds the primal objective for any positive beta.
 
 Items with identical value vectors are merged internally (supplies add
 up); the expanded allocation splits each duplicate identically, which
-preserves utilities, prices, and the gap exactly.
+preserves utilities, prices, and the gap exactly.  The prefix benchmarks
+merge once per sequence and read each prefix's supplies off the merge.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    """Solver ran out of iterations; carries the last certified gap."""
+_MAX_ITERS = 400_000
 
-    def __init__(self, message: str, gap: float):
+
+class ConvergenceError(RuntimeError):
+    """Solver ran out of iterations; carries the last gap and the count."""
+
+    def __init__(self, message: str, gap: float, iterations: int):
         super().__init__(message)
         self.gap = gap
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,16 @@ def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
 
 
 def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge identical items; returns (unique rows, counts, inverse map)."""
-    uniq, inverse, counts = np.unique(matrix, axis=0, return_inverse=True, return_counts=True)
-    return uniq, counts.astype(np.float64), inverse
+    """Merge identical items; returns (unique rows, counts, inverse map).
+
+    Row-wise ``np.unique`` results, order included, from a stable lexsort.
+    """
+    order = np.lexsort(matrix.T[::-1])
+    s = matrix[order]
+    first = np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], np.bincount(inverse).astype(np.float64), inverse
 
 
 def _pr_fixed_point(
@@ -138,7 +150,6 @@ def _pr_fixed_point(
     tol_abs: float,
     max_iters: int,
     check_every: int = 8,
-    warm_allocation: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Proportional response on items scaled by their supplies.
 
@@ -157,20 +168,7 @@ def _pr_fixed_point(
         i = int(np.argmax(agent_totals <= 0))
         raise InstanceError(f"agent {i + 1} has all-zero values")
 
-    cold = va * (b / agent_totals)
-    if warm_allocation is not None:
-        xa = warm_allocation[active]
-        util_parts = va * xa
-        util = util_parts.sum(axis=0)
-        if np.any(util <= 0):
-            bids = cold
-        else:
-            # keep every valued (item, agent) bid positive: the update rule
-            # multiplies bids, so an exact zero could never revive
-            bids = util_parts * (b / util) + 1e-3 * cold
-    else:
-        bids = cold
-
+    bids = va * (b / agent_totals)
     gap = math.inf
     utilities = np.zeros(n)
     x = np.zeros_like(va)
@@ -197,6 +195,7 @@ def _pr_fixed_point(
         raise ConvergenceError(
             f"no certificate after {last_iter} iterations (gap {gap:.3e} > {tol_abs:.3e})",
             gap,
+            last_iter,
         )
     allocation = np.zeros((matrix.shape[0], n))
     allocation[active] = x
@@ -209,14 +208,13 @@ def solve_eg(
     weights: AgentWeights,
     tol: float = 1e-9,
     *,
-    max_iters: int = 400_000,
+    max_iters: int = _MAX_ITERS,
     include_allocation: bool = True,
-    warm_allocation: Optional[np.ndarray] = None,
 ) -> MarketEquilibrium:
     """Solve the hindsight program to certified gap ``tol * ||B||_1``.
 
-    Raises :class:`ConvergenceError` (carrying the last gap) if the
-    iteration budget runs out first.
+    Raises :class:`ConvergenceError` (carrying the last gap and the
+    iteration count) if the iteration budget runs out first.
     """
     if not (tol > 0):
         raise InstanceError("tol must be positive")
@@ -224,15 +222,8 @@ def solve_eg(
         raise InstanceError("weights length does not match agent count")
     matrix = values.matrix
     uniq, counts, inverse = _compress(matrix)
-    warm = None
-    if warm_allocation is not None:
-        # average duplicate rows; identical items may as well split alike
-        warm = np.zeros((uniq.shape[0], values.n))
-        np.add.at(warm, inverse, warm_allocation)
-        warm /= counts[:, None]
-    tol_abs = tol * weights.total
     x_u, utilities, beta, gap, iters = _pr_fixed_point(
-        uniq, counts, weights, tol_abs, max_iters, warm_allocation=warm
+        uniq, counts, weights, tol * weights.total, max_iters
     )
     allocation = x_u[inverse] if include_allocation else None
     prices = (matrix * beta).max(axis=1)
@@ -252,7 +243,7 @@ def solve_underlying(
     weights: AgentWeights,
     tol: float = 1e-9,
     *,
-    max_iters: int = 400_000,
+    max_iters: int = _MAX_ITERS,
 ) -> UnderlyingMarket:
     """Equilibrium with item supplies equal to their probabilities.
 
@@ -362,12 +353,15 @@ class PrefixSolution:
 
     ``avg_utilities`` are time-averaged over ``tau``.  Agents with no
     positive value in the prefix are reported with zero utility and
-    listed in ``flagged``.
+    listed in ``flagged``.  ``iterations`` and ``gap`` are the solver's
+    count and certified duality gap for this checkpoint.
     """
 
     tau: int
     avg_utilities: np.ndarray
     flagged: Tuple[int, ...]
+    iterations: int
+    gap: float
 
 
 def hindsight_prefix(
@@ -376,34 +370,39 @@ def hindsight_prefix(
     checkpoints: Sequence[int],
     tol: float = 1e-6,
 ) -> List[PrefixSolution]:
-    """Solve the benchmark on each prefix, warm-starting in order.
+    """Solve the benchmark on the first ``tau`` items for each checkpoint.
 
-    The warm start hands the previous prefix's allocation to the next
-    solve, so checkpoints must be processed sequentially.
+    Identical items are merged once over the whole sequence.  Each
+    checkpoint is solved cold and on its own, in no required order, and
+    equals a cold :func:`solve_eg` of its prefix (restricted to the
+    agents present in it) bit for bit.
     """
+    if not (tol > 0):
+        raise InstanceError("tol must be positive")
+    if weights.n != values.n:
+        raise InstanceError("weights length does not match agent count")
     cps = sorted({int(c) for c in checkpoints})
     if not cps:
         return []
     if cps[0] < 1 or cps[-1] > values.t:
         raise InstanceError(f"checkpoints must lie in [1, {values.t}]")
+    uniq, _, inverse = _compress(values.matrix)
     out: List[PrefixSolution] = []
-    prev_alloc: Optional[np.ndarray] = None
     for tau in cps:
-        prefix = values.matrix[:tau]
-        present = (prefix > 0).any(axis=0)
-        flagged = tuple(int(i) for i in np.nonzero(~present)[0])
+        counts = np.bincount(inverse[:tau], minlength=uniq.shape[0])
+        keep = counts > 0
+        rows = uniq[keep]
+        # dropped columns are zero on every kept row: order and merge hold
+        present = (rows > 0).any(axis=0)
         idx = np.nonzero(present)[0]
-        sub = ValueSequence(prefix[:, idx], tuple(values.agents[i] for i in idx))
+        if idx.size == 0:
+            raise InstanceError(f"no item among the first {tau} has a positive value")
         sub_w = AgentWeights(weights.array[idx])
-        warm = None
-        if prev_alloc is not None:
-            warm = np.zeros((tau, idx.size))
-            warm[: prev_alloc.shape[0]] = prev_alloc[:, idx]
-        eq = solve_eg(sub, sub_w, tol, warm_allocation=warm)
+        _, utilities, _, gap, iters = _pr_fixed_point(
+            rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total, _MAX_ITERS
+        )
         u = np.zeros(values.n)
-        u[idx] = eq.utilities / tau
-        full_alloc = np.zeros((tau, values.n))
-        full_alloc[:, idx] = eq.allocation
-        prev_alloc = full_alloc
-        out.append(PrefixSolution(tau=tau, avg_utilities=u, flagged=flagged))
+        u[idx] = utilities / tau
+        flagged = tuple(int(i) for i in np.nonzero(~present)[0])
+        out.append(PrefixSolution(tau=tau, avg_utilities=u, flagged=flagged, iterations=iters, gap=gap))
     return out

@@ -10,7 +10,9 @@ prefixes at the checkpoints, and writes:
                        repetitions (columns tau, variant, agent, value;
                        agent is a name or ``max``/``mean``),
 ``summary.json``       final metrics per variant (per repetition and
-                       averaged),
+                       averaged) and, under ``hindsight_solver``, the
+                       benchmark's iterations and certified gap per
+                       repetition and checkpoint,
 ``relative_regret.svg``one chart with the max and mean series per variant,
 ``reps/``              per-repetition raw checkpoint tables.
 
@@ -181,6 +183,10 @@ class ExperimentConfig:
             raise InstanceError("config needs exactly one of a CSV path or a model spec")
         if not (self.tolerance > 0):
             raise InstanceError("tolerance must be positive")
+        labels = [variant_label(v) for v in self.variants]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise InstanceError(f"two variants share the label {label!r}; results are keyed by it")
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentConfig":
@@ -293,6 +299,7 @@ def _run_experiment_inner(
     traj: Dict[str, List[list]] = {lab: [] for lab in labels}
     finals: Dict[str, List[dict]] = {lab: [] for lab in labels}
     rep_files: List[str] = []
+    solver: List[dict] = []
 
     for rep in range(config.repetitions):
         values = _load_instance(config, rep)
@@ -308,6 +315,7 @@ def _run_experiment_inner(
             prefixes = hindsight_prefix(values, config.weights, cps, config.tolerance)
         except Exception as exc:
             raise RuntimeError(f"repetition {rep}: hindsight benchmark failed: {exc}") from exc
+        solver.append({"iterations": [p.iterations for p in prefixes], "gap": [p.gap for p in prefixes]})
         full = prefixes[-1]
         hindsight_final = full.avg_utilities * values.t
         for variant, label in zip(config.variants, labels):
@@ -354,6 +362,7 @@ def _run_experiment_inner(
         "agents": list(agent_names),
         "weights": [float(x) for x in config.weights.array],
         "variants": {},
+        "hindsight_solver": solver,
     }
     for label in labels:
         per_rep = finals[label]

@@ -187,6 +187,7 @@ def test_nonconvergence_error_carries_gap():
     with pytest.raises(ConvergenceError) as exc_info:
         solve_eg(vs, AgentWeights.equal(3), 1e-12, max_iters=2)
     assert exc_info.value.gap > 0
+    assert exc_info.value.iterations == 2
 
 
 def test_hindsight_prefix_single_checkpoint_is_full_solve():
