@@ -26,6 +26,11 @@ Variants
                     increment of weighted log welfare.
 ``Proportional``    splits every item in proportion to the weights; no
                     auction takes place.
+
+Each variant's rule (its first-round state, bids, update after a won
+round, multipliers, tracked averages and item split) is written once, in
+the kernel that ``variant.kernel(weights)`` builds.  ``run``, the
+single-step API, ``PaceState``, ``RunTrace`` and the metrics all read it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ INF = math.inf
 @dataclass(frozen=True)
 class Unconstrained:
     name: str = "pace"
+
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _PaceKernel(self, weights)
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,9 @@ class Constrained:
         b = weights.array
         return cls(tuple(b / (1.0 + slack)), tuple(b * (1.0 + slack)))
 
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _ConstrainedKernel(self, weights)
+
 
 @dataclass(frozen=True)
 class Seeded:
@@ -85,6 +96,9 @@ class Seeded:
         if not (float(self.seed_utility) > 0):
             raise InstanceError("seed_utility must be positive")
         object.__setattr__(self, "seed_utility", float(self.seed_utility))
+
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _SeededKernel(self, weights, self.seed_utility)
 
 
 @dataclass(frozen=True)
@@ -107,33 +121,211 @@ class SetAside:
                 raise InstanceError("monopoly utilities must be positive and finite")
             object.__setattr__(self, "monopoly_utilities", w)
 
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _SetAsideKernel(self, weights)
+
 
 @dataclass(frozen=True)
 class OneStepGreedy:
     name: str = "greedy"
+
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _GreedyKernel(self, weights)
 
 
 @dataclass(frozen=True)
 class Proportional:
     name: str = "proportional"
 
+    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
+        return _ProportionalKernel(self, weights)
+
 
 Variant = Union[Unconstrained, Constrained, Seeded, SetAside, OneStepGreedy, Proportional]
 
 
 def resolve_variant(variant: Variant, values: ValueSequence) -> Variant:
-    """Fill instance-dependent variant parameters and check dimensions."""
-    if isinstance(variant, SetAside):
-        if variant.monopoly_utilities is None:
-            return replace(
-                variant,
-                monopoly_utilities=tuple(float(x) for x in values.monopolistic_utilities()),
-            )
-        if len(variant.monopoly_utilities) != values.n:
-            raise InstanceError("monopoly utilities length does not match agent count")
-    if isinstance(variant, Constrained) and len(variant.lower) != values.n:
-        raise InstanceError("projection intervals length does not match agent count")
+    """Fill in set-aside's monopolistic utilities from the instance."""
+    if isinstance(variant, SetAside) and variant.monopoly_utilities is None:
+        return replace(
+            variant,
+            monopoly_utilities=tuple(float(x) for x in values.monopolistic_utilities()),
+        )
     return variant
+
+
+class _PaceKernel:
+    """Plain pacing's rule bound to the agent weights; each other kernel
+    overrides what its rule changes.
+
+    The state (utilities ``u``, variant internals ``aux``, spend) lives in
+    a :class:`_Runner` as lists or a :class:`PaceState` as arrays.  Every
+    item is split as ``base[i]`` to each agent plus ``top`` to the winner;
+    ``pays`` says whether the winning score is money spent.
+    """
+
+    top = 1.0
+    pays = True
+    aux0: Optional[Tuple[float, ...]] = None  # the variant internals before round one
+
+    def __init__(self, variant: Variant, weights: AgentWeights):
+        self.variant = variant
+        self.weights = weights
+        self.b = [float(x) for x in weights.array]
+        self.n = len(self.b)
+        self.base = [0.0] * self.n
+
+    def scores(self, u: List[float], aux, tau0: int, row: Sequence[float]) -> List[float]:
+        """Decision scores for the next item after ``tau0`` rounds; ``inf``
+        only from the unserved state."""
+        # every agent starts unserved, so round one is governed by the
+        # same infinite-bid rule as any other unserved round
+        return [
+            (bi / (ui / tau0)) * v if ui > 0.0 else (INF if v > 0.0 else 0.0)
+            for bi, ui, v in zip(self.b, u, row)
+        ]
+
+    def commit(self, r: "_Runner", row: Sequence[float], w: int, bid: float) -> int:
+        """Credit round ``r.tau + 1`` to winner ``w``: pacing hands over the
+        whole item at the winning bid.  Returns the winner to record, or -1."""
+        r.u[w] += row[w]
+        if bid == INF:
+            r.infinite_spend_round[w] = r.tau + 1  # flagged, not accumulated
+        else:
+            r.spend[w] += bid
+        return w
+
+    def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
+        """Multipliers ``B/ubar``, with ``inf`` for the unserved."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.array(self.b) / (u / tau)
+        out[u == 0] = INF
+        return out
+
+    def averages(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
+        """Tracked average utilities after ``tau >= 1`` rounds."""
+        return u / tau
+
+
+class _ConstrainedKernel(_PaceKernel):
+    """``aux`` holds the projected multipliers, which start at one."""
+
+    def __init__(self, variant: Constrained, weights: AgentWeights):
+        super().__init__(variant, weights)
+        if len(variant.lower) != self.n:
+            raise InstanceError("projection intervals length does not match agent count")
+        self.aux0 = (1.0,) * self.n
+
+    def scores(self, u, aux, tau0, row):
+        return [a * v for a, v in zip(aux, row)]
+
+    def commit(self, r, row, w, bid):
+        super().commit(r, row, w, bid)
+        u, aux, tau1 = r.u, r.aux, r.tau + 1
+        for i, (bi, lo, hi) in enumerate(zip(self.b, self.variant.lower, self.variant.upper)):
+            aux[i] = hi if u[i] == 0.0 else min(max(bi / (u[i] / tau1), lo), hi)
+        return w
+
+    def beta(self, u, aux, tau):
+        return np.array(aux)
+
+
+class _SeededKernel(_PaceKernel):
+    def __init__(self, variant: Variant, weights: AgentWeights, xi: float):
+        super().__init__(variant, weights)
+        self.xi = xi
+
+    def scores(self, u, aux, tau0, row):
+        if tau0 == 0:
+            return list(row)  # unit multipliers
+        xi = self.xi
+        return [(bi / ((ui + xi) / tau0)) * v for bi, ui, v in zip(self.b, u, row)]
+
+    def beta(self, u, aux, tau):
+        if tau == 0:
+            return np.ones(self.n)
+        return np.array(self.b) / ((u + self.xi) / tau)
+
+    def averages(self, u, aux, tau):
+        return (u + self.xi) / tau
+
+
+class _SetAsideKernel(_SeededKernel):
+    """Seeded pacing (seed ``1/(2n)``) on the auctioned half; ``aux`` holds
+    its cumulative utilities, in values normalized by monopolistic utility."""
+
+    top = 0.5
+
+    def __init__(self, variant: SetAside, weights: AgentWeights):
+        super().__init__(variant, weights, 1.0 / (2.0 * weights.n))
+        mono = variant.monopoly_utilities
+        if mono is None:
+            raise InstanceError("set-aside needs resolved monopoly utilities")
+        if len(mono) != self.n:
+            raise InstanceError("monopoly utilities length does not match agent count")
+        self.mono = mono
+        self.base = [self.xi] * self.n
+        self.aux0 = (0.0,) * self.n
+
+    def scores(self, u, aux, tau0, row):
+        return super().scores(aux, None, tau0, [v / m for v, m in zip(row, self.mono)])
+
+    def commit(self, r, row, w, bid):
+        r.aux[w] += self.top * (row[w] / self.mono[w])
+        u = r.u
+        for i, s in enumerate(self.base):
+            u[i] += s * row[i]
+        u[w] += self.top * row[w]
+        r.spend[w] += bid
+        return w
+
+    def beta(self, u, aux, tau):
+        return super().beta(aux, None, tau)
+
+    def averages(self, u, aux, tau):
+        return np.asarray(self.mono) * super().averages(aux, None, tau)
+
+
+class _GreedyKernel(_PaceKernel):
+    """Scores are exact log-welfare increments, not money: nothing is spent."""
+
+    pays = False
+
+    def scores(self, u, aux, tau0, row):
+        return [
+            0.0 if v <= 0.0 else (INF if ui == 0.0 else bi * math.log1p(v / ui))
+            for bi, ui, v in zip(self.b, u, row)
+        ]
+
+    def commit(self, r, row, w, bid):
+        r.u[w] += row[w]
+        return w
+
+
+class _ProportionalKernel(_PaceKernel):
+    """No auction: every agent gets its weight share of every item."""
+
+    top = 0.0
+    pays = False
+
+    def __init__(self, variant: Proportional, weights: AgentWeights):
+        super().__init__(variant, weights)
+        total = sum(self.b)
+        self.base = [x / total for x in self.b]
+
+    def scores(self, u, aux, tau0, row):
+        return [0.0] * self.n
+
+    def commit(self, r, row, w, bid):
+        u = r.u
+        for i, s in enumerate(self.base):
+            u[i] += s * row[i]
+        return -1
+
+    def beta(self, u, aux, tau):
+        if tau == 0:
+            return np.ones(self.n)
+        return super().beta(u, aux, tau)
 
 
 @dataclass(frozen=True)
@@ -163,25 +355,10 @@ class PaceState:
         ``inf`` here is a display marker only — bid computation treats
         unserved agents by case, never by arithmetic on infinities.
         Under the unconstrained (and greedy) rule every agent starts
-        unserved; the seeded, projected, and set-aside variants start
-        with unit multipliers instead.
+        unserved; the seeded, projected, set-aside and proportional
+        variants start with unit multipliers instead.
         """
-        b = self.weights.array
-        if self.tau == 0:
-            if isinstance(self.variant, (Constrained, Seeded, SetAside, Proportional)):
-                return np.ones(self.n)
-            return np.full(self.n, INF)
-        if isinstance(self.variant, Constrained):
-            return self.aux.copy()
-        if isinstance(self.variant, Seeded):
-            return b / ((self.utilities + self.variant.seed_utility) / self.tau)
-        if isinstance(self.variant, SetAside):
-            half_n = 1.0 / (2.0 * self.n)
-            return b / ((self.aux + half_n) / self.tau)
-        with np.errstate(divide="ignore"):
-            out = b / (self.utilities / self.tau)
-        out[self.utilities == 0] = INF
-        return out
+        return self.variant.kernel(self.weights).beta(self.utilities, self.aux, self.tau)
 
     @property
     def averages(self) -> Optional[np.ndarray]:
@@ -193,29 +370,12 @@ class PaceState:
         """
         if self.tau == 0:
             return None
-        if isinstance(self.variant, Seeded):
-            return (self.utilities + self.variant.seed_utility) / self.tau
-        if isinstance(self.variant, SetAside):
-            w = np.asarray(self.variant.monopoly_utilities)
-            half_n = 1.0 / (2.0 * self.n)
-            return w * ((self.aux + half_n) / self.tau)
-        return self.utilities / self.tau
+        return self.variant.kernel(self.weights).averages(self.utilities, self.aux, self.tau)
 
 
 def new_state(variant: Variant, weights: AgentWeights) -> PaceState:
     """Fresh state before any item has arrived."""
-    n = weights.n
-    if isinstance(variant, SetAside):
-        if variant.monopoly_utilities is None:
-            raise InstanceError("SetAside state needs resolved monopoly utilities")
-        aux = np.zeros(n)
-    elif isinstance(variant, Constrained):
-        if len(variant.lower) != n:
-            raise InstanceError("projection intervals length does not match agent count")
-        aux = np.ones(n)
-    else:
-        aux = None
-    return PaceState(tau=0, utilities=np.zeros(n), variant=variant, weights=weights, aux=aux)
+    return _Runner(variant, weights).state()
 
 
 @dataclass(frozen=True)
@@ -237,198 +397,81 @@ class StepOutcome:
     utilities: np.ndarray
 
 
-def _bid_scores(
-    variant: Variant,
-    b: Sequence[float],
-    u: Sequence[float],
-    aux,
-    tau0: int,
-    row: Sequence[float],
-    n: int,
-) -> List[float]:
-    """Decision scores for the next item; INF only from the unserved state."""
-    if isinstance(variant, Proportional):
-        return [0.0] * n
-    if isinstance(variant, OneStepGreedy):
-        scores = []
-        for i in range(n):
-            v = row[i]
-            if v <= 0.0:
-                scores.append(0.0)
-            elif u[i] == 0.0:
-                scores.append(INF)
-            else:
-                scores.append(b[i] * math.log1p(v / u[i]))
-        return scores
-    if isinstance(variant, SetAside):
-        w = variant.monopoly_utilities
-        nrow = [row[i] / w[i] for i in range(n)]
-        if tau0 == 0:
-            return nrow
-        half_n = 1.0 / (2.0 * n)
-        return [(b[i] / ((aux[i] + half_n) / tau0)) * nrow[i] for i in range(n)]
-    if isinstance(variant, Constrained):
-        if tau0 == 0:
-            return list(row)
-        return [aux[i] * row[i] for i in range(n)]
-    if isinstance(variant, Seeded):
-        if tau0 == 0:
-            return list(row)
-        xi = variant.seed_utility
-        return [(b[i] / ((u[i] + xi) / tau0)) * row[i] for i in range(n)]
-    # unconstrained pacing; every agent starts unserved, so round one is
-    # governed by the same infinite-bid rule as any other unserved round
-    scores = []
-    for i in range(n):
-        v = row[i]
-        if u[i] > 0.0:
-            scores.append((b[i] / (u[i] / tau0)) * v)
-        else:
-            scores.append(INF if v > 0.0 else 0.0)
-    return scores
-
-
-def _argmax(scores: Sequence[float]) -> int:
-    w = 0
-    best = scores[0]
-    for i in range(1, len(scores)):
-        if scores[i] > best:
-            best = scores[i]
-            w = i
-    return w
-
-
-_K_PACE, _K_CONSTRAINED, _K_SEEDED, _K_SETASIDE, _K_GREEDY, _K_PROPORTIONAL = range(6)
-
-_KIND = {
-    Unconstrained: _K_PACE,
-    Constrained: _K_CONSTRAINED,
-    Seeded: _K_SEEDED,
-    SetAside: _K_SETASIDE,
-    OneStepGreedy: _K_GREEDY,
-    Proportional: _K_PROPORTIONAL,
-}
-
-
 class _Runner:
-    """Mutable executor shared by the single-step API and the full run.
+    """Mutable state of one dynamic, advanced by its variant's kernel; the
+    full run and the single-step API both step one, so they agree bit for bit."""
 
-    The step body repeats the arithmetic of :func:`_bid_scores` verbatim
-    so that the full-run loop and the single-step API are bit-identical.
-    """
-
-    __slots__ = (
-        "variant", "kind", "b", "u", "aux", "tau", "n",
-        "spend", "infinite_spend_round", "share",
-    )
+    __slots__ = ("kernel", "u", "aux", "tau", "spend", "infinite_spend_round")
 
     def __init__(self, variant: Variant, weights: AgentWeights):
-        self.variant = variant
-        self.kind = _KIND[type(variant)]
-        self.b = [float(x) for x in weights.array]
-        self.n = len(self.b)
-        self.u = [0.0] * self.n
+        self.kernel = variant.kernel(weights)
+        n = self.kernel.n
+        self.u = [0.0] * n
+        self.aux = None if self.kernel.aux0 is None else list(self.kernel.aux0)
         self.tau = 0
-        self.spend = [0.0] * self.n
-        self.infinite_spend_round = [0] * self.n
-        if isinstance(variant, SetAside):
-            self.aux = [0.0] * self.n
-        elif isinstance(variant, Constrained):
-            self.aux = [1.0] * self.n
-        else:
-            self.aux = None
-        total = sum(self.b)
-        self.share = [x / total for x in self.b]
+        self.spend = [0.0] * n
+        self.infinite_spend_round = [0] * n
 
-    def step(self, row: Sequence[float]) -> Tuple[int, List[float]]:
-        """Advance one round; returns (winner, bid scores)."""
-        kind, n, u, b, tau0 = self.kind, self.n, self.u, self.b, self.tau
-        if kind == _K_PACE:
-            scores = [
-                ((b[i] / (u[i] / tau0)) * row[i])
-                if u[i] > 0.0
-                else (INF if row[i] > 0.0 else 0.0)
-                for i in range(n)
-            ]
-            w = 0
-            best = scores[0]
-            for i in range(1, n):
-                if scores[i] > best:
-                    best = scores[i]
-                    w = i
-            unserved_win = u[w] == 0.0 and row[w] > 0.0
-            u[w] += row[w]
-            if unserved_win:
-                self.infinite_spend_round[w] = tau0 + 1
-            else:
-                self.spend[w] += best
-            self.tau = tau0 + 1
-            return w, scores
+    @classmethod
+    def at(cls, state: PaceState) -> "_Runner":
+        """A runner resuming from ``state`` (spend restarts at zero)."""
+        r = cls(state.variant, state.weights)
+        r.u = [float(x) for x in state.utilities]
+        r.tau = state.tau
+        if state.aux is not None:
+            r.aux = [float(x) for x in state.aux]
+        return r
 
-        scores = _bid_scores(self.variant, b, u, self.aux, tau0, row, n)
-        if kind == _K_PROPORTIONAL:
-            for i in range(n):
-                u[i] += self.share[i] * row[i]
-            self.tau = tau0 + 1
-            return -1, scores
-        w = _argmax(scores)
-        bid = scores[w]
-        if kind == _K_SETASIDE:
-            half_n = 1.0 / (2.0 * n)
-            self.aux[w] += 0.5 * (row[w] / self.variant.monopoly_utilities[w])
-            for i in range(n):
-                u[i] += half_n * row[i]
-            u[w] += 0.5 * row[w]
-            self.spend[w] += bid
-        else:
-            u[w] += row[w]
-            if kind == _K_CONSTRAINED:
-                tau1 = tau0 + 1
-                lo, hi = self.variant.lower, self.variant.upper
-                for i in range(n):
-                    if u[i] == 0.0:
-                        self.aux[i] = hi[i]
-                    else:
-                        raw = b[i] / (u[i] / tau1)
-                        self.aux[i] = min(max(raw, lo[i]), hi[i])
-                self.spend[w] += bid
-            elif kind == _K_SEEDED:
-                self.spend[w] += bid
-            # greedy scores are welfare increments, not money: no spend
-        self.tau = tau0 + 1
-        return w, scores
-
-    def beta(self) -> np.ndarray:
+    def state(self) -> PaceState:
+        k = self.kernel
         return PaceState(
             tau=self.tau,
             utilities=np.array(self.u),
-            variant=self.variant,
-            weights=AgentWeights(np.array(self.b)),
+            variant=k.variant,
+            weights=k.weights,
             aux=None if self.aux is None else np.array(self.aux),
-        ).beta
+        )
+
+    def step(self, row: Sequence[float]) -> Tuple[int, List[float]]:
+        """Advance one round; returns (winner or -1, bid scores).  The
+        winner is the smallest index holding the largest score."""
+        k = self.kernel
+        scores = k.scores(self.u, self.aux, self.tau, row)
+        best = max(scores)
+        w = k.commit(self, row, scores.index(best), best)
+        self.tau += 1
+        return w, scores
+
+    def beta(self) -> np.ndarray:
+        aux = None if self.aux is None else np.array(self.aux)
+        return self.kernel.beta(np.array(self.u), aux, self.tau)
 
     def outcome_row(self, w: int, row: Sequence[float], scores: List[float]) -> StepOutcome:
-        n = self.n
-        alloc = np.zeros(n)
-        util = np.zeros(n)
-        exp = np.zeros(n)
-        if isinstance(self.variant, Proportional):
-            alloc[:] = self.share
-            util[:] = np.asarray(self.share) * np.asarray(row)
-            return StepOutcome(None, alloc, np.array(scores), exp, util)
-        if isinstance(self.variant, SetAside):
-            half_n = 1.0 / (2.0 * n)
-            alloc[:] = half_n
-            alloc[w] += 0.5
-            util[:] = half_n * np.asarray(row)
-            util[w] += 0.5 * row[w]
-            exp[w] = scores[w]
-        else:
-            alloc[w] = 1.0
-            util[w] = row[w]
-            if not isinstance(self.variant, OneStepGreedy):
+        k = self.kernel
+        alloc = np.array(k.base)
+        util = alloc * np.asarray(row)
+        exp = np.zeros(k.n)
+        if w >= 0:
+            alloc[w] += k.top
+            util[w] += k.top * row[w]
+            if k.pays:
                 exp[w] = scores[w]  # inf when won from the unserved state
-        return StepOutcome(w, alloc, np.array(scores), exp, util)
+        return StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
+
+
+def _checked_row(value_row: Sequence[float], n: int) -> List[float]:
+    """The row as floats, refused for the faults ``validate_instance``
+    reports in a value matrix: wrong length, non-finite, negative."""
+    row = [float(x) for x in value_row]
+    if len(row) != n:
+        raise InstanceError(f"value row length {len(row)} does not match agent count {n}")
+    for i, x in enumerate(row):
+        if not math.isfinite(x):
+            raise InstanceError(f"non-finite value at agent {i + 1}")
+    for i, x in enumerate(row):
+        if x < 0:
+            raise InstanceError(f"negative value at agent {i + 1}")
+    return row
 
 
 def pace_bid(state: PaceState, value_row: Sequence[float]) -> np.ndarray:
@@ -441,45 +484,17 @@ def pace_bid(state: PaceState, value_row: Sequence[float]) -> np.ndarray:
     (for set-aside: weight-normalized) values.  Greedy scores are the
     exact log-welfare increments; the proportional baseline bids zero.
     """
-    row = [float(x) for x in value_row]
-    if len(row) != state.n:
-        raise InstanceError("value row length does not match agent count")
-    if any(x < 0 for x in row):
-        raise InstanceError("negative value in row")
-    aux = None if state.aux is None else [float(x) for x in state.aux]
-    return np.array(
-        _bid_scores(
-            state.variant,
-            [float(x) for x in state.weights.array],
-            [float(x) for x in state.utilities],
-            aux,
-            state.tau,
-            row,
-            state.n,
-        )
-    )
+    row = _checked_row(value_row, state.n)
+    r = _Runner.at(state)
+    return np.array(r.kernel.scores(r.u, r.aux, r.tau, row))
 
 
 def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, StepOutcome]:
     """Run one auction round; returns the advanced state and its outcome."""
-    row = [float(x) for x in value_row]
-    if len(row) != state.n:
-        raise InstanceError("value row length does not match agent count")
-    runner = _Runner(state.variant, state.weights)
-    runner.u = [float(x) for x in state.utilities]
-    runner.tau = state.tau
-    if state.aux is not None:
-        runner.aux = [float(x) for x in state.aux]
-    w, scores = runner.step(row)
-    outcome = runner.outcome_row(max(w, 0), row, scores)
-    new = PaceState(
-        tau=runner.tau,
-        utilities=np.array(runner.u),
-        variant=state.variant,
-        weights=state.weights,
-        aux=None if runner.aux is None else np.array(runner.aux),
-    )
-    return new, outcome
+    row = _checked_row(value_row, state.n)
+    r = _Runner.at(state)
+    w, scores = r.step(row)
+    return r.state(), r.outcome_row(w, row, scores)
 
 
 @dataclass(frozen=True)
@@ -518,16 +533,11 @@ class RunTrace:
 
     def allocation_matrix(self) -> np.ndarray:
         """Dense t x n allocation; rows sum to at most one."""
-        x = np.zeros((self.t, self.n))
-        if isinstance(self.variant, Proportional):
-            x[:] = self.weights.array / self.weights.total
-            return x
-        rows = np.arange(self.t)
-        if isinstance(self.variant, SetAside):
-            x[:] = 1.0 / (2.0 * self.n)
-            x[rows, self.winners] += 0.5
-            return x
-        x[rows, self.winners] = 1.0
+        k = self.variant.kernel(self.weights)
+        x = np.empty((self.t, self.n))
+        x[:] = k.base
+        if k.top:
+            x[np.arange(self.t), self.winners] += k.top
         return x
 
     def to_csv(self, path) -> None:
@@ -711,7 +721,7 @@ def run(
         w, scores = runner.step(row)
         winners[tau0] = w
         if store_outcomes:
-            outcomes.append(runner.outcome_row(max(w, 0), row, scores))
+            outcomes.append(runner.outcome_row(w, row, scores))
         if cp_iter < k and cps[cp_iter] == tau0 + 1:
             cp_u[cp_iter] = runner.u
             cp_beta[cp_iter] = runner.beta()

@@ -191,6 +191,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentConfig":
         inst = d.get("instance", {})
+        if not isinstance(inst, dict):
+            raise InstanceError("config 'instance' must be a mapping")
         w = d.get("weights")
         if isinstance(w, dict) and "equal" in w:
             weights = AgentWeights.equal(int(w["equal"]))
@@ -199,11 +201,16 @@ class ExperimentConfig:
         else:
             raise InstanceError("config lacks agent weights")
         variants = []
-        for v in d.get("variants", []):
+        entries = d.get("variants", [])
+        if not isinstance(entries, list):
+            raise InstanceError("config 'variants' must be a list")
+        for v in entries:
             if isinstance(v, str):
                 variants.append(parse_variant(v, weights))
+            elif isinstance(v, dict):
+                variants.append(variant_from_dict(v, weights))
             else:
-                variants.append(variant_from_dict(dict(v), weights))
+                raise InstanceError(f"variant entry {v!r} must be a string or a mapping")
         csv_path = inst.get("csv")
         if csv_path is not None and not os.path.isabs(csv_path):
             csv_path = os.path.join(base_dir, csv_path)
@@ -236,7 +243,11 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            try:
+                data = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                # the parser's message spans several lines; the CLI prints one
+                raise InstanceError(f"config is not valid YAML: {' '.join(str(exc).split())}") from None
         if not isinstance(data, dict):
             raise InstanceError("config file must hold a mapping")
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -289,6 +300,12 @@ def _load_instance(config: ExperimentConfig, rep: int) -> ValueSequence:
     return values
 
 
+def _nan_mean(vals: Sequence[float]) -> float:
+    """Mean over the non-NaN entries, summed in order; NaN if there are none."""
+    vals = [v for v in vals if not math.isnan(v)]
+    return sum(vals) / len(vals) if vals else math.nan
+
+
 def _run_experiment_inner(
     config: ExperimentConfig, created: List[str], out_dir: str, reps_dir: str
 ) -> ExperimentResult:
@@ -306,6 +323,10 @@ def _run_experiment_inner(
         if agent_names is None:
             agent_names = values.agents
             cps = parse_checkpoints(config.checkpoints, values.t)
+        if values.n != config.weights.n:
+            raise InstanceError(
+                f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
+            )
         if config.save_instances:
             inst_path = os.path.join(reps_dir, f"instance_{rep:03d}.csv")
             save_csv(inst_path, values)
@@ -344,14 +365,10 @@ def _run_experiment_inner(
             for k, tau in enumerate(cps):
                 rows = [per_rep[r][k] for r in range(reps)]
                 for i, name in enumerate(agent_names):
-                    vals = [p.per_agent[i] for p in rows]
-                    vals = [v for v in vals if not math.isnan(v)]
-                    mean = sum(vals) / len(vals) if vals else math.nan
+                    mean = _nan_mean([p.per_agent[i] for p in rows])
                     wr.writerow([tau, label, name, repr(float(mean))])
                 for stat, getter in (("max", lambda p: p.max_value), ("mean", lambda p: p.mean_value)):
-                    vals = [getter(p) for p in rows]
-                    vals = [v for v in vals if not math.isnan(v)]
-                    mean = sum(vals) / len(vals) if vals else math.nan
+                    mean = _nan_mean([getter(p) for p in rows])
                     wr.writerow([tau, label, stat, repr(float(mean))])
     created.append(traj_path)
 
@@ -386,11 +403,7 @@ def _run_experiment_inner(
     for label in labels:
         per_rep = traj[label]
         for stat, getter in (("max", lambda p: p.max_value), ("mean", lambda p: p.mean_value)):
-            ys = []
-            for k in range(len(cps)):
-                vals = [getter(per_rep[r][k]) for r in range(reps)]
-                vals = [v for v in vals if not math.isnan(v)]
-                ys.append(sum(vals) / len(vals) if vals else math.nan)
+            ys = [_nan_mean([getter(per_rep[r][k]) for r in range(reps)]) for k in range(len(cps))]
             series.append((f"{label}, {stat}", list(cps), ys))
     svg_path = os.path.join(out_dir, "relative_regret.svg")
     write_line_svg(

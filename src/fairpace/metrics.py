@@ -16,15 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import (
-    Constrained,
-    Proportional,
-    RunTrace,
-    Seeded,
-    SetAside,
-    Unconstrained,
-    variant_label,
-)
+from .dynamics import RunTrace, Seeded, variant_label
 from .eg import PrefixSolution
 from .model import AgentWeights, InstanceError, ValueSequence
 
@@ -51,19 +43,14 @@ def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.nda
         trace = allocation
         if trace.t != t or trace.n != n:
             raise InstanceError("trace shape does not match the instance")
-        if isinstance(trace.variant, Proportional):
-            share = trace.weights.array / trace.weights.total
-            return np.outer(m.sum(axis=0), share) / t
+        kernel = trace.variant.kernel(trace.weights)
         won = np.zeros((n, n))  # won[i, k] = sum of v_i over items won by k
         for k in range(n):
             mask = trace.winners == k
             if mask.any():
                 won[:, k] = m[mask].sum(axis=0)
-        if isinstance(trace.variant, SetAside):
-            half_n = 1.0 / (2.0 * n)
-            base = half_n * m.sum(axis=0)
-            return (base[:, None] + 0.5 * won) / t
-        return won / t
+        # every agent holds its base share of every item, the winner ``top`` more
+        return (np.outer(m.sum(axis=0), kernel.base) + kernel.top * won) / t
     x = np.asarray(allocation, dtype=np.float64)
     if x.shape != (t, n):
         raise InstanceError("allocation shape does not match the instance")
@@ -173,7 +160,7 @@ def expenditure_deviation(trace: RunTrace, weights: AgentWeights, warmup: int) -
     ``warmup`` must be 0 or one of the trace's checkpoints so the
     cumulative spend at the cut is known exactly.
     """
-    if not isinstance(trace.variant, (Unconstrained, Constrained, Seeded, SetAside)):
+    if not trace.variant.kernel(trace.weights).pays:
         raise InstanceError("expenditure deviation is defined for pacing variants")
     if not (0 <= warmup < trace.t):
         raise InstanceError("warmup must lie in [0, t)")

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import greedy_reference_winners, pace_reference_trace
 
@@ -35,6 +38,18 @@ def _random_instance(rng, t_max=60, n_max=4, zero_frac=0.3):
     m[rng.random((t, n)) < zero_frac] = 0.0
     m[0] = rng.uniform(0.1, 1.0, n)  # keep validation happy
     return ValueSequence(m), AgentWeights(rng.uniform(0.5, 2.0, n))
+
+
+def _all_variants(vs, w):
+    """Every variant, the instance-dependent ones fitted to ``vs`` and ``w``."""
+    return (
+        Unconstrained(),
+        Constrained.from_slack(w, 0.3),
+        Seeded(0.4),
+        SetAside(tuple(vs.monopolistic_utilities())),
+        OneStepGreedy(),
+        Proportional(),
+    )
 
 
 # ---------------------------------------------------------------- bids
@@ -259,14 +274,79 @@ def test_multiplier_identity_after_every_step():
 
 def test_run_equals_repeated_steps_bitwise():
     rng = np.random.default_rng(15)
-    for variant in (Unconstrained(), Seeded(0.4), OneStepGreedy(), Proportional()):
-        vs, w = _random_instance(rng)
-        trace = run(vs, w, variant)
-        st = new_state(variant, w)
-        for row in vs.matrix:
-            st, _ = pace_step(st, row)
-        assert np.array_equal(st.utilities, trace.final_utilities)
-        assert np.array_equal(st.beta, trace.final_beta)
+    vs, w = _random_instance(rng)
+    for variant in _all_variants(vs, w):
+        trace = run(vs, w, variant, checkpoints=range(1, vs.t + 1), store_outcomes=True)
+        dense = trace.allocation_matrix()
+        state = new_state(variant, w)
+        for k, row in enumerate(vs.matrix):
+            state, out = pace_step(state, row)
+            assert np.array_equal(state.utilities, trace.checkpoint_utilities[k])
+            assert np.array_equal(state.beta, trace.checkpoint_beta[k])
+            assert out.winner == (None if trace.winners[k] < 0 else trace.winners[k])
+            assert np.array_equal(out.bids, trace.outcomes[k].bids)
+            assert np.array_equal(out.allocation, trace.outcomes[k].allocation)
+            assert np.array_equal(out.allocation, dense[k])
+        assert np.array_equal(state.utilities, trace.final_utilities)
+        assert np.array_equal(state.beta, trace.final_beta)
+        if isinstance(variant, Constrained):
+            assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
+        elif isinstance(variant, SetAside):
+            # the normalized auction utilities, accumulated in round order
+            aux = np.zeros(vs.n)
+            for row, win in zip(vs.matrix, trace.winners):
+                aux[win] += 0.5 * (row[win] / variant.monopoly_utilities[win])
+            assert np.array_equal(state.aux, aux)
+        else:
+            assert state.aux is None
+
+
+# a few value levels make ties and unserved agents common
+_LEVELS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    matrix=st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_LEVELS)
+    ),
+    weights=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=4, max_size=4),
+    which=st.integers(0, 5),
+)
+def test_run_is_a_fold_of_pace_step(matrix, weights, which):
+    matrix[0, matrix.max(axis=0) == 0] = 1.0  # every agent values some item
+    vs = ValueSequence(matrix)
+    w = AgentWeights(weights[: vs.n])
+    variant = _all_variants(vs, w)[which]
+    trace = run(vs, w, variant)
+    state = new_state(variant, w)
+    winners = []
+    for row in vs.matrix:
+        state, out = pace_step(state, row)
+        winners.append(-1 if out.winner is None else out.winner)
+    assert winners == trace.winners.tolist()
+    assert np.array_equal(state.utilities, trace.final_utilities)
+    assert np.array_equal(state.beta, trace.final_beta)
+
+
+@pytest.mark.parametrize(
+    "row, fault",
+    [([1.0], "length"), ([math.nan, 1.0], "non-finite"), ([1.0, math.inf], "non-finite"),
+     ([-1.0, 2.0], "negative")],
+)
+@pytest.mark.parametrize("call", [pace_bid, pace_step])
+def test_single_step_api_rejects_rows_run_rejects(call, row, fault):
+    with pytest.raises(InstanceError, match=fault):
+        call(new_state(Unconstrained(), W2), row)
+
+
+def test_kernels_refuse_variants_that_do_not_fit_the_agents():
+    with pytest.raises(InstanceError, match="resolved monopoly utilities"):
+        new_state(SetAside(), W2)
+    with pytest.raises(InstanceError, match="monopoly utilities length"):
+        new_state(SetAside((1.0, 2.0, 3.0)), W2)
+    with pytest.raises(InstanceError, match="projection intervals length"):
+        new_state(Constrained((0.5,), (2.0,)), W2)
 
 
 def test_rerun_is_bit_identical():

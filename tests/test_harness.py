@@ -440,3 +440,38 @@ output_dir: out
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "'constrained'" in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
+    # the attack builds its instance while it runs, so no monopolistic
+    # utilities exist to resolve set-aside against
+    r = subprocess.run(
+        CLI + ["attack", "--construction", "cr-killer", "--n", "2", "--phases", "3,6",
+               "--variant", "setaside", "--out", str(tmp_path / "k.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+    assert "monopoly utilities" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("instance: [1, 2\nweights: {equal: 2}\n", "not valid YAML"),
+        ("instance: [1, 2]\nweights: {equal: 2}\nvariants: [pace]\n", "'instance' must be a mapping"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace, 3]\n", "variant entry 3"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 3}\nvariants: [pace]\n", "3 weights for an instance of 2 agents"),
+    ],
+    ids=["yaml-syntax", "instance-list", "variant-number", "weights-length"],
+)
+def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
+    (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
+    cfg = _write_config(tmp_path / "c.yaml", body)
+    r = subprocess.run(CLI + ["run", cfg], capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+    assert expected in lines[0]

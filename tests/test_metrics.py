@@ -7,7 +7,15 @@ import pytest
 
 from oracles import utility_ratio_enum
 
-from fairpace.dynamics import Proportional, Seeded, Unconstrained, run
+from fairpace.dynamics import (
+    Constrained,
+    OneStepGreedy,
+    Proportional,
+    Seeded,
+    SetAside,
+    Unconstrained,
+    run,
+)
 from fairpace.eg import solve_eg, hindsight_prefix
 from fairpace.metrics import (
     additive_envy,
@@ -177,8 +185,16 @@ def test_equilibrium_self_benchmark():
 def test_cross_utilities_trace_matches_dense():
     rng = np.random.default_rng(205)
     vs = ValueSequence(rng.random((20, 3)) + 1e-3)
-    w = AgentWeights.equal(3)
-    for variant in (Unconstrained(), Proportional()):
+    w = AgentWeights([0.5, 1.0, 2.0])
+    variants = (
+        Unconstrained(),
+        Constrained.from_slack(w, 0.3),
+        Seeded(0.4),
+        SetAside(tuple(vs.monopolistic_utilities())),
+        OneStepGreedy(),
+        Proportional(),
+    )
+    for variant in variants:
         trace = run(vs, w, variant)
         dense = cross_utilities(vs, trace.allocation_matrix())
         fast = cross_utilities(vs, trace)
