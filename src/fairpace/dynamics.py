@@ -31,6 +31,15 @@ Each variant's rule (its first-round state, bids, update after a won
 round, multipliers, tracked averages and item split) is written once, in
 the kernel that ``variant.kernel(weights)`` builds.  ``run``, the
 single-step API, ``PaceState``, ``RunTrace`` and the metrics all read it.
+
+``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
+cut also at every checkpoint, and only one block at a time is held as
+Python floats, so a run needs memory on the order of its input.  A
+kernel advances a whole block: the auctions step it row by row;
+proportional, whose update ignores the state, adds the block's weight
+shares as running column sums in one ``np.cumsum``, which rounds
+exactly as the row-by-row sums would.  The single-step API advances a
+one-row block.
 """
 
 from __future__ import annotations
@@ -44,6 +53,9 @@ import numpy as np
 from .model import AgentWeights, InstanceError, ValueSequence, validate_instance
 
 INF = math.inf
+
+# rows converted to Python floats at once; bounds a run's memory, not its result
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -195,6 +207,25 @@ class _PaceKernel:
             r.spend[w] += bid
         return w
 
+    def advance(
+        self, r: "_Runner", block: np.ndarray, outcomes: Optional[List["StepOutcome"]] = None
+    ) -> List[int]:
+        """Advance ``r`` over the rows of ``block`` in order; returns the
+        winners (-1 for none) and appends each round's outcome to
+        ``outcomes`` when one is given.  A round is scores, then the
+        smallest index holding the largest score, then commit."""
+        scores_of, commit = self.scores, self.commit
+        winners = []
+        for row in block.tolist():
+            scores = scores_of(r.u, r.aux, r.tau, row)
+            best = max(scores)
+            w = commit(r, row, scores.index(best), best)
+            r.tau += 1
+            winners.append(w)
+            if outcomes is not None:
+                outcomes.append(r.outcome_row(w, row, scores))
+        return winners
+
     def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
         """Multipliers ``B/ubar``, with ``inf`` for the unserved."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -316,11 +347,16 @@ class _ProportionalKernel(_PaceKernel):
     def scores(self, u, aux, tau0, row):
         return [0.0] * self.n
 
-    def commit(self, r, row, w, bid):
-        u = r.u
-        for i, s in enumerate(self.base):
-            u[i] += s * row[i]
-        return -1
+    def advance(self, r, block, outcomes=None):
+        if outcomes is not None:
+            bids = self.scores(r.u, r.aux, r.tau, None)  # zeros in every round
+            outcomes.extend(r.outcome_row(-1, row, bids) for row in block)
+        # row k of the cumulative sum is u + base*row_1 + ... + base*row_k,
+        # added in round order: the IEEE operations of ``u[i] += s * row[i]``
+        u = np.cumsum(np.vstack((r.u, np.multiply(self.base, block))), axis=0)
+        r.u = u[-1].tolist()
+        r.tau += len(block)
+        return [-1] * len(block)
 
     def beta(self, u, aux, tau):
         if tau == 0:
@@ -399,7 +435,7 @@ class StepOutcome:
 
 class _Runner:
     """Mutable state of one dynamic, advanced by its variant's kernel; the
-    full run and the single-step API both step one, so they agree bit for bit."""
+    full run and the single-step API both advance one, so they agree bit for bit."""
 
     __slots__ = ("kernel", "u", "aux", "tau", "spend", "infinite_spend_round")
 
@@ -431,16 +467,6 @@ class _Runner:
             weights=k.weights,
             aux=None if self.aux is None else np.array(self.aux),
         )
-
-    def step(self, row: Sequence[float]) -> Tuple[int, List[float]]:
-        """Advance one round; returns (winner or -1, bid scores).  The
-        winner is the smallest index holding the largest score."""
-        k = self.kernel
-        scores = k.scores(self.u, self.aux, self.tau, row)
-        best = max(scores)
-        w = k.commit(self, row, scores.index(best), best)
-        self.tau += 1
-        return w, scores
 
     def beta(self) -> np.ndarray:
         aux = None if self.aux is None else np.array(self.aux)
@@ -493,8 +519,9 @@ def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, 
     """Run one auction round; returns the advanced state and its outcome."""
     row = _checked_row(value_row, state.n)
     r = _Runner.at(state)
-    w, scores = r.step(row)
-    return r.state(), r.outcome_row(w, row, scores)
+    outcomes: List[StepOutcome] = []
+    r.kernel.advance(r, np.array([row]), outcomes)
+    return r.state(), outcomes[0]
 
 
 @dataclass(frozen=True)
@@ -697,7 +724,9 @@ def run(
 
     ``checkpoints`` (sorted round numbers) select where cumulative
     utilities, multipliers, and expenditures are snapshotted; the final
-    round is always captured in the ``final_*`` fields.
+    round is always captured in the ``final_*`` fields.  The rows are
+    read in segments that end at every checkpoint, at every multiple of
+    ``_CHUNK`` and at the horizon.
     """
     report = validate_instance(values, weights)
     if not report.ok:
@@ -714,19 +743,18 @@ def run(
     cp_spend = np.zeros((k, n))
     outcomes: List[StepOutcome] = []
 
-    rows = values.matrix.tolist()
-    cp_iter = 0
-    for tau0 in range(t):
-        row = rows[tau0]
-        w, scores = runner.step(row)
-        winners[tau0] = w
-        if store_outcomes:
-            outcomes.append(runner.outcome_row(w, row, scores))
-        if cp_iter < k and cps[cp_iter] == tau0 + 1:
+    advance = runner.kernel.advance
+    start = cp_iter = 0
+    for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
+        winners[start:end] = advance(
+            runner, values.matrix[start:end], outcomes if store_outcomes else None
+        )
+        if cp_iter < k and cps[cp_iter] == end:
             cp_u[cp_iter] = runner.u
             cp_beta[cp_iter] = runner.beta()
             cp_spend[cp_iter] = runner.spend
             cp_iter += 1
+        start = end
 
     return RunTrace(
         variant=variant,

@@ -86,7 +86,8 @@ def parse_checkpoints(spec: Union[str, Sequence[int], None], t: int) -> Tuple[in
     itself; an explicit comma list or int sequence is clipped to
     ``[1, t]``.  The horizon is always included.
     """
-    if spec is None or spec == "pow2":
+    items = _schedule_items(spec)
+    if items is None:
         cps = []
         c = 1
         while c <= t:
@@ -94,18 +95,26 @@ def parse_checkpoints(spec: Union[str, Sequence[int], None], t: int) -> Tuple[in
             c *= 2
         cps.append(t)
         return tuple(sorted(set(cps)))
-    if isinstance(spec, str):
-        try:
+    return tuple(sorted({c for c in items if c <= t} | {t}))
+
+
+def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]]:
+    """The explicit rounds of a checkpoint schedule, or None for ``pow2``;
+    a schedule of the wrong shape raises :class:`InstanceError`."""
+    if spec is None or spec == "pow2":
+        return None
+    try:
+        if isinstance(spec, str):
             items = [int(float(s)) for s in spec.split(",") if s.strip()]
-        except ValueError:
-            raise InstanceError(f"malformed checkpoint schedule {spec!r}") from None
-    else:
-        items = [int(x) for x in spec]
+        else:
+            items = [int(x) for x in spec]
+    except (TypeError, ValueError):
+        raise InstanceError(f"malformed checkpoint schedule {spec!r}") from None
     if not items:
         raise InstanceError("empty checkpoint schedule")
     if any(c < 1 for c in items):
         raise InstanceError("checkpoints must be positive")
-    return tuple(sorted({c for c in items if c <= t} | {t}))
+    return items
 
 
 def _dist_from_dict(d: dict) -> FiniteDistribution:
@@ -183,6 +192,9 @@ class ExperimentConfig:
             raise InstanceError("config needs exactly one of a CSV path or a model spec")
         if not (self.tolerance > 0):
             raise InstanceError("tolerance must be positive")
+        items = _schedule_items(self.checkpoints)  # refused here, before any output exists
+        if items is not None and not isinstance(self.checkpoints, str):
+            object.__setattr__(self, "checkpoints", tuple(items))
         labels = [variant_label(v) for v in self.variants]
         for label in labels:
             if labels.count(label) > 1:
@@ -195,7 +207,7 @@ class ExperimentConfig:
             raise InstanceError("config 'instance' must be a mapping")
         w = d.get("weights")
         if isinstance(w, dict) and "equal" in w:
-            weights = AgentWeights.equal(int(w["equal"]))
+            weights = AgentWeights.equal(_number(w, "equal", None, int))
         elif w is not None:
             weights = AgentWeights(np.asarray(w, dtype=np.float64))
         else:
@@ -217,13 +229,12 @@ class ExperimentConfig:
         model = inst.get("model")
         spec = None
         if model is not None:
+            if not isinstance(model, dict):
+                raise InstanceError("config 'instance.model' must be a mapping")
             md = dict(model)
             md.setdefault("t", inst.get("t"))
             md.setdefault("seed", inst.get("seed", 0))
             spec = model_from_dict(md)
-        cps = d.get("checkpoints", "pow2")
-        if isinstance(cps, list):
-            cps = tuple(int(c) for c in cps)
         out = d.get("output_dir", "out")
         if not os.path.isabs(out):
             out = os.path.join(base_dir, out)
@@ -233,9 +244,9 @@ class ExperimentConfig:
             output_dir=out,
             csv_path=csv_path,
             model_spec=spec,
-            repetitions=int(d.get("repetitions", 1)),
-            checkpoints=cps,
-            tolerance=float(d.get("tolerance", 1e-6)),
+            repetitions=_number(d, "repetitions", 1, int),
+            checkpoints=d.get("checkpoints", "pow2"),
+            tolerance=_number(d, "tolerance", 1e-6, float),
             normalize=bool(inst.get("normalize", d.get("normalize", False))),
             save_instances=bool(d.get("save_instances", False)),
         )
@@ -251,6 +262,14 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise InstanceError("config file must hold a mapping")
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def _number(d: dict, key: str, default, kind):
+    """``kind(d[key])``, or ``default`` when absent, refused in one line."""
+    try:
+        return kind(d.get(key, default))
+    except (TypeError, ValueError):
+        raise InstanceError(f"config {key!r} must be a number, not {d.get(key)!r}") from None
 
 
 def _safe_name(label: str) -> str:
@@ -272,12 +291,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute a config and write its report files.
 
     Aggregation over repetitions is the arithmetic mean at each
-    checkpoint.  On any failure, files written so far are removed and
-    the error re-raised with the failing repetition and variant named.
+    checkpoint.  On any failure, files written so far and the
+    directories this call created are removed, and the error re-raised
+    with the failing repetition and variant named.
     """
     created: List[str] = []
     out_dir = config.output_dir
     reps_dir = os.path.join(out_dir, "reps")
+    new_dirs = _missing_dirs(reps_dir)
     os.makedirs(reps_dir, exist_ok=True)
     try:
         return _run_experiment_inner(config, created, out_dir, reps_dir)
@@ -287,7 +308,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 os.remove(path)
             except OSError:
                 pass
+        for path in new_dirs:
+            try:
+                os.rmdir(path)  # only if empty: never what others put there
+            except OSError:
+                pass
         raise
+
+
+def _missing_dirs(path: str) -> List[str]:
+    """``path`` and those of its ancestors that do not exist, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        parent = os.path.dirname(path)
+        if parent == path:
+            break
+        path = parent
+    return missing
 
 
 def _load_instance(config: ExperimentConfig, rep: int) -> ValueSequence:

@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import Variant, _Runner
+from .dynamics import _CHUNK, Variant, _Runner
 from .model import AgentWeights, InstanceError, ValueSequence
 
 
@@ -494,8 +494,8 @@ def adv_cr_killer(
         row = [1.0 if alive[i] else 0.0 for i in range(n)]
         length = end - prev
         blocks.append(np.tile(row, (length, 1)))
-        for _ in range(length):
-            runner.step(row)
+        for start in range(0, length, _CHUNK):
+            runner.kernel.advance(runner, blocks[-1][start : start + _CHUNK])
         prev = end
         if k < n - 1:
             candidates = [i for i in range(n) if alive[i]]

@@ -1,6 +1,9 @@
 """Allocation dynamics: bids, steps, full runs, and their invariants."""
 
+import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import greedy_reference_winners, pace_reference_trace
 
+from fairpace import dynamics
 from fairpace.dynamics import (
     Constrained,
     OneStepGreedy,
@@ -272,33 +276,68 @@ def test_multiplier_identity_after_every_step():
         assert np.allclose(beta[served] * avg[served], w.array[served], rtol=1e-12)
 
 
+def _assert_run_is_fold(vs, w, variant, trace):
+    """Fold ``pace_step`` over the rows and compare every field of
+    ``trace`` with ``==``; returns the folded state."""
+    state = new_state(variant, w)
+    dense = trace.allocation_matrix()
+    cps = list(trace.checkpoints)
+    spend = np.zeros(vs.n)
+    inf_rounds = [0] * vs.n
+    for k, row in enumerate(vs.matrix):
+        state, out = pace_step(state, row)
+        assert out.winner == (None if trace.winners[k] < 0 else trace.winners[k])
+        assert np.array_equal(out.allocation, dense[k])
+        if trace.outcomes is not None:
+            kept = trace.outcomes[k]
+            assert kept.winner == out.winner
+            for field in ("allocation", "bids", "expenditure", "utilities"):
+                assert np.array_equal(getattr(kept, field), getattr(out, field))
+        for i in np.nonzero(np.isinf(out.expenditure))[0]:
+            inf_rounds[i] = k + 1  # won from the unserved state: flagged, not spent
+        spend += np.where(np.isinf(out.expenditure), 0.0, out.expenditure)
+        if k + 1 in cps:
+            j = cps.index(k + 1)
+            assert np.array_equal(state.utilities, trace.checkpoint_utilities[j])
+            assert np.array_equal(state.beta, trace.checkpoint_beta[j])
+            assert np.array_equal(spend, trace.checkpoint_spend[j])
+    assert np.array_equal(state.utilities, trace.final_utilities)
+    assert np.array_equal(state.beta, trace.final_beta)
+    assert np.array_equal(spend, trace.final_spend)
+    assert tuple(inf_rounds) == trace.infinite_spend_rounds
+    return state
+
+
 def test_run_equals_repeated_steps_bitwise():
     rng = np.random.default_rng(15)
     vs, w = _random_instance(rng)
-    for variant in _all_variants(vs, w):
-        trace = run(vs, w, variant, checkpoints=range(1, vs.t + 1), store_outcomes=True)
-        dense = trace.allocation_matrix()
-        state = new_state(variant, w)
-        for k, row in enumerate(vs.matrix):
-            state, out = pace_step(state, row)
-            assert np.array_equal(state.utilities, trace.checkpoint_utilities[k])
-            assert np.array_equal(state.beta, trace.checkpoint_beta[k])
-            assert out.winner == (None if trace.winners[k] < 0 else trace.winners[k])
-            assert np.array_equal(out.bids, trace.outcomes[k].bids)
-            assert np.array_equal(out.allocation, trace.outcomes[k].allocation)
-            assert np.array_equal(out.allocation, dense[k])
-        assert np.array_equal(state.utilities, trace.final_utilities)
-        assert np.array_equal(state.beta, trace.final_beta)
-        if isinstance(variant, Constrained):
-            assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
-        elif isinstance(variant, SetAside):
-            # the normalized auction utilities, accumulated in round order
-            aux = np.zeros(vs.n)
-            for row, win in zip(vs.matrix, trace.winners):
-                aux[win] += 0.5 * (row[win] / variant.monopoly_utilities[win])
-            assert np.array_equal(state.aux, aux)
-        else:
-            assert state.aux is None
+    # tiny chunks make segments end at chunk multiples and at checkpoints
+    for chunk, store in itertools.product((1, 2, 5, dynamics._CHUNK), (False, True)):
+        for cps in (range(1, vs.t + 1), sorted(set(rng.integers(1, vs.t + 1, size=5).tolist()))):
+            with mock.patch.object(dynamics, "_CHUNK", chunk):
+                for variant in _all_variants(vs, w):
+                    trace = run(vs, w, variant, checkpoints=cps, store_outcomes=store)
+                    assert (trace.outcomes is not None) == store
+                    state = _assert_run_is_fold(vs, w, variant, trace)
+                    if isinstance(variant, Proportional):
+                        # the scalar loop that the block cumsum replaces
+                        b = w.array.tolist()
+                        shares = [x / sum(b) for x in b]
+                        u = [0.0] * vs.n
+                        for row in vs.matrix.tolist():
+                            for i, s in enumerate(shares):
+                                u[i] += s * row[i]
+                        assert trace.final_utilities.tolist() == u
+                    if isinstance(variant, Constrained):
+                        assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
+                    elif isinstance(variant, SetAside):
+                        # the normalized auction utilities, accumulated in round order
+                        aux = np.zeros(vs.n)
+                        for row, win in zip(vs.matrix, trace.winners):
+                            aux[win] += 0.5 * (row[win] / variant.monopoly_utilities[win])
+                        assert np.array_equal(state.aux, aux)
+                    else:
+                        assert state.aux is None
 
 
 # a few value levels make ties and unserved agents common
@@ -312,21 +351,18 @@ _LEVELS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0])
     ),
     weights=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=4, max_size=4),
     which=st.integers(0, 5),
+    chunk=st.sampled_from([1, 2, 5]),
+    cps=st.sets(st.integers(1, 12), max_size=5),
+    store=st.booleans(),
 )
-def test_run_is_a_fold_of_pace_step(matrix, weights, which):
+def test_run_is_a_fold_of_pace_step(matrix, weights, which, chunk, cps, store):
     matrix[0, matrix.max(axis=0) == 0] = 1.0  # every agent values some item
     vs = ValueSequence(matrix)
     w = AgentWeights(weights[: vs.n])
     variant = _all_variants(vs, w)[which]
-    trace = run(vs, w, variant)
-    state = new_state(variant, w)
-    winners = []
-    for row in vs.matrix:
-        state, out = pace_step(state, row)
-        winners.append(-1 if out.winner is None else out.winner)
-    assert winners == trace.winners.tolist()
-    assert np.array_equal(state.utilities, trace.final_utilities)
-    assert np.array_equal(state.beta, trace.final_beta)
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        trace = run(vs, w, variant, [c for c in cps if c <= vs.t], store_outcomes=store)
+    _assert_run_is_fold(vs, w, variant, trace)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +383,22 @@ def test_kernels_refuse_variants_that_do_not_fit_the_agents():
         new_state(SetAside((1.0, 2.0, 3.0)), W2)
     with pytest.raises(InstanceError, match="projection intervals length"):
         new_state(Constrained((0.5,), (2.0,)), W2)
+
+
+def test_run_memory_stays_on_the_order_of_the_matrix():
+    # one block of rows at a time is held as Python floats, never the matrix
+    rng = np.random.default_rng(27)
+    vs = ValueSequence(rng.random((40_000, 10)))
+    w = AgentWeights.equal(vs.n)
+    for variant in (Unconstrained(), Proportional()):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(vs, w, variant, checkpoints=[1, 2, 4, vs.t])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vs.matrix.nbytes, (variant.name, peak / vs.matrix.nbytes)
 
 
 def test_rerun_is_bit_identical():

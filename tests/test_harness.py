@@ -464,8 +464,12 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: [1, 2]\nweights: {equal: 2}\nvariants: [pace]\n", "'instance' must be a mapping"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace, 3]\n", "variant entry 3"),
         ("instance: {csv: inst.csv}\nweights: {equal: 3}\nvariants: [pace]\n", "3 weights for an instance of 2 agents"),
+        ("instance: {model: [1, 2], t: 5}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.model' must be a mapping"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: 5\n", "malformed checkpoint schedule 5"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerance: [1]\n", "'tolerance' must be a number"),
     ],
-    ids=["yaml-syntax", "instance-list", "variant-number", "weights-length"],
+    ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
+         "checkpoints-int", "tolerance-list"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -475,3 +479,16 @@ def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected)
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
+    assert not (tmp_path / "out").exists()  # nothing half-written is left
+
+
+def test_failed_run_keeps_directories_that_existed(tmp_path):
+    (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "notes.txt").write_text("kept")
+    cfg = ExperimentConfig.from_yaml(
+        _write_config(tmp_path / "c.yaml", "instance: {csv: inst.csv}\nweights: {equal: 3}\nvariants: [pace]\n")
+    )
+    with pytest.raises(InstanceError, match="3 weights"):
+        run_experiment(cfg)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["notes.txt"]
