@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from .harness import (
     parse_checkpoints,
     parse_variant,
     plot_trajectories,
+    read_yaml_mapping,
     run_experiment,
 )
 from .inputs import (
@@ -136,10 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.spec:
-        import yaml
-
-        with open(args.spec) as fh:
-            d = yaml.safe_load(fh)
+        d = read_yaml_mapping(args.spec, "model spec")
         if args.t is not None:
             d["t"] = args.t
         d.setdefault("seed", args.seed)
@@ -176,12 +175,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         if config.model_spec is None:
             raise InstanceError("--seed only applies to generated instances")
-        from dataclasses import replace
-
         changes["model_spec"] = replace(config.model_spec, seed=args.seed)
     if changes:
-        from dataclasses import replace
-
         config = replace(config, **changes)
     result = run_experiment(config)
     print(f"wrote {result.trajectory_csv}")
@@ -198,13 +193,7 @@ def _cmd_eval(args) -> int:
     weights = trace.weights
     eq = solve_eg(values, weights, args.tol)
     report = build_report(trace, values, weights, eq.utilities)
-    text = report.to_json(indent=1)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _emit(report.to_json(indent=1), args.out)
     return 0
 
 
@@ -213,13 +202,19 @@ def _cmd_solve(args) -> int:
     weights = AgentWeights(np.asarray(args.weights)) if args.weights else AgentWeights.equal(values.n)
     eq = solve_eg(values, weights, args.tol, include_allocation=args.include_allocation)
     text = json.dumps(eq.to_json_dict(include_allocation=args.include_allocation), sort_keys=True, indent=1)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+    _emit(text, args.out)
+    return 0
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it when no
+    file is given."""
+    if out:
+        with open(out, "w", newline="\n") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     else:
         print(text)
-    return 0
 
 
 def _cmd_attack(args) -> int:

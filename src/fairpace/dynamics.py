@@ -620,7 +620,7 @@ class RunTrace:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunTrace":
         """Rebuild a trace saved by :meth:`to_json_dict` (winners required)."""
-        if "winners" not in d:
+        if not isinstance(d, dict) or "winners" not in d:
             raise InstanceError("trace JSON lacks the winners array")
 
         def _beta(rows):
@@ -628,26 +628,29 @@ class RunTrace:
                 [[INF if v is None else float(v) for v in row] for row in rows]
             )
 
-        return cls(
-            variant=variant_from_dict(d["variant_spec"]),
-            weights=AgentWeights(np.array(d["weights"])),
-            t=int(d["t"]),
-            n=int(d["n"]),
-            winners=np.array(d["winners"], dtype=np.int32),
-            checkpoints=tuple(int(c) for c in d["checkpoints"]),
-            checkpoint_utilities=np.array(d["checkpoint_utilities"], dtype=np.float64).reshape(
-                len(d["checkpoints"]), int(d["n"])
-            ),
-            checkpoint_beta=_beta(d["checkpoint_beta"]).reshape(len(d["checkpoints"]), int(d["n"])),
-            checkpoint_spend=np.array(d["checkpoint_spend"], dtype=np.float64).reshape(
-                len(d["checkpoints"]), int(d["n"])
-            ),
-            final_utilities=np.array(d["final_utilities"]),
-            final_beta=_beta([d["final_beta"]])[0],
-            final_spend=np.array(d["final_spend"]),
-            infinite_spend_rounds=tuple(int(r) for r in d["infinite_spend_rounds"]),
-            instance_ref=d.get("instance_ref"),
-        )
+        try:
+            return cls(
+                variant=variant_from_dict(d["variant_spec"]),
+                weights=AgentWeights(np.array(d["weights"])),
+                t=int(d["t"]),
+                n=int(d["n"]),
+                winners=np.array(d["winners"], dtype=np.int32),
+                checkpoints=tuple(int(c) for c in d["checkpoints"]),
+                checkpoint_utilities=np.array(d["checkpoint_utilities"], dtype=np.float64).reshape(
+                    len(d["checkpoints"]), int(d["n"])
+                ),
+                checkpoint_beta=_beta(d["checkpoint_beta"]).reshape(len(d["checkpoints"]), int(d["n"])),
+                checkpoint_spend=np.array(d["checkpoint_spend"], dtype=np.float64).reshape(
+                    len(d["checkpoints"]), int(d["n"])
+                ),
+                final_utilities=np.array(d["final_utilities"]),
+                final_beta=_beta([d["final_beta"]])[0],
+                final_spend=np.array(d["final_spend"]),
+                infinite_spend_rounds=tuple(int(r) for r in d["infinite_spend_rounds"]),
+                instance_ref=d.get("instance_ref"),
+            )
+        except KeyError as exc:
+            raise InstanceError(f"trace JSON is missing the {exc.args[0]!r} field") from None
 
 
 def variant_label(variant: Variant) -> str:

@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -129,8 +130,8 @@ def model_from_dict(d: dict) -> InputModelSpec:
     kind = d.get("type")
     if d.get("t") is None:
         raise InstanceError("model spec needs a horizon t")
-    t = int(d["t"])
-    seed = int(d.get("seed") or 0)
+    t = _number(d, "t", None, int)
+    seed = _number(d, "seed", 0, int) if d.get("seed") is not None else 0
     try:
         if kind == "iid":
             model = IID(_dist_from_dict(d))
@@ -224,8 +225,8 @@ class ExperimentConfig:
             else:
                 raise InstanceError(f"variant entry {v!r} must be a string or a mapping")
         csv_path = inst.get("csv")
-        if csv_path is not None and not os.path.isabs(csv_path):
-            csv_path = os.path.join(base_dir, csv_path)
+        if csv_path is not None:
+            csv_path = _path(csv_path, "instance.csv", base_dir)
         model = inst.get("model")
         spec = None
         if model is not None:
@@ -235,13 +236,10 @@ class ExperimentConfig:
             md.setdefault("t", inst.get("t"))
             md.setdefault("seed", inst.get("seed", 0))
             spec = model_from_dict(md)
-        out = d.get("output_dir", "out")
-        if not os.path.isabs(out):
-            out = os.path.join(base_dir, out)
         return cls(
             weights=weights,
             variants=tuple(variants),
-            output_dir=out,
+            output_dir=_path(d.get("output_dir", "out"), "output_dir", base_dir),
             csv_path=csv_path,
             model_spec=spec,
             repetitions=_number(d, "repetitions", 1, int),
@@ -253,15 +251,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                data = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                # the parser's message spans several lines; the CLI prints one
-                raise InstanceError(f"config is not valid YAML: {' '.join(str(exc).split())}") from None
-        if not isinstance(data, dict):
-            raise InstanceError("config file must hold a mapping")
+        data = read_yaml_mapping(path, "config")
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def read_yaml_mapping(path, what: str) -> dict:
+    """The mapping a YAML file holds; a syntax error or a file holding
+    anything else raises one :class:`InstanceError` line naming ``what``."""
+    with open(path) as fh:
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            # the parser's message spans several lines; the CLI prints one
+            raise InstanceError(f"{what} is not valid YAML: {' '.join(str(exc).split())}") from None
+    if not isinstance(data, dict):
+        raise InstanceError(f"{what} file must hold a mapping")
+    return data
+
+
+def _path(value, key: str, base_dir: str) -> str:
+    """A config path, relative paths taken from ``base_dir``."""
+    if not isinstance(value, str):
+        raise InstanceError(f"config {key!r} must be a path, not {value!r}")
+    return value if os.path.isabs(value) else os.path.join(base_dir, value)
 
 
 def _number(d: dict, key: str, default, kind):
@@ -291,42 +303,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute a config and write its report files.
 
     Aggregation over repetitions is the arithmetic mean at each
-    checkpoint.  On any failure, files written so far and the
-    directories this call created are removed, and the error re-raised
-    with the failing repetition and variant named.
+    checkpoint.  ``output_dir`` must be absent or empty.  The files are
+    written into the hidden sibling ``.NAME.partial-PID``, which is
+    renamed to ``output_dir`` once all of them are in it; on any failure
+    it is deleted, and the error re-raised with the failing repetition
+    and variant named.
     """
-    created: List[str] = []
     out_dir = config.output_dir
-    reps_dir = os.path.join(out_dir, "reps")
-    new_dirs = _missing_dirs(reps_dir)
-    os.makedirs(reps_dir, exist_ok=True)
+    target = os.path.abspath(out_dir)
+    if os.path.exists(target) and (not os.path.isdir(target) or os.listdir(target)):
+        raise InstanceError(f"output directory {out_dir} is not empty; a run does not merge into earlier results")
+    parent, name = os.path.split(target)
+    partial = os.path.join(parent, f".{name}.partial-{os.getpid()}")
+    os.makedirs(parent, exist_ok=True)
+    os.mkdir(partial)  # not mkdtemp: the output keeps the umask's mode
     try:
-        return _run_experiment_inner(config, created, out_dir, reps_dir)
-    except Exception:
-        for path in created:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        for path in new_dirs:
-            try:
-                os.rmdir(path)  # only if empty: never what others put there
-            except OSError:
-                pass
+        rep_names = _run_experiment_inner(config, partial)
+        os.rename(partial, target)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
         raise
-
-
-def _missing_dirs(path: str) -> List[str]:
-    """``path`` and those of its ancestors that do not exist, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        missing.append(path)
-        parent = os.path.dirname(path)
-        if parent == path:
-            break
-        path = parent
-    return missing
+    return ExperimentResult(
+        output_dir=out_dir,
+        trajectory_csv=os.path.join(out_dir, "trajectories.csv"),
+        summary_json=os.path.join(out_dir, "summary.json"),
+        svg_files=(os.path.join(out_dir, "relative_regret.svg"),),
+        rep_files=tuple(os.path.join(out_dir, "reps", rep_name) for rep_name in rep_names),
+    )
 
 
 def _load_instance(config: ExperimentConfig, rep: int) -> ValueSequence:
@@ -345,17 +348,22 @@ def _nan_mean(vals: Sequence[float]) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def _run_experiment_inner(
-    config: ExperimentConfig, created: List[str], out_dir: str, reps_dir: str
-) -> ExperimentResult:
+_TRAJECTORY_HEADER = ["tau", "variant", "agent", "value"]
+
+
+def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
+    """Write every report file into ``out_dir``; the names of the files
+    written under ``reps/``, in order."""
     labels = [variant_label(v) for v in config.variants]
     agent_names: Optional[Tuple[str, ...]] = None
     cps: Optional[Tuple[int, ...]] = None
     # traj[variant][rep] -> list of TrajectoryPoint
     traj: Dict[str, List[list]] = {lab: [] for lab in labels}
     finals: Dict[str, List[dict]] = {lab: [] for lab in labels}
-    rep_files: List[str] = []
+    rep_names: List[str] = []
     solver: List[dict] = []
+    reps_dir = os.path.join(out_dir, "reps")
+    os.mkdir(reps_dir)
 
     for rep in range(config.repetitions):
         values = _load_instance(config, rep)
@@ -367,10 +375,8 @@ def _run_experiment_inner(
                 f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
             )
         if config.save_instances:
-            inst_path = os.path.join(reps_dir, f"instance_{rep:03d}.csv")
-            save_csv(inst_path, values)
-            created.append(inst_path)
-            rep_files.append(inst_path)
+            rep_names.append(f"instance_{rep:03d}.csv")
+            save_csv(os.path.join(reps_dir, rep_names[-1]), values)
         try:
             prefixes = hindsight_prefix(values, config.weights, cps, config.tolerance)
         except Exception as exc:
@@ -387,29 +393,24 @@ def _run_experiment_inner(
                 raise RuntimeError(f"repetition {rep}, variant {label}: {exc}") from exc
             traj[label].append(points)
             finals[label].append(report.to_json_dict())
-            rep_path = os.path.join(reps_dir, f"rep{rep:03d}_{_safe_name(label)}.csv")
-            trace.to_csv(rep_path)
-            created.append(rep_path)
-            rep_files.append(rep_path)
+            rep_names.append(f"rep{rep:03d}_{_safe_name(label)}.csv")
+            trace.to_csv(os.path.join(reps_dir, rep_names[-1]))
 
     # aggregate trajectories over repetitions
-    n = len(agent_names)
     reps = config.repetitions
-    traj_path = os.path.join(out_dir, "trajectories.csv")
-    with open(traj_path, "w", newline="") as fh:
+    rows: List[Tuple[int, str, str, float]] = []
+    for label in labels:
+        per_rep = traj[label]
+        for k, tau in enumerate(cps):
+            points = [per_rep[r][k] for r in range(reps)]
+            for i, name in enumerate(agent_names):
+                rows.append((tau, label, name, float(_nan_mean([p.per_agent[i] for p in points]))))
+            rows.append((tau, label, "max", float(_nan_mean([p.max_value for p in points]))))
+            rows.append((tau, label, "mean", float(_nan_mean([p.mean_value for p in points]))))
+    with open(os.path.join(out_dir, "trajectories.csv"), "w", newline="") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["tau", "variant", "agent", "value"])
-        for label in labels:
-            per_rep = traj[label]
-            for k, tau in enumerate(cps):
-                rows = [per_rep[r][k] for r in range(reps)]
-                for i, name in enumerate(agent_names):
-                    mean = _nan_mean([p.per_agent[i] for p in rows])
-                    wr.writerow([tau, label, name, repr(float(mean))])
-                for stat, getter in (("max", lambda p: p.max_value), ("mean", lambda p: p.mean_value)):
-                    mean = _nan_mean([getter(p) for p in rows])
-                    wr.writerow([tau, label, stat, repr(float(mean))])
-    created.append(traj_path)
+        wr.writerow(_TRAJECTORY_HEADER)
+        wr.writerows((tau, label, agent, repr(value)) for tau, label, agent, value in rows)
 
     # summary
     summary = {
@@ -431,63 +432,50 @@ def _run_experiment_inner(
             stacked = np.array([r[key] for r in per_rep])
             means[key] = [float(v) for v in stacked.mean(axis=0)]
         summary["variants"][label] = {"mean": means, "per_repetition": per_rep}
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    created.append(summary_path)
 
-    # one chart per trajectory metric
-    series = []
-    for label in labels:
-        per_rep = traj[label]
-        for stat, getter in (("max", lambda p: p.max_value), ("mean", lambda p: p.mean_value)):
-            ys = [_nan_mean([getter(per_rep[r][k]) for r in range(reps)]) for k in range(len(cps))]
-            series.append((f"{label}, {stat}", list(cps), ys))
-    svg_path = os.path.join(out_dir, "relative_regret.svg")
+    _write_regret_chart(os.path.join(out_dir, "relative_regret.svg"), rows)
+    return rep_names
+
+
+def _write_regret_chart(path: str, rows: Sequence[Tuple[int, str, str, float]]) -> None:
+    """Chart the max and mean series of ``(tau, variant, agent, value)``
+    trajectory rows, one series per (variant, statistic) in order of first
+    appearance."""
+    series: Dict[str, Tuple[List[int], List[float]]] = {}
+    for tau, variant, agent, value in rows:
+        if agent in ("max", "mean"):
+            xs, ys = series.setdefault(f"{variant}, {agent}", ([], []))
+            xs.append(tau)
+            ys.append(value)
     write_line_svg(
-        svg_path,
-        series,
+        path,
+        [(key, xs, ys) for key, (xs, ys) in series.items()],
         title="relative time-averaged regret",
         xlabel="round",
         ylabel="relative regret",
-    )
-    created.append(svg_path)
-
-    return ExperimentResult(
-        output_dir=out_dir,
-        trajectory_csv=traj_path,
-        summary_json=summary_path,
-        svg_files=(svg_path,),
-        rep_files=tuple(rep_files),
     )
 
 
 def plot_trajectories(csv_path, out_dir) -> List[str]:
-    """Re-render SVGs from a trajectories CSV written by the harness."""
+    """Redraw the chart of a trajectories CSV written by the harness; it
+    equals the run's own chart byte for byte."""
     rows: List[Tuple[int, str, str, float]] = []
     with open(csv_path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        if header != ["tau", "variant", "agent", "value"]:
+        if next(rd, None) != _TRAJECTORY_HEADER:
             raise InstanceError("unexpected trajectory CSV schema")
         for rec in rd:
-            rows.append((int(rec[0]), rec[1], rec[2], float(rec[3])))
+            try:
+                tau, variant, agent, value = rec
+                rows.append((int(tau), variant, agent, float(value)))
+            except ValueError:
+                raise InstanceError(
+                    f"{csv_path}, line {rd.line_num}: expected tau,variant,agent,value, not {','.join(rec)!r}"
+                ) from None
     os.makedirs(out_dir, exist_ok=True)
-    series: Dict[str, Tuple[List[int], List[float]]] = {}
-    for tau, variant, agent, value in rows:
-        if agent not in ("max", "mean"):
-            continue
-        key = f"{variant}, {agent}"
-        xs, ys = series.setdefault(key, ([], []))
-        xs.append(tau)
-        ys.append(value)
     path = os.path.join(out_dir, "relative_regret.svg")
-    write_line_svg(
-        path,
-        [(k, xs, ys) for k, (xs, ys) in sorted(series.items())],
-        title="relative time-averaged regret",
-        xlabel="round",
-        ylabel="relative regret",
-    )
+    _write_regret_chart(path, rows)
     return [path]

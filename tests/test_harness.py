@@ -467,9 +467,13 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {model: [1, 2], t: 5}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.model' must be a mapping"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: 5\n", "malformed checkpoint schedule 5"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerance: [1]\n", "'tolerance' must be a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\noutput_dir: [1]\n", "'output_dir' must be a path"),
+        ("instance: {csv: [1]}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.csv' must be a path"),
+        ("instance: {model: {type: iid, support: [[1, 0]]}, t: [4]}\nweights: {equal: 2}\nvariants: [pace]\n", "'t' must be a number"),
+        ("instance: {model: {type: iid, support: [[1, 0]]}, t: 4, seed: [1]}\nweights: {equal: 2}\nvariants: [pace]\n", "'seed' must be a number"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
-         "checkpoints-int", "tolerance-list"],
+         "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -484,11 +488,106 @@ def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected)
 
 def test_failed_run_keeps_directories_that_existed(tmp_path):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "notes.txt").write_text("kept")
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "notes.txt").write_text("kept")
     cfg = ExperimentConfig.from_yaml(
-        _write_config(tmp_path / "c.yaml", "instance: {csv: inst.csv}\nweights: {equal: 3}\nvariants: [pace]\n")
+        _write_config(
+            tmp_path / "c.yaml",
+            "instance: {csv: inst.csv}\nweights: {equal: 3}\nvariants: [pace]\noutput_dir: results/out\n",
+        )
     )
     with pytest.raises(InstanceError, match="3 weights"):
         run_experiment(cfg)
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["notes.txt"]
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["notes.txt"]
+
+
+_TWO_AGENTS = "a,b\n1,0\n0,1\n1,1\n0.5,1\n"
+
+
+def _run_cli(tmp_path, variants, *extra):
+    (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        f"instance: {{csv: inst.csv}}\nweights: {{equal: 2}}\nvariants: {variants}\noutput_dir: out\n",
+    )
+    return subprocess.run(CLI + ["run", cfg, *extra], capture_output=True, text=True, cwd=tmp_path)
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_run_refuses_an_output_directory_that_holds_files(tmp_path):
+    # a second run into out/ would otherwise leave the first run's
+    # reps/rep000_proportional.csv beside a summary that lists only pace
+    r = _run_cli(tmp_path, "[pace, proportional]")
+    assert r.returncode == 0, r.stderr
+    before = _files(tmp_path / "out")
+    assert "reps/rep000_proportional.csv" in before
+    r = _run_cli(tmp_path, "[pace]")
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+    assert "is not empty" in lines[0]
+    assert _files(tmp_path / "out") == before
+    assert not list(tmp_path.glob(".*partial*"))
+
+
+def test_cli_run_accepts_an_empty_output_directory(tmp_path):
+    (tmp_path / "out").mkdir()
+    r = _run_cli(tmp_path, "[pace]")
+    assert r.returncode == 0, r.stderr
+    assert sorted(_files(tmp_path / "out")) == [
+        "relative_regret.svg", "reps/rep000_pace.csv", "summary.json", "trajectories.csv",
+    ]
+    assert not list(tmp_path.glob(".*partial*"))
+
+
+def test_interrupted_run_leaves_no_output(tmp_path, monkeypatch):
+    import fairpace.harness as harness
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "write_line_svg", interrupt)
+    (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
+    cfg = ExperimentConfig.from_yaml(
+        _write_config(tmp_path / "c.yaml", "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n")
+    )
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "inst.csv"]
+
+
+def test_cli_plot_redraws_the_run_chart(tmp_path):
+    # variants out of sorted order: the chart keeps the config's order
+    r = _run_cli(tmp_path, "[proportional, pace]")
+    assert r.returncode == 0, r.stderr
+    r = subprocess.run(
+        CLI + ["plot", "out/trajectories.csv", "--out", "p"], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "p" / "relative_regret.svg").read_bytes() == (
+        tmp_path / "out" / "relative_regret.svg"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, files, expected",
+    [
+        (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: [iid\n"}, "model spec is not valid YAML"),
+        (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "- iid\n- 4\n"}, "model spec file must hold a mapping"),
+        (["plot", "t.csv", "--out", "p"], {"t.csv": "tau,variant,agent,value\n1,pace,max\n"}, "t.csv, line 2"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": '{"winners": [0]}'}, "missing the 'variant_spec' field"),
+    ],
+    ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant"],
+)
+def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
+    (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    r = subprocess.run(CLI + command, capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+    assert expected in lines[0]
