@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +60,7 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class Unconstrained:
-    name: str = "pace"
+    name: ClassVar[str] = "pace"
 
     def kernel(self, weights: AgentWeights) -> "_PaceKernel":
         return _PaceKernel(self, weights)
@@ -72,7 +72,7 @@ class Constrained:
 
     lower: Tuple[float, ...]
     upper: Tuple[float, ...]
-    name: str = "constrained"
+    name: ClassVar[str] = "constrained"
 
     def __post_init__(self):
         lows = tuple(float(x) for x in self.lower)
@@ -102,7 +102,7 @@ class Seeded:
     """Pacing with a positive fictitious starting utility per agent."""
 
     seed_utility: float
-    name: str = "seeded"
+    name: ClassVar[str] = "seeded"
 
     def __post_init__(self):
         if not (float(self.seed_utility) > 0):
@@ -123,7 +123,7 @@ class SetAside:
     """
 
     monopoly_utilities: Optional[Tuple[float, ...]] = None
-    name: str = "setaside"
+    name: ClassVar[str] = "setaside"
 
     def __post_init__(self):
         w = self.monopoly_utilities
@@ -139,7 +139,7 @@ class SetAside:
 
 @dataclass(frozen=True)
 class OneStepGreedy:
-    name: str = "greedy"
+    name: ClassVar[str] = "greedy"
 
     def kernel(self, weights: AgentWeights) -> "_PaceKernel":
         return _GreedyKernel(self, weights)
@@ -147,7 +147,7 @@ class OneStepGreedy:
 
 @dataclass(frozen=True)
 class Proportional:
-    name: str = "proportional"
+    name: ClassVar[str] = "proportional"
 
     def kernel(self, weights: AgentWeights) -> "_PaceKernel":
         return _ProportionalKernel(self, weights)
@@ -550,7 +550,6 @@ class RunTrace:
     final_beta: np.ndarray
     final_spend: np.ndarray
     infinite_spend_rounds: Tuple[int, ...]
-    instance_ref: Optional[str] = None
     outcomes: Optional[Tuple[StepOutcome, ...]] = None
 
     @property
@@ -589,20 +588,19 @@ class RunTrace:
                     + [repr(float(v)) for v in self.checkpoint_spend[k]]
                 )
 
-    def to_json_dict(self, include_winners: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         def _vals(a):
             return [float(v) for v in a]
 
         def _beta(a):
             return [None if math.isinf(v) else float(v) for v in a]
 
-        d = {
+        return {
             "variant": variant_label(self.variant),
             "variant_spec": variant_to_dict(self.variant),
             "weights": _vals(self.weights.array),
             "t": self.t,
             "n": self.n,
-            "instance_ref": self.instance_ref,
             "final_utilities": _vals(self.final_utilities),
             "final_avg_utilities": _vals(self.final_avg_utilities),
             "final_beta": _beta(self.final_beta),
@@ -612,10 +610,8 @@ class RunTrace:
             "checkpoint_utilities": [_vals(r) for r in self.checkpoint_utilities],
             "checkpoint_beta": [_beta(r) for r in self.checkpoint_beta],
             "checkpoint_spend": [_vals(r) for r in self.checkpoint_spend],
+            "winners": [int(w) for w in self.winners],
         }
-        if include_winners:
-            d["winners"] = [int(w) for w in self.winners]
-        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunTrace":
@@ -647,7 +643,6 @@ class RunTrace:
                 final_beta=_beta([d["final_beta"]])[0],
                 final_spend=np.array(d["final_spend"]),
                 infinite_spend_rounds=tuple(int(r) for r in d["infinite_spend_rounds"]),
-                instance_ref=d.get("instance_ref"),
             )
         except KeyError as exc:
             raise InstanceError(f"trace JSON is missing the {exc.args[0]!r} field") from None
@@ -680,28 +675,33 @@ def variant_from_dict(d: dict, weights: Optional[AgentWeights] = None) -> Varian
     ``constrained`` accepts either explicit ``lower``/``upper`` bounds or
     a ``slack`` (which needs ``weights`` to derive the default intervals).
     """
+    if not isinstance(d, Mapping):
+        raise InstanceError(f"variant spec must be a mapping, not {d!r}")
     kind = d.get("type")
-    if kind == "pace":
-        return Unconstrained()
-    if kind == "constrained":
-        if "slack" in d:
-            if weights is None:
-                raise InstanceError("constrained slack form needs agent weights")
-            return Constrained.from_slack(weights, float(d["slack"]))
-        if "lower" not in d or "upper" not in d:
-            raise InstanceError("constrained needs lower/upper bounds or a slack")
-        return Constrained(tuple(d["lower"]), tuple(d["upper"]))
-    if kind == "seeded":
-        if "seed_utility" not in d:
-            raise InstanceError("seeded needs a seed_utility")
-        return Seeded(float(d["seed_utility"]))
-    if kind == "setaside":
-        w = d.get("monopoly_utilities")
-        return SetAside(None if w is None else tuple(w))
-    if kind == "greedy":
-        return OneStepGreedy()
-    if kind == "proportional":
-        return Proportional()
+    try:
+        if kind == "pace":
+            return Unconstrained()
+        if kind == "constrained":
+            if "slack" in d:
+                if weights is None:
+                    raise InstanceError("the slack form needs agent weights")
+                return Constrained.from_slack(weights, float(d["slack"]))
+            if "lower" not in d or "upper" not in d:
+                raise InstanceError("needs lower/upper bounds or a slack")
+            return Constrained(tuple(d["lower"]), tuple(d["upper"]))
+        if kind == "seeded":
+            if "seed_utility" not in d:
+                raise InstanceError("needs a seed_utility")
+            return Seeded(float(d["seed_utility"]))
+        if kind == "setaside":
+            w = d.get("monopoly_utilities")
+            return SetAside(None if w is None else tuple(w))
+        if kind == "greedy":
+            return OneStepGreedy()
+        if kind == "proportional":
+            return Proportional()
+    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
+        raise InstanceError(f"{kind} variant: {exc}") from None
     raise InstanceError(f"unknown variant type {kind!r}")
 
 
@@ -721,7 +721,6 @@ def run(
     checkpoints: Optional[Sequence[int]] = None,
     *,
     store_outcomes: bool = False,
-    instance_ref: Optional[str] = None,
 ) -> RunTrace:
     """Execute a dynamic over the whole sequence.
 
@@ -773,7 +772,6 @@ def run(
         final_beta=runner.beta(),
         final_spend=np.array(runner.spend),
         infinite_spend_rounds=tuple(runner.infinite_spend_round),
-        instance_ref=instance_ref,
         outcomes=tuple(outcomes) if store_outcomes else None,
     )
 

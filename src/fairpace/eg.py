@@ -49,6 +49,8 @@ __all__ = [
 
 
 _MAX_ITERS = 400_000
+# proportional-response iterations between certificate checks
+_CHECK_EVERY = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -149,7 +151,6 @@ def _pr_fixed_point(
     weights: AgentWeights,
     tol_abs: float,
     max_iters: int,
-    check_every: int = 8,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Proportional response on items scaled by their supplies.
 
@@ -185,7 +186,7 @@ def _pr_fixed_point(
         utilities = util_parts.sum(axis=0)
         bids = util_parts * (b / utilities)
         last_iter = it
-        if it % check_every == 0 or it == max_iters:
+        if it % _CHECK_EVERY == 0 or it == max_iters:
             beta = b / utilities
             gap = _dual_value(beta, va, weights) - float(np.dot(b, np.log(utilities)))
             gap = max(gap, 0.0)

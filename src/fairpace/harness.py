@@ -35,16 +35,7 @@ import yaml
 
 from .dynamics import Variant, run, variant_from_dict, variant_label
 from .eg import hindsight_prefix
-from .inputs import (
-    Block,
-    Corrupted,
-    Ergodic,
-    FiniteDistribution,
-    IID,
-    InputModelSpec,
-    Periodic,
-    gen,
-)
+from .inputs import MODELS, InputModelSpec, gen
 from .metrics import build_report, relative_regret_trajectory
 from .model import (
     AgentWeights,
@@ -118,50 +109,23 @@ def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]
     return items
 
 
-def _dist_from_dict(d: dict) -> FiniteDistribution:
-    support = np.asarray(d["support"], dtype=np.float64)
-    if "probs" in d and d["probs"] is not None:
-        return FiniteDistribution(support, np.asarray(d["probs"], dtype=np.float64))
-    return FiniteDistribution.uniform(support)
-
-
 def model_from_dict(d: dict) -> InputModelSpec:
-    """Build a generator spec from its config-file form."""
+    """Build a generator spec from its config-file form; the model's own
+    fields are read by its class in :data:`fairpace.inputs.MODELS`."""
     kind = d.get("type")
     if d.get("t") is None:
         raise InstanceError("model spec needs a horizon t")
     t = _number(d, "t", None, int)
     seed = _number(d, "seed", 0, int) if d.get("seed") is not None else 0
+    cls = MODELS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InstanceError(f"unknown input model type {kind!r}")
     try:
-        if kind == "iid":
-            model = IID(_dist_from_dict(d))
-        elif kind == "periodic":
-            model = Periodic(tuple(np.asarray(p, dtype=np.float64) for p in d["pools"]))
-        elif kind == "block":
-            model = Block(
-                lengths=tuple(int(x) for x in d["lengths"]),
-                dists=tuple(_dist_from_dict(b) for b in d["dists"]),
-                max_delta=d.get("max_delta"),
-            )
-        elif kind == "ergodic":
-            model = Ergodic(
-                states=np.asarray(d["states"], dtype=np.float64),
-                transitions=np.asarray(d["transitions"], dtype=np.float64),
-                start=int(d.get("start", 0)),
-            )
-        elif kind == "corrupted":
-            model = Corrupted(
-                base=_dist_from_dict(d["base"]),
-                corruptions={
-                    int(r): _dist_from_dict(c)
-                    for r, c in dict(d.get("corruptions", {})).items()
-                },
-                max_delta=d.get("max_delta"),
-            )
-        else:
-            raise InstanceError(f"unknown input model type {kind!r}")
+        model = cls.from_dict(d)
     except KeyError as exc:
         raise InstanceError(f"model spec is missing the {exc.args[0]!r} field") from None
+    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
+        raise InstanceError(f"{kind} model: {exc}") from None
     return InputModelSpec(model=model, t=t, seed=seed)
 
 

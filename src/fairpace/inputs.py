@@ -20,6 +20,12 @@ Stochastic models
 ``Corrupted``  independent rounds from a base distribution, except listed
                rounds whose distribution is replaced outright.
 
+Each model is defined once, on its class: ``from_dict`` reads its config
+form, ``rows`` draws its rows from the per-round uniforms, and the two
+nonstationary models, ``Block`` and ``Corrupted``, list their
+``segments`` (rounds and distribution) for the declared budget.
+``MODELS`` maps each config ``type`` to its class.
+
 Adversarial constructions
 -------------------------
 ``adv_envy_worstcase``      a two-agent phased instance driving the
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,21 +84,53 @@ class FiniteDistribution:
     @classmethod
     def uniform(cls, support) -> "FiniteDistribution":
         sup = np.asarray(support, dtype=np.float64)
+        if sup.ndim != 2 or sup.shape[0] < 1:
+            raise InstanceError("support must be a nonempty matrix of value vectors")
         return cls(sup, np.full(sup.shape[0], 1.0 / sup.shape[0]))
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "FiniteDistribution":
+        """``{support, probs}``; uniform when ``probs`` is absent or null."""
+        support = d["support"]
+        if d.get("probs") is None:
+            return cls.uniform(support)
+        return cls(np.asarray(support, dtype=np.float64), np.asarray(d["probs"], dtype=np.float64))
 
     @property
     def n(self) -> int:
         return int(self.support.shape[1])
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """The support vectors that inverse-CDF sampling picks for ``uniforms``."""
+        idx = np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
+        return self.support[np.minimum(idx, self.probs.size - 1)]
 
 
 # --------------------------------------------------------------------------
 # model specs
 
 
+def _budget(max_delta) -> Optional[float]:
+    """A declared ``max_delta`` as a float; None stays None."""
+    if max_delta is None:
+        return None
+    try:
+        return float(max_delta)
+    except (TypeError, ValueError):
+        raise InstanceError(f"max_delta must be a number, not {max_delta!r}") from None
+
+
 @dataclass(frozen=True)
 class IID:
     dist: FiniteDistribution
-    name: str = "iid"
+    name: ClassVar[str] = "iid"
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "IID":
+        return cls(FiniteDistribution.from_dict(d))
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        return self.dist.sample(u)
 
 
 @dataclass(frozen=True)
@@ -100,7 +138,7 @@ class Periodic:
     """One pool of vectors per position within the period; uniform draws."""
 
     pools: Tuple[np.ndarray, ...]
-    name: str = "periodic"
+    name: ClassVar[str] = "periodic"
 
     def __post_init__(self):
         pools = tuple(np.ascontiguousarray(p, dtype=np.float64) for p in self.pools)
@@ -119,6 +157,19 @@ class Periodic:
     def period(self) -> int:
         return len(self.pools)
 
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "Periodic":
+        return cls(tuple(np.asarray(p, dtype=np.float64) for p in d["pools"]))
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        pos = np.arange(u.size) % self.period
+        rows = np.empty((u.size, self.pools[0].shape[1]))
+        for j, pool in enumerate(self.pools):
+            mask = pos == j
+            size = pool.shape[0]
+            rows[mask] = pool[np.minimum((u[mask] * size).astype(np.int64), size - 1)]
+        return rows
+
 
 @dataclass(frozen=True)
 class Block:
@@ -132,7 +183,7 @@ class Block:
     lengths: Tuple[int, ...]
     dists: Tuple[FiniteDistribution, ...]
     max_delta: Optional[float] = None
-    name: str = "block"
+    name: ClassVar[str] = "block"
 
     def __post_init__(self):
         lengths = tuple(int(x) for x in self.lengths)
@@ -145,6 +196,31 @@ class Block:
             raise InstanceError("block distributions must share the agent count")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "dists", tuple(self.dists))
+        object.__setattr__(self, "max_delta", _budget(self.max_delta))
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "Block":
+        return cls(
+            lengths=tuple(int(x) for x in d["lengths"]),
+            dists=tuple(FiniteDistribution.from_dict(b) for b in d["dists"]),
+            max_delta=d.get("max_delta"),
+        )
+
+    def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
+        if sum(self.lengths) != t:
+            raise InstanceError(f"block lengths sum to {sum(self.lengths)}, not t={t}")
+        return list(zip(self.lengths, self.dists))
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        parts = []
+        start = 0
+        for length, dist in self.segments(u.size):
+            counts = _largest_remainder_counts(length, dist.probs)
+            multiset = np.repeat(np.arange(dist.probs.size), counts)
+            order = np.argsort(u[start : start + length], kind="stable")
+            parts.append(dist.support[multiset[order]])
+            start += length
+        return np.concatenate(parts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +230,7 @@ class Ergodic:
     states: np.ndarray  # (m, n)
     transitions: np.ndarray  # (m, m), rows sum to one
     start: int = 0
-    name: str = "ergodic"
+    name: ClassVar[str] = "ergodic"
 
     def __post_init__(self):
         st = np.ascontiguousarray(self.states, dtype=np.float64)
@@ -173,6 +249,24 @@ class Ergodic:
         object.__setattr__(self, "transitions", tr)
         object.__setattr__(self, "start", int(self.start))
 
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "Ergodic":
+        return cls(
+            states=np.asarray(d["states"], dtype=np.float64),
+            transitions=np.asarray(d["transitions"], dtype=np.float64),
+            start=int(d.get("start", 0)),
+        )
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        cum = np.cumsum(self.transitions, axis=1)
+        m = self.states.shape[0]
+        idx = np.empty(u.size, dtype=np.int64)
+        s = self.start
+        for tau in range(u.size):
+            idx[tau] = s
+            s = min(int(np.searchsorted(cum[s], u[tau], side="right")), m - 1)
+        return self.states[idx]
+
 
 @dataclass(frozen=True)
 class Corrupted:
@@ -185,7 +279,7 @@ class Corrupted:
     base: FiniteDistribution
     corruptions: Mapping[int, FiniteDistribution] = field(default_factory=dict)
     max_delta: Optional[float] = None
-    name: str = "corrupted"
+    name: ClassVar[str] = "corrupted"
 
     def __post_init__(self):
         corr = dict(self.corruptions)
@@ -195,9 +289,34 @@ class Corrupted:
             if d.n != self.base.n:
                 raise InstanceError("corruption distributions must share the agent count")
         object.__setattr__(self, "corruptions", corr)
+        object.__setattr__(self, "max_delta", _budget(self.max_delta))
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "Corrupted":
+        corruptions = d.get("corruptions", {})
+        if not isinstance(corruptions, Mapping):
+            raise InstanceError("corruptions must map rounds to distributions")
+        return cls(
+            base=FiniteDistribution.from_dict(d["base"]),
+            corruptions={int(r): FiniteDistribution.from_dict(c) for r, c in corruptions.items()},
+            max_delta=d.get("max_delta"),
+        )
+
+    def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
+        hits = [(1, d) for r, d in self.corruptions.items() if r <= t]
+        return [(t - len(hits), self.base)] + hits
+
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        rows = self.base.sample(u)
+        for r, dist in sorted(self.corruptions.items()):
+            if r <= u.size:
+                rows[r - 1] = dist.sample(u[r - 1 : r])[0]
+        return rows
 
 
 ModelVariant = Union[IID, Periodic, Block, Ergodic, Corrupted]
+
+MODELS: Dict[str, type] = {m.name: m for m in (IID, Periodic, Block, Ergodic, Corrupted)}
 
 
 @dataclass(frozen=True)
@@ -225,12 +344,6 @@ def _round_uniforms(seed: int, repetition: int, count: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
-def _sample_indices(dist: FiniteDistribution, uniforms: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(dist.probs)
-    idx = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(idx, dist.probs.size - 1)
-
-
 def _largest_remainder_counts(length: int, probs: np.ndarray) -> np.ndarray:
     """Integer counts summing to ``length`` with quotas ``length * probs``."""
     quota = length * probs
@@ -244,63 +357,15 @@ def _largest_remainder_counts(length: int, probs: np.ndarray) -> np.ndarray:
 
 def gen(spec: InputModelSpec, repetition: int = 0) -> ValueSequence:
     """Generate the value sequence for one repetition of a spec."""
-    t = spec.t
-    u = _round_uniforms(spec.seed, repetition, t)
-    model = spec.model
-    if isinstance(model, IID):
-        rows = model.dist.support[_sample_indices(model.dist, u)]
-    elif isinstance(model, Periodic):
-        q = model.period
-        pos = np.arange(t) % q
-        n = model.pools[0].shape[1]
-        rows = np.empty((t, n))
-        for j, pool in enumerate(model.pools):
-            mask = pos == j
-            size = pool.shape[0]
-            idx = np.minimum((u[mask] * size).astype(np.int64), size - 1)
-            rows[mask] = pool[idx]
-    elif isinstance(model, Block):
-        if sum(model.lengths) != t:
-            raise InstanceError(f"block lengths sum to {sum(model.lengths)}, not t={t}")
-        if model.max_delta is not None:
-            delta = empirical_tv_delta(spec)
-            if delta > model.max_delta + 1e-12:
-                raise InstanceError(
-                    f"declared block nonstationarity {delta:.6g} exceeds budget {model.max_delta:.6g}"
-                )
-        parts = []
-        start = 0
-        for length, dist in zip(model.lengths, model.dists):
-            counts = _largest_remainder_counts(length, dist.probs)
-            multiset = np.repeat(np.arange(dist.probs.size), counts)
-            order = np.argsort(u[start : start + length], kind="stable")
-            parts.append(dist.support[multiset[order]])
-            start += length
-        rows = np.concatenate(parts, axis=0)
-    elif isinstance(model, Ergodic):
-        cum = np.cumsum(model.transitions, axis=1)
-        m = model.states.shape[0]
-        idx = np.empty(t, dtype=np.int64)
-        s = model.start
-        for tau in range(t):
-            idx[tau] = s
-            s = min(int(np.searchsorted(cum[s], u[tau], side="right")), m - 1)
-        rows = model.states[idx]
-    elif isinstance(model, Corrupted):
-        if model.max_delta is not None:
-            delta = empirical_tv_delta(spec)
-            if delta > model.max_delta + 1e-12:
-                raise InstanceError(
-                    f"declared corruption {delta:.6g} exceeds budget {model.max_delta:.6g}"
-                )
-        rows = model.base.support[_sample_indices(model.base, u)]
-        for r, dist in sorted(model.corruptions.items()):
-            if r > t:
-                continue
-            rows[r - 1] = dist.support[int(_sample_indices(dist, u[r - 1 : r])[0])]
-    else:
-        raise InstanceError(f"unknown input model {type(model).__name__}")
-    return ValueSequence(rows)
+    u = _round_uniforms(spec.seed, repetition, spec.t)
+    budget = getattr(spec.model, "max_delta", None)
+    if budget is not None:
+        delta = empirical_tv_delta(spec)
+        if delta > budget + 1e-12:
+            raise InstanceError(
+                f"declared {spec.model.name} nonstationarity {delta:.6g} exceeds budget {budget:.6g}"
+            )
+    return ValueSequence(spec.model.rows(u))
 
 
 # --------------------------------------------------------------------------
@@ -324,36 +389,19 @@ def empirical_tv_delta(spec: InputModelSpec) -> float:
     """Exact average TV distance of per-round/per-block distributions
     from their mixture, computed from the declared spec (not samples).
 
-    Defined for ``Block`` (length-weighted over blocks) and ``Corrupted``
-    (uniform over rounds) models.
+    Defined for the models that list their ``segments``: ``Block``
+    (length-weighted over blocks) and ``Corrupted`` (uniform over rounds).
     """
-    model = spec.model
+    if not hasattr(spec.model, "segments"):
+        raise InstanceError("nonstationarity budget is defined for block and corrupted models")
     t = spec.t
-    if isinstance(model, Block):
-        if sum(model.lengths) != t:
-            raise InstanceError(f"block lengths sum to {sum(model.lengths)}, not t={t}")
-        pmfs = [_as_pmf(d) for d in model.dists]
-        mixture: Dict[tuple, float] = {}
-        for length, pmf in zip(model.lengths, pmfs):
-            wgt = length / t
-            for k, v in pmf.items():
-                mixture[k] = mixture.get(k, 0.0) + wgt * v
-        return sum(
-            length * _tv(pmf, mixture) for length, pmf in zip(model.lengths, pmfs)
-        ) / t
-    if isinstance(model, Corrupted):
-        base = _as_pmf(model.base)
-        corrupt = {r: _as_pmf(d) for r, d in model.corruptions.items() if r <= t}
-        clean = t - len(corrupt)
-        mixture: Dict[tuple, float] = {}
-        for k, v in base.items():
-            mixture[k] = mixture.get(k, 0.0) + v * (clean / t)
-        for pmf in corrupt.values():
-            for k, v in pmf.items():
-                mixture[k] = mixture.get(k, 0.0) + v / t
-        total = clean * _tv(base, mixture) + sum(_tv(pmf, mixture) for pmf in corrupt.values())
-        return total / t
-    raise InstanceError("nonstationarity budget is defined for block and corrupted models")
+    parts = [(rounds, _as_pmf(d)) for rounds, d in spec.model.segments(t)]
+    mixture: Dict[tuple, float] = {}
+    for rounds, pmf in parts:
+        wgt = rounds / t
+        for k, v in pmf.items():
+            mixture[k] = mixture.get(k, 0.0) + wgt * v
+    return sum(rounds * _tv(pmf, mixture) for rounds, pmf in parts) / t
 
 
 def ergodic_deviation(model: Ergodic, iota: int, t: int) -> float:

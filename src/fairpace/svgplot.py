@@ -18,6 +18,12 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 46
 _FLOOR = 1e-8  # log-axis clamp for zero values
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data.  Not ``xml.sax.saxutils.escape``:
+    importing it pulls in ``urllib.request`` and adds about 3 MB to a run's peak RSS."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -41,35 +47,23 @@ def write_line_svg(
     title: str,
     xlabel: str = "round",
     ylabel: str = "value",
-    log_x: bool = True,
-    log_y: bool = True,
 ) -> None:
-    """Write a fixed-size line chart; zero values on log axes are clamped."""
+    """Write a fixed-size log-log line chart; zero values are clamped."""
 
     def tx(v: float) -> float:
-        v = max(v, _FLOOR) if log_x else v
-        a = math.log10(v) if log_x else v
-        return _ML + (a - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (math.log10(max(v, _FLOOR)) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
     def ty(v: float) -> float:
-        v = max(v, _FLOOR) if log_y else v
-        a = math.log10(v) if log_y else v
-        return _H - _MB - (a - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _H - _MB - (math.log10(max(v, _FLOOR)) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [max(y, _FLOOR) if log_y else y for _, _, ys in series for y in ys if not math.isnan(y)]
+    ys_all = [max(y, _FLOOR) for _, _, ys in series for y in ys if not math.isnan(y)]
     if not xs_all or not ys_all:
         xs_all, ys_all = [1.0, 2.0], [0.0, 1.0]
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(ys_all), max(ys_all)
-    if log_x:
-        x_lo, x_hi = math.log10(max(x_min, _FLOOR)), math.log10(max(x_max, x_min * 1.0001, _FLOOR * 10))
-    else:
-        x_lo, x_hi = x_min, x_max
-    if log_y:
-        y_lo, y_hi = math.log10(max(y_min, _FLOOR)), math.log10(max(y_max, y_min * 1.0001, _FLOOR * 10))
-    else:
-        y_lo, y_hi = y_min, y_max
+    x_lo, x_hi = math.log10(max(x_min, _FLOOR)), math.log10(max(x_max, x_min * 1.0001, _FLOOR * 10))
+    y_lo, y_hi = math.log10(max(y_min, _FLOOR)), math.log10(max(y_max, y_min * 1.0001, _FLOOR * 10))
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1e-12:
@@ -83,7 +77,7 @@ def write_line_svg(
     parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
     parts.append(
         f'<text x="{_W / 2:.0f}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{title}</text>'
+        f'text-anchor="middle">{_escape(title)}</text>'
     )
     # axes box
     parts.append(
@@ -91,8 +85,7 @@ def write_line_svg(
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
     # ticks
-    x_ticks = _log_ticks(10.0**x_lo, 10.0**x_hi) if log_x else [x_min, (x_min + x_max) / 2, x_max]
-    for v in x_ticks:
+    for v in _log_ticks(10.0**x_lo, 10.0**x_hi):
         px = tx(v)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_H - _MB}" x2="{_fmt(px)}" y2="{_H - _MB + 4}" stroke="#333333"/>'
@@ -101,8 +94,7 @@ def write_line_svg(
             f'<text x="{_fmt(px)}" y="{_H - _MB + 16}" font-family="sans-serif" font-size="10" '
             f'text-anchor="middle">{_tick_label(v)}</text>'
         )
-    y_ticks = _log_ticks(10.0**y_lo, 10.0**y_hi) if log_y else [y_min, (y_min + y_max) / 2, y_max]
-    for v in y_ticks:
+    for v in _log_ticks(10.0**y_lo, 10.0**y_hi):
         py = ty(v)
         parts.append(
             f'<line x1="{_ML - 4}" y1="{_fmt(py)}" x2="{_ML}" y2="{_fmt(py)}" stroke="#333333"/>'
@@ -113,11 +105,11 @@ def write_line_svg(
         )
     parts.append(
         f'<text x="{_W / 2:.0f}" y="{_H - 10}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle">{xlabel}</text>'
+        f'text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="14" y="{_H / 2:.0f}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle" transform="rotate(-90 14 {_H / 2:.0f})">{ylabel}</text>'
+        f'text-anchor="middle" transform="rotate(-90 14 {_H / 2:.0f})">{_escape(ylabel)}</text>'
     )
     # series
     for s_idx, (label, xs, ys) in enumerate(series):
@@ -137,7 +129,7 @@ def write_line_svg(
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_W - _MR - 126}" y="{ly}" font-family="sans-serif" font-size="10">{label}</text>'
+            f'<text x="{_W - _MR - 126}" y="{ly}" font-family="sans-serif" font-size="10">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:

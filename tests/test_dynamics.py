@@ -1,5 +1,6 @@
 """Allocation dynamics: bids, steps, full runs, and their invariants."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -579,6 +580,14 @@ def test_variant_dict_round_trip():
         Proportional(),
     ):
         assert variant_from_dict(variant_to_dict(variant)) == variant
+
+
+def test_variant_names_are_class_constants():
+    # a settable name would relabel the variant and break the round trip
+    for cls in (Unconstrained, Constrained, Seeded, SetAside, OneStepGreedy, Proportional):
+        assert "name" not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(TypeError):
+        Unconstrained(name="x")
 
 
 def test_trace_csv_has_checkpoint_rows(tmp_path):

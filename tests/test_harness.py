@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -68,7 +69,8 @@ output_dir: out
     )
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
     result = run_experiment(ExperimentConfig.from_yaml(cfg))
-    rows = list(csv.DictReader(open(result.trajectory_csv)))
+    with open(result.trajectory_csv) as fh:
+        rows = list(csv.DictReader(fh))
     vals = {(r["tau"], r["agent"]): float(r["value"]) for r in rows}
     assert vals[("2", "a")] == pytest.approx(0.5)
     assert vals[("2", "b")] == pytest.approx(0.5)
@@ -95,11 +97,12 @@ output_dir: out
     )
     config = ExperimentConfig.from_yaml(cfg)
     result = run_experiment(config)
-    rows = list(csv.DictReader(open(result.trajectory_csv)))
+    with open(result.trajectory_csv) as fh:
+        rows = list(csv.DictReader(fh))
     cps = parse_checkpoints("pow2", 32)
     # one row per (checkpoint, agent/max/mean) per variant
     assert len(rows) == len(cps) * (2 + 2)
-    summary = json.load(open(result.summary_json))
+    summary = json.loads(Path(result.summary_json).read_text())
     assert summary["repetitions"] == 10
     assert set(summary["variants"]) == {"pace"}
     per_rep = summary["variants"]["pace"]["per_repetition"]
@@ -163,7 +166,7 @@ output_dir: %s
         (r1.summary_json, r2.summary_json),
         (r1.svg_files[0], r2.svg_files[0]),
     ]:
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_failure_removes_partial_outputs(tmp_path):
@@ -241,9 +244,18 @@ def test_plot_from_trajectories(tmp_path):
             wr.writerow([tau, "pace", "max", v])
             wr.writerow([tau, "pace", "mean", v / 2])
     [svg] = plot_trajectories(path, tmp_path / "plots")
-    body = open(svg).read()
+    body = Path(svg).read_text()
     assert body.startswith("<svg")
     assert "pace, max" in body
+
+
+def test_plot_escapes_labels_into_well_formed_svg(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("tau,variant,agent,value\n1,a&b<c,max,0.5\n4,a&b<c,max,0.25\n")
+    [svg] = plot_trajectories(path, tmp_path / "plots")
+    root = ElementTree.parse(svg).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b<c, max" in texts
 
 
 # ------------------------------------------------------------ CLI
@@ -471,9 +483,19 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {csv: [1]}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.csv' must be a path"),
         ("instance: {model: {type: iid, support: [[1, 0]]}, t: [4]}\nweights: {equal: 2}\nvariants: [pace]\n", "'t' must be a number"),
         ("instance: {model: {type: iid, support: [[1, 0]]}, t: 4, seed: [1]}\nweights: {equal: 2}\nvariants: [pace]\n", "'seed' must be a number"),
+        ("instance: {model: {type: iid, support: 5}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: support must be a nonempty matrix"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: seeded, seed_utility: [1]}]\n", "seeded variant:"),
+        ("instance: {model: {type: periodic, pools: 3}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "periodic model:"),
+        ("instance: {model: {type: corrupted, base: {support: [[1, 1]]}, corruptions: [1, 2]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "corruptions must map rounds to distributions"),
+        ("instance: {model: {type: block, lengths: [4], dists: {a: 1}}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "block model:"),
+        ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[0.5, 0.5], [0.5, 0.5]], start: [0]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "ergodic model:"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: constrained, lower: 1, upper: 2}]\n", "constrained variant:"),
+        ("instance: {model: {type: block, lengths: [4], dists: [{support: [[1, 1]]}], max_delta: abc}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "max_delta must be a number, not 'abc'"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
-         "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list"],
+         "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
+         "iid-support-scalar", "seeded-utility-list", "periodic-pools-int", "corruptions-list",
+         "block-dists-mapping", "ergodic-start-list", "constrained-bounds-scalar", "block-max-delta-text"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -579,8 +601,9 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "- iid\n- 4\n"}, "model spec file must hold a mapping"),
         (["plot", "t.csv", "--out", "p"], {"t.csv": "tau,variant,agent,value\n1,pace,max\n"}, "t.csv, line 2"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": '{"winners": [0]}'}, "missing the 'variant_spec' field"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": '{"winners": [0], "variant_spec": [1]}'}, "variant spec must be a mapping"),
     ],
-    ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant"],
+    ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)

@@ -1,11 +1,14 @@
 """Generators: determinism, model semantics, adversarial constructions."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fairpace.dynamics import Constrained, Proportional, Unconstrained, run
+from fairpace.harness import model_from_dict
 from fairpace.inputs import (
     Block,
     Corrupted,
@@ -52,6 +55,70 @@ def test_gen_is_bit_identical_across_calls():
         assert np.array_equal(a.matrix, b.matrix), model.name
         c = gen(spec, repetition=1)
         assert not np.array_equal(a.matrix, c.matrix), model.name
+
+
+_A = {"support": [[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], "probs": [0.2, 0.5, 0.3]}
+_B = {"support": [[0.9, 0.1], [0.1, 0.9]]}
+_POOLS = [[[1.0, 0.1], [0.5, 0.1]], [[0.1, 1.0]], [[0.4, 0.4], [0.2, 0.9], [0.7, 0.3]]]
+_STATES = [[1.0, 0.1], [0.1, 1.0], [0.6, 0.6]]
+_TRANSITIONS = [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]
+
+# each model's config form, and the same model from its constructor
+_CONFIG_AND_MODEL = {
+    "iid": ({"type": "iid", **_A}, lambda: IID(_dist(**_A))),
+    "periodic": ({"type": "periodic", "pools": _POOLS}, lambda: Periodic(tuple(np.array(p) for p in _POOLS))),
+    "block": (
+        {"type": "block", "lengths": [100, 57, 100], "dists": [_A, _B, _A], "max_delta": 0.9},
+        lambda: Block(lengths=(100, 57, 100), dists=(_dist(**_A), _dist(**_B), _dist(**_A)), max_delta=0.9),
+    ),
+    "ergodic": (
+        {"type": "ergodic", "states": _STATES, "transitions": _TRANSITIONS, "start": 2},
+        lambda: Ergodic(np.array(_STATES), np.array(_TRANSITIONS), start=2),
+    ),
+    "corrupted": (
+        {"type": "corrupted", "base": _A, "corruptions": {3: _B, 200: _B, 999: _A}, "max_delta": 0.5},
+        lambda: Corrupted(_dist(**_A), {3: _dist(**_B), 200: _dist(**_B), 999: _dist(**_A)}, max_delta=0.5),
+    ),
+}
+
+# SHA-256 of the little-endian float64 bytes of gen(spec, repetition) at
+# t=257, seed=2024; generation must not change across runs or releases
+_GEN_SHA256 = {
+    ("iid", 0): "8f3d5567ff88fb9d1487fdabee9adcd690660fe700bb929bdac580d77632fa13",
+    ("iid", 5): "dbec17d8f5e41e3a3435a5a970f5dbc6b4cff5f013ec5a415fd1acca7549e486",
+    ("periodic", 0): "6f4062f84e4f336d9106ce7a79036195c1dd5649b91065b44b23a630154faac9",
+    ("periodic", 5): "aadfb9cd15608f73428411e6ada18475b1a6e65091b41fca5ac39b9db92e1805",
+    ("block", 0): "d1c37b9859910c21685c2c092feba5d2c49c5994b005af4d4fbd6078fca0f7e8",
+    ("block", 5): "657d981da9fd67374e0d55c79bc21abd1327d2317bd951338d2fb58e230b1c2c",
+    ("ergodic", 0): "3dc05521b8ec823e983e3ea19e377d9663bcae10bc8596deb2727dc237d6083f",
+    ("ergodic", 5): "425779403af13b478b38941f13918bda66b7555b357bb32ecb051a79bcc8fb52",
+    ("corrupted", 0): "afd5ff350a993621b6d3576646bdcef8592472c3498c2e4519dfeb70a8d201f8",
+    ("corrupted", 5): "15730f0e04e885fe1169e89cec4ba317158be4de5923e3fc418cce4f15731936",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONFIG_AND_MODEL))
+def test_model_config_and_constructor_generate_the_same_rows(kind):
+    config, build = _CONFIG_AND_MODEL[kind]
+    from_config = model_from_dict({**config, "t": 257, "seed": 2024})
+    from_constructor = InputModelSpec(build(), t=257, seed=2024)
+    for rep in (0, 5):
+        assert np.array_equal(gen(from_config, rep).matrix, gen(from_constructor, rep).matrix)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONFIG_AND_MODEL))
+def test_gen_output_is_pinned(kind):
+    spec = InputModelSpec(_CONFIG_AND_MODEL[kind][1](), t=257, seed=2024)
+    for rep in (0, 5):
+        matrix = np.ascontiguousarray(gen(spec, rep).matrix, dtype="<f8")
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == _GEN_SHA256[kind, rep]
+
+
+def test_model_names_are_class_constants():
+    for cls in (IID, Periodic, Block, Ergodic, Corrupted):
+        assert "name" not in {f.name for f in dataclasses.fields(cls)}
+    with pytest.raises(TypeError):
+        IID(_dist([[1.0, 1.0]]), name="x")
 
 
 def test_iid_single_point_is_constant():
