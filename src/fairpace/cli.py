@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dynamics import RunTrace, variant_label
+from .dynamics import RunTrace
 from .eg import solve_eg
 from .harness import (
     ExperimentConfig,
@@ -187,12 +187,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.trace) as fh:
-        trace = RunTrace.from_json_dict(json.load(fh))
     values = load_csv(args.instance)
-    weights = trace.weights
-    eq = solve_eg(values, weights, args.tol)
-    report = build_report(trace, values, weights, eq.utilities)
+    with open(args.trace) as fh:
+        trace = RunTrace.from_json_dict(json.load(fh), values)
+    eq = solve_eg(values, trace.weights, args.tol)
+    report = build_report(trace, values, trace.weights, eq.utilities)
     _emit(report.to_json(indent=1), args.out)
     return 0
 
@@ -246,7 +245,7 @@ def _cmd_attack(args) -> int:
             json.dumps(
                 {
                     "construction": "cr-killer",
-                    "policy": variant_label(args.variant),
+                    "policy": args.variant.label,
                     "t": res.values.t,
                     "bound": res.bound,
                     "kill_order": list(res.kill_order),

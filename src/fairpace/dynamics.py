@@ -27,10 +27,13 @@ Variants
 ``Proportional``    splits every item in proportion to the weights; no
                     auction takes place.
 
-Each variant's rule (its first-round state, bids, update after a won
-round, multipliers, tracked averages and item split) is written once, in
-the kernel that ``variant.kernel(weights)`` builds.  ``run``, the
-single-step API, ``PaceState``, ``RunTrace`` and the metrics all read it.
+Each variant is defined once.  Its class reads and writes its config
+form (``from_dict``, ``to_dict``; ``VARIANTS`` maps each ``type`` to its
+class) and gives its ``label``.  Its rule (its first-round state, bids,
+update after a won round, multipliers, tracked averages and item split)
+is written in the kernel that ``variant.kernel(weights)`` builds, which
+``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
+metrics all read.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -45,125 +48,17 @@ one-row block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import ClassVar, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
-from .model import AgentWeights, InstanceError, ValueSequence, validate_instance
+from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, validate_instance
 
 INF = math.inf
 
 # rows converted to Python floats at once; bounds a run's memory, not its result
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class Unconstrained:
-    name: ClassVar[str] = "pace"
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _PaceKernel(self, weights)
-
-
-@dataclass(frozen=True)
-class Constrained:
-    """Pacing with multipliers projected to ``[lower_i, upper_i]``."""
-
-    lower: Tuple[float, ...]
-    upper: Tuple[float, ...]
-    name: ClassVar[str] = "constrained"
-
-    def __post_init__(self):
-        lows = tuple(float(x) for x in self.lower)
-        highs = tuple(float(x) for x in self.upper)
-        if len(lows) != len(highs):
-            raise InstanceError("interval bounds differ in length")
-        for i, (lo, hi) in enumerate(zip(lows, highs)):
-            if not (0 <= lo < hi < INF):
-                raise InstanceError(f"need 0 <= lower < upper < inf at agent {i + 1}")
-        object.__setattr__(self, "lower", lows)
-        object.__setattr__(self, "upper", highs)
-
-    @classmethod
-    def from_slack(cls, weights: AgentWeights, slack: float) -> "Constrained":
-        """Default intervals ``[B_i/(1+slack), B_i*(1+slack)]``."""
-        if slack <= 0:
-            raise InstanceError("slack must be positive")
-        b = weights.array
-        return cls(tuple(b / (1.0 + slack)), tuple(b * (1.0 + slack)))
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _ConstrainedKernel(self, weights)
-
-
-@dataclass(frozen=True)
-class Seeded:
-    """Pacing with a positive fictitious starting utility per agent."""
-
-    seed_utility: float
-    name: ClassVar[str] = "seeded"
-
-    def __post_init__(self):
-        if not (float(self.seed_utility) > 0):
-            raise InstanceError("seed_utility must be positive")
-        object.__setattr__(self, "seed_utility", float(self.seed_utility))
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _SeededKernel(self, weights, self.seed_utility)
-
-
-@dataclass(frozen=True)
-class SetAside:
-    """Half-proportional, half-auctioned pacing.
-
-    ``monopoly_utilities`` are each agent's total value over the whole
-    sequence (or a caller-supplied prediction of it); when ``None`` the
-    executor fills in the exact column sums.
-    """
-
-    monopoly_utilities: Optional[Tuple[float, ...]] = None
-    name: ClassVar[str] = "setaside"
-
-    def __post_init__(self):
-        w = self.monopoly_utilities
-        if w is not None:
-            w = tuple(float(x) for x in w)
-            if any(not (x > 0 and math.isfinite(x)) for x in w):
-                raise InstanceError("monopoly utilities must be positive and finite")
-            object.__setattr__(self, "monopoly_utilities", w)
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _SetAsideKernel(self, weights)
-
-
-@dataclass(frozen=True)
-class OneStepGreedy:
-    name: ClassVar[str] = "greedy"
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _GreedyKernel(self, weights)
-
-
-@dataclass(frozen=True)
-class Proportional:
-    name: ClassVar[str] = "proportional"
-
-    def kernel(self, weights: AgentWeights) -> "_PaceKernel":
-        return _ProportionalKernel(self, weights)
-
-
-Variant = Union[Unconstrained, Constrained, Seeded, SetAside, OneStepGreedy, Proportional]
-
-
-def resolve_variant(variant: Variant, values: ValueSequence) -> Variant:
-    """Fill in set-aside's monopolistic utilities from the instance."""
-    if isinstance(variant, SetAside) and variant.monopoly_utilities is None:
-        return replace(
-            variant,
-            monopoly_utilities=tuple(float(x) for x in values.monopolistic_utilities()),
-        )
-    return variant
 
 
 class _PaceKernel:
@@ -207,23 +102,17 @@ class _PaceKernel:
             r.spend[w] += bid
         return w
 
-    def advance(
-        self, r: "_Runner", block: np.ndarray, outcomes: Optional[List["StepOutcome"]] = None
-    ) -> List[int]:
+    def advance(self, r: "_Runner", block: np.ndarray) -> List[int]:
         """Advance ``r`` over the rows of ``block`` in order; returns the
-        winners (-1 for none) and appends each round's outcome to
-        ``outcomes`` when one is given.  A round is scores, then the
-        smallest index holding the largest score, then commit."""
+        winners (-1 for none).  A round is scores, then the smallest index
+        holding the largest score, then commit."""
         scores_of, commit = self.scores, self.commit
         winners = []
         for row in block.tolist():
             scores = scores_of(r.u, r.aux, r.tau, row)
             best = max(scores)
-            w = commit(r, row, scores.index(best), best)
+            winners.append(commit(r, row, scores.index(best), best))
             r.tau += 1
-            winners.append(w)
-            if outcomes is not None:
-                outcomes.append(r.outcome_row(w, row, scores))
         return winners
 
     def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
@@ -262,9 +151,9 @@ class _ConstrainedKernel(_PaceKernel):
 
 
 class _SeededKernel(_PaceKernel):
-    def __init__(self, variant: Variant, weights: AgentWeights, xi: float):
+    def __init__(self, variant: Seeded, weights: AgentWeights):
         super().__init__(variant, weights)
-        self.xi = xi
+        self.xi = variant.seed_utility
 
     def scores(self, u, aux, tau0, row):
         if tau0 == 0:
@@ -288,7 +177,8 @@ class _SetAsideKernel(_SeededKernel):
     top = 0.5
 
     def __init__(self, variant: SetAside, weights: AgentWeights):
-        super().__init__(variant, weights, 1.0 / (2.0 * weights.n))
+        _PaceKernel.__init__(self, variant, weights)
+        self.xi = 1.0 / (2.0 * self.n)
         mono = variant.monopoly_utilities
         if mono is None:
             raise InstanceError("set-aside needs resolved monopoly utilities")
@@ -347,10 +237,7 @@ class _ProportionalKernel(_PaceKernel):
     def scores(self, u, aux, tau0, row):
         return [0.0] * self.n
 
-    def advance(self, r, block, outcomes=None):
-        if outcomes is not None:
-            bids = self.scores(r.u, r.aux, r.tau, None)  # zeros in every round
-            outcomes.extend(r.outcome_row(-1, row, bids) for row in block)
+    def advance(self, r, block):
         # row k of the cumulative sum is u + base*row_1 + ... + base*row_k,
         # added in round order: the IEEE operations of ``u[i] += s * row[i]``
         u = np.cumsum(np.vstack((r.u, np.multiply(self.base, block))), axis=0)
@@ -362,6 +249,152 @@ class _ProportionalKernel(_PaceKernel):
         if tau == 0:
             return np.ones(self.n)
         return super().beta(u, aux, tau)
+
+
+class _Variant:
+    """A variant's spec (``from_dict``, ``to_dict``, ``label``) and kernel; the
+    six variants are frozen dataclasses whose fields are their config keys."""
+
+    name: ClassVar[str]
+    _kernel: ClassVar[type]
+
+    @property
+    def label(self) -> str:
+        """Short human/CLI label; results are keyed by it."""
+        return self.name
+
+    def kernel(self, weights: AgentWeights) -> _PaceKernel:
+        return self._kernel(self, weights)
+
+    def to_dict(self) -> dict:
+        """JSON-friendly structured form, inverse of :meth:`from_dict`."""
+        items = asdict(self).items()
+        return {"type": self.name, **{k: list(v) if isinstance(v, tuple) else v for k, v in items}}
+
+    @classmethod
+    def from_dict(cls, d: Mapping, weights: Optional[AgentWeights] = None) -> "_Variant":
+        """Read the fields by name; a missing required field or a key that
+        is not a field is refused."""
+        known_keys(d, "type", *(f.name for f in fields(cls)))
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING:
+                raise InstanceError(f"needs a {f.name}")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
+@dataclass(frozen=True)
+class Unconstrained(_Variant):
+    name: ClassVar[str] = "pace"
+    _kernel = _PaceKernel
+
+
+@dataclass(frozen=True)
+class Constrained(_Variant):
+    """Pacing with multipliers projected to ``[lower_i, upper_i]``."""
+
+    lower: Tuple[float, ...]
+    upper: Tuple[float, ...]
+    name: ClassVar[str] = "constrained"
+    _kernel = _ConstrainedKernel
+
+    def __post_init__(self):
+        lows = tuple(float(x) for x in self.lower)
+        highs = tuple(float(x) for x in self.upper)
+        if len(lows) != len(highs):
+            raise InstanceError("interval bounds differ in length")
+        for i, (lo, hi) in enumerate(zip(lows, highs)):
+            if not (0 <= lo < hi < INF):
+                raise InstanceError(f"need 0 <= lower < upper < inf at agent {i + 1}")
+        object.__setattr__(self, "lower", lows)
+        object.__setattr__(self, "upper", highs)
+
+    @classmethod
+    def from_slack(cls, weights: AgentWeights, slack: float) -> "Constrained":
+        """Default intervals ``[B_i/(1+slack), B_i*(1+slack)]``."""
+        if slack <= 0:
+            raise InstanceError("slack must be positive")
+        b = weights.array
+        return cls(tuple(b / (1.0 + slack)), tuple(b * (1.0 + slack)))
+
+    @classmethod
+    def from_dict(cls, d: Mapping, weights: Optional[AgentWeights] = None) -> "Constrained":
+        """Explicit ``lower`` and ``upper`` bounds, or a ``slack`` that derives them from ``weights``."""
+        if "slack" not in d:
+            if "lower" not in d or "upper" not in d:
+                raise InstanceError("needs lower/upper bounds or a slack")
+            return super().from_dict(d)
+        if "lower" in d or "upper" in d:
+            raise InstanceError("give lower/upper bounds or a slack, not both")
+        if weights is None:
+            raise InstanceError("the slack form needs agent weights")
+        return cls.from_slack(weights, float(known_keys(d, "type", "slack")["slack"]))
+
+
+@dataclass(frozen=True)
+class Seeded(_Variant):
+    """Pacing with a positive fictitious starting utility per agent."""
+
+    seed_utility: float
+    name: ClassVar[str] = "seeded"
+    _kernel = _SeededKernel
+
+    def __post_init__(self):
+        if not (float(self.seed_utility) > 0):
+            raise InstanceError("seed_utility must be positive")
+        object.__setattr__(self, "seed_utility", float(self.seed_utility))
+
+    @property
+    def label(self) -> str:
+        return f"seeded(seed_utility={self.seed_utility:g})"
+
+
+@dataclass(frozen=True)
+class SetAside(_Variant):
+    """Half-proportional, half-auctioned pacing.
+
+    ``monopoly_utilities`` are each agent's total value over the whole
+    sequence (or a caller-supplied prediction of it); when ``None`` the
+    executor fills in the exact column sums.
+    """
+
+    monopoly_utilities: Optional[Tuple[float, ...]] = None
+    name: ClassVar[str] = "setaside"
+    _kernel = _SetAsideKernel
+
+    def __post_init__(self):
+        w = self.monopoly_utilities
+        if w is not None:
+            w = tuple(float(x) for x in w)
+            if any(not (x > 0 and math.isfinite(x)) for x in w):
+                raise InstanceError("monopoly utilities must be positive and finite")
+            object.__setattr__(self, "monopoly_utilities", w)
+
+
+@dataclass(frozen=True)
+class OneStepGreedy(_Variant):
+    name: ClassVar[str] = "greedy"
+    _kernel = _GreedyKernel
+
+
+@dataclass(frozen=True)
+class Proportional(_Variant):
+    name: ClassVar[str] = "proportional"
+    _kernel = _ProportionalKernel
+
+
+Variant = Union[Unconstrained, Constrained, Seeded, SetAside, OneStepGreedy, Proportional]
+
+VARIANTS: Dict[str, type] = {v.name: v for v in get_args(Variant)}
+
+
+def resolve_variant(variant: Variant, values: ValueSequence) -> Variant:
+    """Fill in set-aside's monopolistic utilities from the instance."""
+    if isinstance(variant, SetAside) and variant.monopoly_utilities is None:
+        return replace(
+            variant,
+            monopoly_utilities=tuple(float(x) for x in values.monopolistic_utilities()),
+        )
+    return variant
 
 
 @dataclass(frozen=True)
@@ -472,18 +505,6 @@ class _Runner:
         aux = None if self.aux is None else np.array(self.aux)
         return self.kernel.beta(np.array(self.u), aux, self.tau)
 
-    def outcome_row(self, w: int, row: Sequence[float], scores: List[float]) -> StepOutcome:
-        k = self.kernel
-        alloc = np.array(k.base)
-        util = alloc * np.asarray(row)
-        exp = np.zeros(k.n)
-        if w >= 0:
-            alloc[w] += k.top
-            util[w] += k.top * row[w]
-            if k.pays:
-                exp[w] = scores[w]  # inf when won from the unserved state
-        return StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
-
 
 def _checked_row(value_row: Sequence[float], n: int) -> List[float]:
     """The row as floats, refused for the faults ``validate_instance``
@@ -519,9 +540,18 @@ def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, 
     """Run one auction round; returns the advanced state and its outcome."""
     row = _checked_row(value_row, state.n)
     r = _Runner.at(state)
-    outcomes: List[StepOutcome] = []
-    r.kernel.advance(r, np.array([row]), outcomes)
-    return r.state(), outcomes[0]
+    k = r.kernel
+    scores = k.scores(r.u, r.aux, r.tau, row)  # the scores the round compares
+    (w,) = k.advance(r, np.array([row]))
+    alloc = np.array(k.base)
+    util = alloc * np.asarray(row)
+    exp = np.zeros(k.n)
+    if w >= 0:
+        alloc[w] += k.top
+        util[w] += k.top * row[w]
+        if k.pays:
+            exp[w] = scores[w]  # inf when won from the unserved state
+    return r.state(), StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
 
 
 @dataclass(frozen=True)
@@ -550,7 +580,6 @@ class RunTrace:
     final_beta: np.ndarray
     final_spend: np.ndarray
     infinite_spend_rounds: Tuple[int, ...]
-    outcomes: Optional[Tuple[StepOutcome, ...]] = None
 
     @property
     def final_avg_utilities(self) -> np.ndarray:
@@ -596,8 +625,8 @@ class RunTrace:
             return [None if math.isinf(v) else float(v) for v in a]
 
         return {
-            "variant": variant_label(self.variant),
-            "variant_spec": variant_to_dict(self.variant),
+            "variant": self.variant.label,
+            "variant_spec": self.variant.to_dict(),
             "weights": _vals(self.weights.array),
             "t": self.t,
             "n": self.n,
@@ -614,101 +643,53 @@ class RunTrace:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "RunTrace":
-        """Rebuild a trace saved by :meth:`to_json_dict` (winners required)."""
-        if not isinstance(d, dict) or "winners" not in d:
-            raise InstanceError("trace JSON lacks the winners array")
-
-        def _beta(rows):
-            return np.array(
-                [[INF if v is None else float(v) for v in row] for row in rows]
-            )
-
+    def from_json_dict(cls, d: dict, values: ValueSequence) -> "RunTrace":
+        """Re-run a trace saved by :meth:`to_json_dict` on ``values``; refused
+        unless the re-run picks the trace's winners, one per round of ``values``."""
+        if not isinstance(d, dict):
+            raise InstanceError("trace JSON must hold a mapping")
         try:
-            return cls(
-                variant=variant_from_dict(d["variant_spec"]),
-                weights=AgentWeights(np.array(d["weights"])),
-                t=int(d["t"]),
-                n=int(d["n"]),
-                winners=np.array(d["winners"], dtype=np.int32),
-                checkpoints=tuple(int(c) for c in d["checkpoints"]),
-                checkpoint_utilities=np.array(d["checkpoint_utilities"], dtype=np.float64).reshape(
-                    len(d["checkpoints"]), int(d["n"])
-                ),
-                checkpoint_beta=_beta(d["checkpoint_beta"]).reshape(len(d["checkpoints"]), int(d["n"])),
-                checkpoint_spend=np.array(d["checkpoint_spend"], dtype=np.float64).reshape(
-                    len(d["checkpoints"]), int(d["n"])
-                ),
-                final_utilities=np.array(d["final_utilities"]),
-                final_beta=_beta([d["final_beta"]])[0],
-                final_spend=np.array(d["final_spend"]),
-                infinite_spend_rounds=tuple(int(r) for r in d["infinite_spend_rounds"]),
-            )
+            variant = variant_from_dict(d["variant_spec"])
+            weights, checkpoints, winners = d["weights"], d["checkpoints"], d["winners"]
         except KeyError as exc:
             raise InstanceError(f"trace JSON is missing the {exc.args[0]!r} field") from None
+        try:
+            weights = AgentWeights(weights)
+        except (TypeError, ValueError) as exc:  # InstanceError included
+            raise InstanceError(f"trace JSON 'weights': {exc}") from None
+        if not isinstance(winners, list):
+            raise InstanceError(f"trace JSON 'winners' must be a list, not {winners!r}")
+        if len(winners) != values.t:
+            raise InstanceError(f"trace has {len(winners)} winners for an instance of {values.t} rounds")
+        trace = run(values, weights, variant, checkpoints)
+        for tau, (saved, rerun) in enumerate(zip(winners, trace.winners.tolist()), 1):
+            if saved != rerun:
+                raise InstanceError(f"trace winner {saved!r} in round {tau} differs from the re-run's {rerun}")
+        return trace
 
 
-def variant_label(variant: Variant) -> str:
-    """Short human/CLI label, e.g. ``seeded(seed_utility=0.5)``."""
-    if isinstance(variant, Seeded):
-        return f"seeded(seed_utility={variant.seed_utility:g})"
-    if isinstance(variant, Constrained):
-        return "constrained"
-    return variant.name
-
-
-def variant_to_dict(variant: Variant) -> dict:
-    """JSON-friendly structured form, inverse of :func:`variant_from_dict`."""
-    if isinstance(variant, Constrained):
-        return {"type": "constrained", "lower": list(variant.lower), "upper": list(variant.upper)}
-    if isinstance(variant, Seeded):
-        return {"type": "seeded", "seed_utility": variant.seed_utility}
-    if isinstance(variant, SetAside):
-        w = variant.monopoly_utilities
-        return {"type": "setaside", "monopoly_utilities": None if w is None else list(w)}
-    return {"type": variant.name}
-
-
-def variant_from_dict(d: dict, weights: Optional[AgentWeights] = None) -> Variant:
-    """Build a variant from its structured form.
-
-    ``constrained`` accepts either explicit ``lower``/``upper`` bounds or
-    a ``slack`` (which needs ``weights`` to derive the default intervals).
-    """
+def variant_from_dict(d: Mapping, weights: Optional[AgentWeights] = None) -> Variant:
+    """Build a variant from its structured form, read by its class in
+    :data:`VARIANTS`; ``weights`` serve ``constrained``'s slack form."""
     if not isinstance(d, Mapping):
         raise InstanceError(f"variant spec must be a mapping, not {d!r}")
     kind = d.get("type")
+    cls = VARIANTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InstanceError(f"unknown variant type {kind!r}")
     try:
-        if kind == "pace":
-            return Unconstrained()
-        if kind == "constrained":
-            if "slack" in d:
-                if weights is None:
-                    raise InstanceError("the slack form needs agent weights")
-                return Constrained.from_slack(weights, float(d["slack"]))
-            if "lower" not in d or "upper" not in d:
-                raise InstanceError("needs lower/upper bounds or a slack")
-            return Constrained(tuple(d["lower"]), tuple(d["upper"]))
-        if kind == "seeded":
-            if "seed_utility" not in d:
-                raise InstanceError("needs a seed_utility")
-            return Seeded(float(d["seed_utility"]))
-        if kind == "setaside":
-            w = d.get("monopoly_utilities")
-            return SetAside(None if w is None else tuple(w))
-        if kind == "greedy":
-            return OneStepGreedy()
-        if kind == "proportional":
-            return Proportional()
+        return cls.from_dict(d, weights)
     except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
         raise InstanceError(f"{kind} variant: {exc}") from None
-    raise InstanceError(f"unknown variant type {kind!r}")
 
 
 def _normalize_checkpoints(checkpoints, t: int) -> Tuple[int, ...]:
     if checkpoints is None:
         return ()
-    cps = sorted({int(c) for c in checkpoints})
+    try:
+        cps = sorted({integral(c) for c in checkpoints})
+    except (TypeError, ValueError):
+        raise InstanceError(f"checkpoints must be a list of rounds, not {checkpoints!r}") from None
     if cps and (cps[0] < 1 or cps[-1] > t):
         raise InstanceError(f"checkpoints must lie in [1, {t}]")
     return tuple(cps)
@@ -719,8 +700,6 @@ def run(
     weights: AgentWeights,
     variant: Variant,
     checkpoints: Optional[Sequence[int]] = None,
-    *,
-    store_outcomes: bool = False,
 ) -> RunTrace:
     """Execute a dynamic over the whole sequence.
 
@@ -743,14 +722,11 @@ def run(
     cp_u = np.zeros((k, n))
     cp_beta = np.zeros((k, n))
     cp_spend = np.zeros((k, n))
-    outcomes: List[StepOutcome] = []
 
     advance = runner.kernel.advance
     start = cp_iter = 0
     for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
-        winners[start:end] = advance(
-            runner, values.matrix[start:end], outcomes if store_outcomes else None
-        )
+        winners[start:end] = advance(runner, values.matrix[start:end])
         if cp_iter < k and cps[cp_iter] == end:
             cp_u[cp_iter] = runner.u
             cp_beta[cp_iter] = runner.beta()
@@ -772,7 +748,6 @@ def run(
         final_beta=runner.beta(),
         final_spend=np.array(runner.spend),
         infinite_spend_rounds=tuple(runner.infinite_spend_round),
-        outcomes=tuple(outcomes) if store_outcomes else None,
     )
 
 

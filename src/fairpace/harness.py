@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import yaml
 
-from .dynamics import Variant, run, variant_from_dict, variant_label
+from .dynamics import Variant, run, variant_from_dict
 from .eg import hindsight_prefix
 from .inputs import MODELS, InputModelSpec, gen
 from .metrics import build_report, relative_regret_trajectory
@@ -41,6 +41,8 @@ from .model import (
     AgentWeights,
     InstanceError,
     ValueSequence,
+    integral,
+    known_keys,
     load_csv,
     normalize_values,
     save_csv,
@@ -67,8 +69,7 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
             raise InstanceError(f"malformed variant parameter {p!r}")
         key, val = p.split("=", 1)
         params[key.strip()] = float(val)
-    d = {"type": name, **params}
-    return variant_from_dict(d, weights)
+    return variant_from_dict({"type": name, **params}, weights)
 
 
 def parse_checkpoints(spec: Union[str, Sequence[int], None], t: int) -> Tuple[int, ...]:
@@ -97,9 +98,9 @@ def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]
         return None
     try:
         if isinstance(spec, str):
-            items = [int(float(s)) for s in spec.split(",") if s.strip()]
+            items = [integral(float(s)) for s in spec.split(",") if s.strip()]
         else:
-            items = [int(x) for x in spec]
+            items = [integral(x) for x in spec]
     except (TypeError, ValueError):
         raise InstanceError(f"malformed checkpoint schedule {spec!r}") from None
     if not items:
@@ -115,13 +116,13 @@ def model_from_dict(d: dict) -> InputModelSpec:
     kind = d.get("type")
     if d.get("t") is None:
         raise InstanceError("model spec needs a horizon t")
-    t = _number(d, "t", None, int)
-    seed = _number(d, "seed", 0, int) if d.get("seed") is not None else 0
+    t = _number(d, "t", None, integral)
+    seed = _number(d, "seed", 0, integral) if d.get("seed") is not None else 0
     cls = MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InstanceError(f"unknown input model type {kind!r}")
     try:
-        model = cls.from_dict(d)
+        model = cls.from_dict({k: v for k, v in d.items() if k not in ("type", "t", "seed")})
     except KeyError as exc:
         raise InstanceError(f"model spec is missing the {exc.args[0]!r} field") from None
     except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
@@ -160,19 +161,22 @@ class ExperimentConfig:
         items = _schedule_items(self.checkpoints)  # refused here, before any output exists
         if items is not None and not isinstance(self.checkpoints, str):
             object.__setattr__(self, "checkpoints", tuple(items))
-        labels = [variant_label(v) for v in self.variants]
+        labels = [v.label for v in self.variants]
         for label in labels:
             if labels.count(label) > 1:
                 raise InstanceError(f"two variants share the label {label!r}; results are keyed by it")
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentConfig":
+        known_keys(d, "instance", "weights", "variants", "repetitions", "checkpoints", "tolerance",
+                   "output_dir", "normalize", "save_instances")
         inst = d.get("instance", {})
         if not isinstance(inst, dict):
             raise InstanceError("config 'instance' must be a mapping")
+        known_keys(inst, "csv", "model", "t", "seed", "normalize")
         w = d.get("weights")
-        if isinstance(w, dict) and "equal" in w:
-            weights = AgentWeights.equal(_number(w, "equal", None, int))
+        if isinstance(w, dict):
+            weights = AgentWeights.equal(_number(known_keys(w, "equal"), "equal", None, integral))
         elif w is not None:
             weights = AgentWeights(np.asarray(w, dtype=np.float64))
         else:
@@ -182,12 +186,9 @@ class ExperimentConfig:
         if not isinstance(entries, list):
             raise InstanceError("config 'variants' must be a list")
         for v in entries:
-            if isinstance(v, str):
-                variants.append(parse_variant(v, weights))
-            elif isinstance(v, dict):
-                variants.append(variant_from_dict(v, weights))
-            else:
+            if not isinstance(v, (str, dict)):
                 raise InstanceError(f"variant entry {v!r} must be a string or a mapping")
+            variants.append(parse_variant(v, weights) if isinstance(v, str) else variant_from_dict(v, weights))
         csv_path = inst.get("csv")
         if csv_path is not None:
             csv_path = _path(csv_path, "instance.csv", base_dir)
@@ -196,21 +197,18 @@ class ExperimentConfig:
         if model is not None:
             if not isinstance(model, dict):
                 raise InstanceError("config 'instance.model' must be a mapping")
-            md = dict(model)
-            md.setdefault("t", inst.get("t"))
-            md.setdefault("seed", inst.get("seed", 0))
-            spec = model_from_dict(md)
+            spec = model_from_dict({"t": inst.get("t"), "seed": inst.get("seed", 0), **model})
         return cls(
             weights=weights,
             variants=tuple(variants),
             output_dir=_path(d.get("output_dir", "out"), "output_dir", base_dir),
             csv_path=csv_path,
             model_spec=spec,
-            repetitions=_number(d, "repetitions", 1, int),
+            repetitions=_number(d, "repetitions", 1, integral),
             checkpoints=d.get("checkpoints", "pow2"),
             tolerance=_number(d, "tolerance", 1e-6, float),
-            normalize=bool(inst.get("normalize", d.get("normalize", False))),
-            save_instances=bool(d.get("save_instances", False)),
+            normalize=_flag(inst, "normalize", _flag(d, "normalize", False)),
+            save_instances=_flag(d, "save_instances", False),
         )
 
     @classmethod
@@ -244,8 +242,17 @@ def _number(d: dict, key: str, default, kind):
     """``kind(d[key])``, or ``default`` when absent, refused in one line."""
     try:
         return kind(d.get(key, default))
-    except (TypeError, ValueError):
-        raise InstanceError(f"config {key!r} must be a number, not {d.get(key)!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        whole = " with an integer value" if kind is integral else ""
+        raise InstanceError(f"config {key!r} must be a number{whole}, not {d.get(key)!r}") from None
+
+
+def _flag(d: dict, key: str, default: bool) -> bool:
+    """``d[key]``, or ``default`` when absent; only a YAML boolean is read."""
+    value = d.get(key, default)
+    if not isinstance(value, bool):
+        raise InstanceError(f"config {key!r} must be true or false, not {value!r}")
+    return value
 
 
 def _safe_name(label: str) -> str:
@@ -318,7 +325,7 @@ _TRAJECTORY_HEADER = ["tau", "variant", "agent", "value"]
 def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
     """Write every report file into ``out_dir``; the names of the files
     written under ``reps/``, in order."""
-    labels = [variant_label(v) for v in config.variants]
+    labels = [v.label for v in config.variants]
     agent_names: Optional[Tuple[str, ...]] = None
     cps: Optional[Tuple[int, ...]] = None
     # traj[variant][rep] -> list of TrajectoryPoint

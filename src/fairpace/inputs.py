@@ -48,7 +48,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .dynamics import _CHUNK, Variant, _Runner
-from .model import AgentWeights, InstanceError, ValueSequence
+from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +91,7 @@ class FiniteDistribution:
     @classmethod
     def from_dict(cls, d: Mapping) -> "FiniteDistribution":
         """``{support, probs}``; uniform when ``probs`` is absent or null."""
-        support = d["support"]
+        support = known_keys(d, "support", "probs")["support"]
         if d.get("probs") is None:
             return cls.uniform(support)
         return cls(np.asarray(support, dtype=np.float64), np.asarray(d["probs"], dtype=np.float64))
@@ -159,7 +159,7 @@ class Periodic:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Periodic":
-        return cls(tuple(np.asarray(p, dtype=np.float64) for p in d["pools"]))
+        return cls(tuple(np.asarray(p, dtype=np.float64) for p in known_keys(d, "pools")["pools"]))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         pos = np.arange(u.size) % self.period
@@ -201,7 +201,7 @@ class Block:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Block":
         return cls(
-            lengths=tuple(int(x) for x in d["lengths"]),
+            lengths=tuple(integral(x) for x in known_keys(d, "lengths", "dists", "max_delta")["lengths"]),
             dists=tuple(FiniteDistribution.from_dict(b) for b in d["dists"]),
             max_delta=d.get("max_delta"),
         )
@@ -252,9 +252,9 @@ class Ergodic:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Ergodic":
         return cls(
-            states=np.asarray(d["states"], dtype=np.float64),
+            states=np.asarray(known_keys(d, "states", "transitions", "start")["states"], dtype=np.float64),
             transitions=np.asarray(d["transitions"], dtype=np.float64),
-            start=int(d.get("start", 0)),
+            start=integral(d.get("start", 0)),
         )
 
     def rows(self, u: np.ndarray) -> np.ndarray:
@@ -293,12 +293,12 @@ class Corrupted:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Corrupted":
-        corruptions = d.get("corruptions", {})
+        corruptions = known_keys(d, "base", "corruptions", "max_delta").get("corruptions", {})
         if not isinstance(corruptions, Mapping):
             raise InstanceError("corruptions must map rounds to distributions")
         return cls(
             base=FiniteDistribution.from_dict(d["base"]),
-            corruptions={int(r): FiniteDistribution.from_dict(c) for r, c in corruptions.items()},
+            corruptions={integral(r): FiniteDistribution.from_dict(c) for r, c in corruptions.items()},
             max_delta=d.get("max_delta"),
         )
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import RunTrace, Seeded, variant_label
+from .dynamics import RunTrace, Seeded
 from .eg import PrefixSolution
 from .model import AgentWeights, InstanceError, ValueSequence
 
@@ -287,7 +287,7 @@ def build_report(
     if isinstance(trace.variant, Seeded):
         seeded = seeded_utility_ratio(values, ua, weights, trace.variant.seed_utility)
     return MetricsReport(
-        variant=variant_label(trace.variant),
+        variant=trace.variant.label,
         regret=regret(trace.final_avg_utilities, uh / trace.t),
         additive_envy=env_a,
         multiplicative_envy=env_m,

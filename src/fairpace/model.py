@@ -14,13 +14,30 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
 
 class InstanceError(ValueError):
     """Raised for malformed instance files or ill-formed instance data."""
+
+
+def known_keys(d: Mapping, *keys: str) -> Mapping:
+    """``d``, refused if it is not a mapping or holds a key outside ``keys``."""
+    if not isinstance(d, Mapping):
+        raise InstanceError(f"expected a mapping, not {d!r}")
+    for key in d:
+        if key not in keys:
+            raise InstanceError(f"unknown key {key!r}")
+    return d
+
+
+def integral(x) -> int:
+    """``x`` as an int; only a number with an integer value such as ``3.0`` is read."""
+    if isinstance(x, (bool, str)) or not float(x).is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Allocation dynamics: bids, steps, full runs, and their invariants."""
 
 import dataclasses
-import itertools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -16,6 +16,7 @@ from oracles import greedy_reference_winners, pace_reference_trace
 
 from fairpace import dynamics
 from fairpace.dynamics import (
+    VARIANTS,
     Constrained,
     OneStepGreedy,
     Proportional,
@@ -28,7 +29,6 @@ from fairpace.dynamics import (
     restrict_instance,
     run,
     variant_from_dict,
-    variant_to_dict,
 )
 from fairpace.model import AgentWeights, InstanceError, ValueSequence
 
@@ -258,11 +258,15 @@ def test_integral_variants_allocate_whole_item(variant):
     w = AgentWeights.equal(vs.n)
     if isinstance(variant, Constrained):
         variant = Constrained(variant.lower[: vs.n], variant.upper[: vs.n])
-    trace = run(vs, w, variant, store_outcomes=True)
-    for out in trace.outcomes:
+    trace = run(vs, w, variant)
+    state, outcomes = new_state(variant, w), []
+    for row in vs.matrix:
+        state, out = pace_step(state, row)
+        outcomes.append(out)
+    for out in outcomes:
         assert out.allocation.sum() == 1.0
         assert (out.allocation > 0).sum() == 1
-    realized = np.sum([out.utilities for out in trace.outcomes], axis=0)
+    realized = np.sum([out.utilities for out in outcomes], axis=0)
     assert np.allclose(realized, trace.final_utilities, rtol=1e-12)
 
 
@@ -289,11 +293,6 @@ def _assert_run_is_fold(vs, w, variant, trace):
         state, out = pace_step(state, row)
         assert out.winner == (None if trace.winners[k] < 0 else trace.winners[k])
         assert np.array_equal(out.allocation, dense[k])
-        if trace.outcomes is not None:
-            kept = trace.outcomes[k]
-            assert kept.winner == out.winner
-            for field in ("allocation", "bids", "expenditure", "utilities"):
-                assert np.array_equal(getattr(kept, field), getattr(out, field))
         for i in np.nonzero(np.isinf(out.expenditure))[0]:
             inf_rounds[i] = k + 1  # won from the unserved state: flagged, not spent
         spend += np.where(np.isinf(out.expenditure), 0.0, out.expenditure)
@@ -313,12 +312,11 @@ def test_run_equals_repeated_steps_bitwise():
     rng = np.random.default_rng(15)
     vs, w = _random_instance(rng)
     # tiny chunks make segments end at chunk multiples and at checkpoints
-    for chunk, store in itertools.product((1, 2, 5, dynamics._CHUNK), (False, True)):
+    for chunk in (1, 2, 5, dynamics._CHUNK):
         for cps in (range(1, vs.t + 1), sorted(set(rng.integers(1, vs.t + 1, size=5).tolist()))):
             with mock.patch.object(dynamics, "_CHUNK", chunk):
                 for variant in _all_variants(vs, w):
-                    trace = run(vs, w, variant, checkpoints=cps, store_outcomes=store)
-                    assert (trace.outcomes is not None) == store
+                    trace = run(vs, w, variant, checkpoints=cps)
                     state = _assert_run_is_fold(vs, w, variant, trace)
                     if isinstance(variant, Proportional):
                         # the scalar loop that the block cumsum replaces
@@ -354,15 +352,14 @@ _LEVELS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0])
     which=st.integers(0, 5),
     chunk=st.sampled_from([1, 2, 5]),
     cps=st.sets(st.integers(1, 12), max_size=5),
-    store=st.booleans(),
 )
-def test_run_is_a_fold_of_pace_step(matrix, weights, which, chunk, cps, store):
+def test_run_is_a_fold_of_pace_step(matrix, weights, which, chunk, cps):
     matrix[0, matrix.max(axis=0) == 0] = 1.0  # every agent values some item
     vs = ValueSequence(matrix)
     w = AgentWeights(weights[: vs.n])
     variant = _all_variants(vs, w)[which]
     with mock.patch.object(dynamics, "_CHUNK", chunk):
-        trace = run(vs, w, variant, [c for c in cps if c <= vs.t], store_outcomes=store)
+        trace = run(vs, w, variant, [c for c in cps if c <= vs.t])
     _assert_run_is_fold(vs, w, variant, trace)
 
 
@@ -563,7 +560,7 @@ def test_trace_json_round_trip(tmp_path):
     blob = json.dumps(trace.to_json_dict())
     from fairpace.dynamics import RunTrace
 
-    back = RunTrace.from_json_dict(json.loads(blob))
+    back = RunTrace.from_json_dict(json.loads(blob), vs)
     assert np.array_equal(back.winners, trace.winners)
     assert np.array_equal(back.final_utilities, trace.final_utilities)
     assert back.variant == trace.variant
@@ -579,7 +576,46 @@ def test_variant_dict_round_trip():
         OneStepGreedy(),
         Proportional(),
     ):
-        assert variant_from_dict(variant_to_dict(variant)) == variant
+        assert variant_from_dict(variant.to_dict()) == variant
+
+
+def _bounds(n):
+    return st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n).map(tuple)
+
+
+# every variant with random valid parameters for 1 to 4 agents
+_VARIANT_SPECS = st.integers(1, 4).flatmap(
+    lambda n: st.one_of(
+        st.sampled_from([Unconstrained(), OneStepGreedy(), Proportional()]),
+        st.builds(
+            lambda lo, gap: Constrained(lo, tuple(a + 1e-3 + b for a, b in zip(lo, gap))), _bounds(n), _bounds(n)
+        ),
+        st.builds(Seeded, st.floats(1e-9, 1e9)),
+        st.builds(SetAside, st.none() | _bounds(n).map(lambda w: tuple(1e-3 + x for x in w))),
+    )
+)
+
+
+# "slack" beside constrained's bounds has its own message
+@settings(max_examples=80, deadline=None)
+@given(variant=_VARIANT_SPECS, key=st.text(min_size=1, max_size=6).filter(lambda k: k != "slack"))
+def test_variant_spec_round_trips_through_json_and_refuses_unknown_keys(variant, key):
+    d = variant.to_dict()
+    back = variant_from_dict(json.loads(json.dumps(d)))
+    assert back == variant
+    assert back.label == variant.label
+    assert variant.label == (
+        f"seeded(seed_utility={variant.seed_utility:g})" if isinstance(variant, Seeded) else variant.name
+    )
+    if key not in d:
+        with pytest.raises(InstanceError, match=f"{variant.name} variant: unknown key"):
+            variant_from_dict({**d, key: 1.0})
+
+
+def test_variants_table_holds_the_six_classes():
+    classes = {Unconstrained, Constrained, Seeded, SetAside, OneStepGreedy, Proportional}
+    assert set(VARIANTS.values()) == classes
+    assert all(VARIANTS[cls.name] is cls for cls in classes)
 
 
 def test_variant_names_are_class_constants():

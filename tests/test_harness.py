@@ -491,11 +491,30 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[0.5, 0.5], [0.5, 0.5]], start: [0]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "ergodic model:"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: constrained, lower: 1, upper: 2}]\n", "constrained variant:"),
         ("instance: {model: {type: block, lengths: [4], dists: [{support: [[1, 1]]}], max_delta: abc}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "max_delta must be a number, not 'abc'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nrepetition: 5\n", "unknown key 'repetition'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerence: 0.1\n", "unknown key 'tolerence'"),
+        ("instance: {csv: inst.csv, sed: 3}\nweights: {equal: 2}\nvariants: [pace]\n", "unknown key 'sed'"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], prob: [0.9, 0.1]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 'prob'"),
+        ("instance: {model: {type: block, lengths: [4], dists: [{support: [[1, 1]], prob: [1]}]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "block model: unknown key 'prob'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: constrained, slack: 0.5, lower: [0.1, 0.1], upper: [9, 9]}]\n", "constrained variant: give lower/upper bounds or a slack, not both"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['pace,seed_utility=0.5']\n", "pace variant: unknown key 'seed_utility'"),
+        ("instance: {csv: inst.csv}\nweights: {eqal: 2}\nvariants: [pace]\n", "unknown key 'eqal'"),
+        ("instance: {csv: inst.csv, normalize: 'no'}\nweights: {equal: 2}\nvariants: [pace]\n", "'normalize' must be true or false, not 'no'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nsave_instances: maybe\n", "'save_instances' must be true or false, not 'maybe'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nrepetitions: 2.7\n", "'repetitions' must be a number with an integer value, not 2.7"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nrepetitions: true\n", "'repetitions' must be a number with an integer value, not True"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: [1.5, 3]\n", "malformed checkpoint schedule [1.5, 3]"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: [.inf]\n", "malformed checkpoint schedule [inf]"),
+        ("instance: {model: {type: iid, support: [[1, 1]]}, t: .inf}\nweights: {equal: 2}\nvariants: [pace]\n", "'t' must be a number with an integer value, not inf"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
          "iid-support-scalar", "seeded-utility-list", "periodic-pools-int", "corruptions-list",
-         "block-dists-mapping", "ergodic-start-list", "constrained-bounds-scalar", "block-max-delta-text"],
+         "block-dists-mapping", "ergodic-start-list", "constrained-bounds-scalar", "block-max-delta-text",
+         "unknown-top-key", "unknown-top-key-misspelt", "unknown-instance-key", "iid-unknown-key",
+         "distribution-unknown-key", "constrained-slack-and-bounds", "pace-unknown-parameter",
+         "weights-unknown-key", "normalize-text", "save-instances-text", "repetitions-fraction",
+         "repetitions-bool", "checkpoints-fraction", "checkpoints-inf", "t-inf"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -533,6 +552,10 @@ def _run_cli(tmp_path, variants, *extra):
         f"instance: {{csv: inst.csv}}\nweights: {{equal: 2}}\nvariants: {variants}\noutput_dir: out\n",
     )
     return subprocess.run(CLI + ["run", cfg, *extra], capture_output=True, text=True, cwd=tmp_path)
+
+
+# the fields eval reads of a pace trace on _TWO_AGENTS; %s is the winners
+_PACE_TRACE = '{"variant_spec": {"type": "pace"}, "weights": [1, 1], "checkpoints": [], "winners": %s}'
 
 
 def _files(root):
@@ -602,8 +625,15 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["plot", "t.csv", "--out", "p"], {"t.csv": "tau,variant,agent,value\n1,pace,max\n"}, "t.csv, line 2"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": '{"winners": [0]}'}, "missing the 'variant_spec' field"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": '{"winners": [0], "variant_spec": [1]}'}, "variant spec must be a mapping"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % "[0, 1, 1, 1]"}, "round 3 differs"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % "[0, 1, 0]"}, "3 winners for an instance of 4 rounds"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % '5, "t": 2, "final_utilities": [7, 0]'}, "'winners' must be a list"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", '"x"') % "[0, 1, 0, 1]"}, "trace JSON 'weights'"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace('"checkpoints": []', '"checkpoints": 5') % "[0, 1, 0, 1]"}, "checkpoints must be a list of rounds"),
     ],
-    ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list"],
+    ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
+         "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
+         "eval-checkpoints-number"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
@@ -614,3 +644,25 @@ def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expe
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
+
+
+def test_cli_eval_re_runs_the_trace_instead_of_reading_its_arrays(tmp_path):
+    # a stored field eval does not read, even a malformed or forged one,
+    # cannot change the report: the trace is re-run on the instance
+    from fairpace.dynamics import SetAside, run as run_dyn
+
+    inst = tmp_path / "inst.csv"
+    inst.write_text(_TWO_AGENTS)
+    trace = run_dyn(load_csv(inst), AgentWeights([1.0, 2.0]), SetAside(), checkpoints=[1, 3])
+    saved = trace.to_json_dict()
+    forged = {**saved, "t": [2], "n": "x", "final_utilities": [7, 0], "checkpoint_spend": 3}
+    outputs = []
+    for i, d in enumerate((saved, forged)):
+        (tmp_path / f"tr{i}.json").write_text(json.dumps(d))
+        r = subprocess.run(
+            CLI + ["eval", f"tr{i}.json", "--instance", "inst.csv"], capture_output=True, text=True, cwd=tmp_path
+        )
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["variant"] == "setaside"
