@@ -200,7 +200,7 @@ def _cmd_solve(args) -> int:
     values = load_csv(args.instance)
     weights = AgentWeights(np.asarray(args.weights)) if args.weights else AgentWeights.equal(values.n)
     eq = solve_eg(values, weights, args.tol, include_allocation=args.include_allocation)
-    text = json.dumps(eq.to_json_dict(include_allocation=args.include_allocation), sort_keys=True, indent=1)
+    text = json.dumps(eq.to_json_dict(), sort_keys=True, indent=1)
     _emit(text, args.out)
     return 0
 

@@ -53,7 +53,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, validate_instance
+from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, real, validate_instance
 
 INF = math.inf
 
@@ -298,8 +298,8 @@ class Constrained(_Variant):
     _kernel = _ConstrainedKernel
 
     def __post_init__(self):
-        lows = tuple(float(x) for x in self.lower)
-        highs = tuple(float(x) for x in self.upper)
+        lows = tuple(real(x) for x in self.lower)
+        highs = tuple(real(x) for x in self.upper)
         if len(lows) != len(highs):
             raise InstanceError("interval bounds differ in length")
         for i, (lo, hi) in enumerate(zip(lows, highs)):
@@ -327,7 +327,7 @@ class Constrained(_Variant):
             raise InstanceError("give lower/upper bounds or a slack, not both")
         if weights is None:
             raise InstanceError("the slack form needs agent weights")
-        return cls.from_slack(weights, float(known_keys(d, "type", "slack")["slack"]))
+        return cls.from_slack(weights, real(known_keys(d, "type", "slack")["slack"]))
 
 
 @dataclass(frozen=True)
@@ -339,9 +339,9 @@ class Seeded(_Variant):
     _kernel = _SeededKernel
 
     def __post_init__(self):
-        if not (float(self.seed_utility) > 0):
+        if not (real(self.seed_utility) > 0):
             raise InstanceError("seed_utility must be positive")
-        object.__setattr__(self, "seed_utility", float(self.seed_utility))
+        object.__setattr__(self, "seed_utility", real(self.seed_utility))
 
     @property
     def label(self) -> str:
@@ -364,7 +364,7 @@ class SetAside(_Variant):
     def __post_init__(self):
         w = self.monopoly_utilities
         if w is not None:
-            w = tuple(float(x) for x in w)
+            w = tuple(real(x) for x in w)
             if any(not (x > 0 and math.isfinite(x)) for x in w):
                 raise InstanceError("monopoly utilities must be positive and finite")
             object.__setattr__(self, "monopoly_utilities", w)
@@ -507,17 +507,11 @@ class _Runner:
 
 
 def _checked_row(value_row: Sequence[float], n: int) -> List[float]:
-    """The row as floats, refused for the faults ``validate_instance``
-    reports in a value matrix: wrong length, non-finite, negative."""
-    row = [float(x) for x in value_row]
+    """The row as floats, refused as a one-item :class:`ValueSequence` is,
+    or for a length other than ``n``."""
+    row = ValueSequence([value_row]).matrix[0].tolist()
     if len(row) != n:
         raise InstanceError(f"value row length {len(row)} does not match agent count {n}")
-    for i, x in enumerate(row):
-        if not math.isfinite(x):
-            raise InstanceError(f"non-finite value at agent {i + 1}")
-    for i, x in enumerate(row):
-        if x < 0:
-            raise InstanceError(f"negative value at agent {i + 1}")
     return row
 
 

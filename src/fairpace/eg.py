@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .inputs import FiniteDistribution
 from .model import AgentWeights, InstanceError, ValueSequence
 
 __all__ = [
@@ -79,7 +80,8 @@ class MarketEquilibrium:
     gap: float
     iterations: int
 
-    def to_json_dict(self, include_allocation: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
+        """The solution's numbers; ``allocation`` only when it was kept."""
         d = {
             "utilities": [float(v) for v in self.utilities],
             "beta": [float(v) for v in self.beta],
@@ -87,7 +89,7 @@ class MarketEquilibrium:
             "gap": float(self.gap),
             "iterations": int(self.iterations),
         }
-        if include_allocation and self.allocation is not None:
+        if self.allocation is not None:
             d["allocation"] = [[float(v) for v in row] for row in self.allocation]
         return d
 
@@ -145,6 +147,8 @@ def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[first], np.bincount(inverse).astype(np.float64), inverse
 
 
+# overflow near the float64 limit shows as a NaN gap, refused below
+@np.errstate(over="ignore", invalid="ignore")
 def _pr_fixed_point(
     matrix: np.ndarray,
     supplies: np.ndarray,
@@ -190,9 +194,9 @@ def _pr_fixed_point(
             beta = b / utilities
             gap = _dual_value(beta, va, weights) - float(np.dot(b, np.log(utilities)))
             gap = max(gap, 0.0)
-            if gap <= tol_abs:
+            if not gap > tol_abs:  # a NaN gap stops the loop too
                 break
-    if gap > tol_abs:
+    if not gap <= tol_abs:  # and is never a certificate
         raise ConvergenceError(
             f"no certificate after {last_iter} iterations (gap {gap:.3e} > {tol_abs:.3e})",
             gap,
@@ -251,17 +255,12 @@ def solve_underlying(
     Utilities come out in time-averaged units: a point with probability
     p contributes at most p times its value vector.
     """
-    sup = np.asarray(support, dtype=np.float64)
-    pr = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if sup.ndim != 2 or sup.shape[0] != pr.size:
-        raise InstanceError("support and probs shapes do not match")
-    if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-        raise InstanceError("probs must be nonnegative and sum to one")
+    dist = FiniteDistribution(support, probs)
     if not (tol > 0):
         raise InstanceError("tol must be positive")
     tol_abs = tol * weights.total
-    _, utilities, beta, gap, _ = _pr_fixed_point(sup, pr, weights, tol_abs, max_iters)
-    return UnderlyingMarket(support=sup, probs=pr, utilities=utilities, beta=beta, gap=gap)
+    _, utilities, beta, gap, _ = _pr_fixed_point(dist.support, dist.probs, weights, tol_abs, max_iters)
+    return UnderlyingMarket(support=dist.support, probs=dist.probs, utilities=utilities, beta=beta, gap=gap)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .model import (
     known_keys,
     load_csv,
     normalize_values,
+    real,
     save_csv,
 )
 from .svgplot import write_line_svg
@@ -169,7 +170,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentConfig":
         known_keys(d, "instance", "weights", "variants", "repetitions", "checkpoints", "tolerance",
-                   "output_dir", "normalize", "save_instances")
+                   "output_dir", "save_instances")
         inst = d.get("instance", {})
         if not isinstance(inst, dict):
             raise InstanceError("config 'instance' must be a mapping")
@@ -178,7 +179,11 @@ class ExperimentConfig:
         if isinstance(w, dict):
             weights = AgentWeights.equal(_number(known_keys(w, "equal"), "equal", None, integral))
         elif w is not None:
-            weights = AgentWeights(np.asarray(w, dtype=np.float64))
+            try:
+                listed = [real(x) for x in w]
+            except (TypeError, ValueError):
+                raise InstanceError(f"config 'weights' must be {{equal: n}} or a list of numbers, not {w!r}") from None
+            weights = AgentWeights(listed)
         else:
             raise InstanceError("config lacks agent weights")
         variants = []
@@ -206,8 +211,8 @@ class ExperimentConfig:
             model_spec=spec,
             repetitions=_number(d, "repetitions", 1, integral),
             checkpoints=d.get("checkpoints", "pow2"),
-            tolerance=_number(d, "tolerance", 1e-6, float),
-            normalize=_flag(inst, "normalize", _flag(d, "normalize", False)),
+            tolerance=_number(d, "tolerance", 1e-6, real),
+            normalize=_flag(inst, "normalize", False),
             save_instances=_flag(d, "save_instances", False),
         )
 

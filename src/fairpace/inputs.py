@@ -48,7 +48,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .dynamics import _CHUNK, Variant, _Runner
-from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys
+from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, real
 
 
 # --------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def _budget(max_delta) -> Optional[float]:
     if max_delta is None:
         return None
     try:
-        return float(max_delta)
+        return real(max_delta)
     except (TypeError, ValueError):
         raise InstanceError(f"max_delta must be a number, not {max_delta!r}") from None
 

@@ -40,6 +40,13 @@ def integral(x) -> int:
     return int(x)
 
 
+def real(x) -> float:
+    """``x`` as a float; a boolean or a string is refused, not read."""
+    if isinstance(x, (bool, str)):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
     out.setflags(write=False)
@@ -87,11 +94,13 @@ def _default_agent_names(n: int) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ValueSequence:
-    """A ``t x n`` matrix of nonnegative item values in arrival order.
+    """A ``t x n`` matrix of finite, nonnegative item values in arrival order.
 
     Row ``tau`` holds every agent's value for the item arriving at step
     ``tau`` (rows are 0-indexed in code, 1-based in messages).  ``agents``
-    carries the column names from the CSV header, if any.
+    carries the column names from the CSV header, if any.  The first
+    non-finite, then the first negative entry (row-major) is refused at
+    construction, naming its item and agent; all-zero columns are kept.
     """
 
     matrix: np.ndarray
@@ -103,6 +112,13 @@ class ValueSequence:
             raise InstanceError(f"value matrix must be 2-D, got {m.ndim}-D")
         if m.shape[0] < 1 or m.shape[1] < 1:
             raise InstanceError("value matrix needs at least one item and one agent")
+        lo, hi = m.min(), m.max()  # NaN propagates to both; no temporary of the matrix size
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            tau, i = np.argwhere(~np.isfinite(m))[0]
+            raise InstanceError(f"non-finite value at item {tau + 1}, agent {i + 1}")
+        if lo < 0:
+            tau, i = np.argwhere(m < 0)[0]
+            raise InstanceError(f"negative value at item {tau + 1}, agent {i + 1}")
         object.__setattr__(self, "matrix", _frozen_array(m))
         names = tuple(self.agents) or _default_agent_names(m.shape[1])
         if len(names) != m.shape[1]:
@@ -136,36 +152,18 @@ class ValidationReport:
 
 
 def validate_instance(values: ValueSequence, weights: AgentWeights) -> ValidationReport:
-    """Check an instance for well-formedness without raising.
+    """Check that an instance can be run, without raising.
 
-    Reported failures: dimension mismatch, NaN or negative entries
-    (located by 1-based item and agent index), nonpositive weights, and
+    Each part is well formed on its own (see :class:`ValueSequence` and
+    :class:`AgentWeights`).  Reported failures: dimension mismatch, and
     agents whose values are all zero (these make the multiplicative
     metrics undefined, so they are rejected here rather than carried).
     """
     failures: List[str] = []
-    m = values.matrix
     if weights.n != values.n:
-        failures.append(
-            f"dimension mismatch: {weights.n} weights for {values.n} agents"
-        )
-    bad = ~np.isfinite(m)
-    if bad.any():
-        tau, i = np.argwhere(bad)[0]
-        failures.append(f"non-finite value at item {tau + 1}, agent {i + 1}")
-    neg = m < 0
-    if neg.any():
-        tau, i = np.argwhere(neg)[0]
-        failures.append(f"negative value at item {tau + 1}, agent {i + 1}")
-    with np.errstate(invalid="ignore"):
-        col_pos = (m > 0).any(axis=0)
-    for i in np.nonzero(~col_pos)[0]:
+        failures.append(f"dimension mismatch: {weights.n} weights for {values.n} agents")
+    for i in np.nonzero(values.matrix.max(axis=0) == 0)[0]:  # values are nonnegative
         failures.append(f"agent {i + 1} has all-zero values")
-    # AgentWeights already rejects nonpositive entries at construction;
-    # re-check here so reports built from raw arrays stay complete.
-    if np.any(weights.array <= 0):
-        i = int(np.argmax(weights.array <= 0))
-        failures.append(f"nonpositive weight at agent {i + 1}")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
 

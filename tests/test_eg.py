@@ -150,6 +150,23 @@ def test_solve_underlying_validates_probs():
         solve_underlying([[1.0, 1.0]], [0.9], W2, 1e-9)
 
 
+@pytest.mark.parametrize(
+    "support", [[[1.0, -1.0], [1.0, 3.0]], [[1.0, math.inf], [1.0, 1.0]]], ids=["negative", "infinite"]
+)
+def test_solve_underlying_refuses_a_negative_or_infinite_support_vector(support):
+    with pytest.raises(InstanceError, match="support vectors must be nonnegative and finite"):
+        solve_underlying(support, [0.5, 0.5], W2, 1e-9)
+
+
+def test_nan_gap_is_never_a_certificate():
+    # the two merged items' supply-weighted values overflow, so the gap reads NaN
+    vs = ValueSequence([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(ConvergenceError, match="gap nan") as exc_info:
+        solve_eg(vs, W2, 1e-9)
+    assert math.isnan(exc_info.value.gap)
+    assert exc_info.value.iterations == 8
+
+
 def test_check_equilibrium_passes_on_solution():
     rng = np.random.default_rng(104)
     vs = ValueSequence(rng.random((8, 3)) + 1e-3)

@@ -506,6 +506,19 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: [1.5, 3]\n", "malformed checkpoint schedule [1.5, 3]"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ncheckpoints: [.inf]\n", "malformed checkpoint schedule [inf]"),
         ("instance: {model: {type: iid, support: [[1, 1]]}, t: .inf}\nweights: {equal: 2}\nvariants: [pace]\n", "'t' must be a number with an integer value, not inf"),
+        ("instance: {csv: inf.csv}\nweights: {equal: 2}\nvariants: [pace]\n", "error: non-finite value at item 1, agent 2"),
+        ("instance: {csv: inst.csv}\nweights: [{a: 1}, 1]\nvariants: [pace]\n", "config 'weights' must be {equal: n} or a list of numbers, not [{'a': 1}, 1]"),
+        ("instance: {csv: inst.csv}\nweights: [1, true]\nvariants: [pace]\n", "config 'weights' must be {equal: n} or a list of numbers, not [1, True]"),
+        ("instance: {csv: inst.csv}\nweights: ['1', 1]\nvariants: [pace]\n", "config 'weights' must be {equal: n} or a list of numbers, not ['1', 1]"),
+        ("instance: {csv: inst.csv}\nweights: 2\nvariants: [pace]\n", "config 'weights' must be {equal: n} or a list of numbers, not 2"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerance: true\n", "config 'tolerance' must be a number, not True"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: seeded, seed_utility: true}]\n", "seeded variant: True is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: constrained, slack: true}]\n", "constrained variant: True is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: constrained, lower: [0.5, true], upper: [2, 2]}]\n", "constrained variant: True is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: setaside, monopoly_utilities: [1, true]}]\n", "setaside variant: True is not a number"),
+        ("instance: {model: {type: block, lengths: [4], dists: [{support: [[1, 1]]}], max_delta: true}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "block model: max_delta must be a number, not True"),
+        ("instance: {model: {type: corrupted, base: {support: [[1, 1]]}, corruptions: {}, max_delta: true}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "corrupted model: max_delta must be a number, not True"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nnormalize: true\n", "unknown key 'normalize'"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -514,10 +527,14 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
          "unknown-top-key", "unknown-top-key-misspelt", "unknown-instance-key", "iid-unknown-key",
          "distribution-unknown-key", "constrained-slack-and-bounds", "pace-unknown-parameter",
          "weights-unknown-key", "normalize-text", "save-instances-text", "repetitions-fraction",
-         "repetitions-bool", "checkpoints-fraction", "checkpoints-inf", "t-inf"],
+         "repetitions-bool", "checkpoints-fraction", "checkpoints-inf", "t-inf", "csv-inf",
+         "weights-entry-mapping", "weights-entry-bool", "weights-entry-text", "weights-scalar", "tolerance-bool",
+         "seeded-utility-bool", "constrained-slack-bool", "constrained-bounds-bool", "setaside-monopoly-bool",
+         "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
+    (tmp_path / "inf.csv").write_text("a,b\n1,inf\n0,1\n")
     cfg = _write_config(tmp_path / "c.yaml", body)
     r = subprocess.run(CLI + ["run", cfg], capture_output=True, text=True, cwd=tmp_path)
     assert r.returncode == 1
@@ -630,10 +647,15 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % '5, "t": 2, "final_utilities": [7, 0]'}, "'winners' must be a list"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", '"x"') % "[0, 1, 0, 1]"}, "trace JSON 'weights'"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace('"checkpoints": []', '"checkpoints": 5') % "[0, 1, 0, 1]"}, "checkpoints must be a list of rounds"),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1,inf\n0,1\n"}, "non-finite value at item 1, agent 2"),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1,0\n0,nan\n"}, "non-finite value at item 2, agent 2"),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1,0\n-1,1\n"}, "negative value at item 2, agent 1"),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1e308,1e308\n1e308,1e308\n"}, "no certificate after 8 iterations (gap nan"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]", "inst.csv": "a,b\n1,0\nnan,1\n"}, "non-finite value at item 2, agent 1"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
-         "eval-checkpoints-number"],
+         "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "eval-nan"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)

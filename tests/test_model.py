@@ -1,7 +1,11 @@
 """Domain types, CSV ingestion, normalization, extremity."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairpace.model import (
     AgentWeights,
@@ -10,6 +14,7 @@ from fairpace.model import (
     extremity,
     load_csv,
     normalize_values,
+    real,
     save_csv,
     validate_instance,
 )
@@ -21,9 +26,8 @@ def test_validate_wellformed():
 
 
 def test_validate_negative_value_located():
-    report = validate_instance(ValueSequence([[1, 0], [0, -1]]), AgentWeights([1, 1]))
-    assert not report.ok
-    assert "negative value at item 2, agent 2" in report.failures
+    with pytest.raises(InstanceError, match="negative value at item 2, agent 2"):
+        ValueSequence([[1, 0], [0, -1]])
 
 
 def test_validate_dimension_mismatch_and_all_zero_agent():
@@ -39,9 +43,36 @@ def test_nonpositive_weight_rejected():
 
 
 def test_validate_nan_located():
-    report = validate_instance(ValueSequence([[1, float("nan")]]), AgentWeights([1, 1]))
-    assert not report.ok
-    assert any("non-finite value at item 1, agent 2" in f for f in report.failures)
+    with pytest.raises(InstanceError, match="non-finite value at item 1, agent 2"):
+        ValueSequence([[1, float("nan")]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.integers(1, 6),
+    n=st.integers(1, 5),
+    bad=st.sampled_from([(math.nan, "non-finite"), (math.inf, "non-finite"), (-math.inf, "non-finite"),
+                         (-1.0, "negative"), (-5e-324, "negative")]),
+    data=st.data(),
+)
+def test_value_sequence_refuses_one_bad_entry_naming_its_place(t, n, bad, data):
+    value, fault = bad
+    tau = data.draw(st.integers(0, t - 1), label="tau")
+    i = data.draw(st.integers(0, n - 1), label="agent")
+    m = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n),
+                                    min_size=t, max_size=t), label="values"))
+    m[tau, i] = value
+    with pytest.raises(InstanceError, match=f"^{fault} value at item {tau + 1}, agent {i + 1}$"):
+        ValueSequence(m)
+
+
+def test_real_reads_numbers_and_refuses_booleans_and_strings():
+    assert real(2) == 2.0 and real(np.float32(0.5)) == 0.5
+    for x in (True, False, "1", "nan"):
+        with pytest.raises(ValueError, match="is not a number"):
+            real(x)
+    with pytest.raises(TypeError):
+        real([1.0])
 
 
 def test_load_csv_basic(tmp_path):
