@@ -6,16 +6,28 @@ Solves the weighted log-utility allocation program
     sum_i x_i^tau <= 1 per item,
 
 whose optimum is the competitive equilibrium of the linear Fisher market
-with budgets B.  The solver is a deterministic proportional-response
-fixed point: agents split budgets over items in proportion to the
-utility each item currently contributes; prices are the per-item bid
-totals.  Every returned solution carries a certified duality gap,
+with budgets B.  Every returned solution carries a certified duality gap,
 evaluated against the dual program
 
     minimize  sum_tau max_i beta_i v_i^tau - sum_i B_i log beta_i
               + sum_i (B_i log B_i - B_i),
 
 whose value upper-bounds the primal objective for any positive beta.
+
+The solver works on that dual, which has one unknown per agent, in
+``y = log beta``.  It smooths each item's price ``max_i beta_i v_i^tau``
+into the l_q norm of ``(beta_i v_i^tau)_i``, which splits the item among
+the agents in shares ``(beta_i v_i^tau / p_tau)^q``, and runs damped
+Newton on the smoothed dual (an n-by-n system per step) while q grows
+fourfold per stage.  After each stage the smoothed split is certified:
+utilities from the split, ``beta = B / u``, and the dual value minus the
+primal log welfare.  Smoothing alone cannot reach tight gaps where items
+are tied between agents, so when that certificate fails the solver also
+recovers an exact split of the tied items (``_tie_split``) and certifies
+that.  The gap is always measured by the same unsmoothed certificate.
+A solution's ``iterations`` counts evaluations of the smoothed dual: one
+per Newton trial point, backtracking included, and one at the start of
+each stage; ``max_iters`` bounds that count.
 
 Items with identical value vectors are merged internally (supplies add
 up); the expanded allocation splits each duplicate identically, which
@@ -45,17 +57,26 @@ __all__ = [
     "primal_objective",
     "solve_underlying",
     "check_equilibrium",
+    "check_tolerance",
     "hindsight_prefix",
 ]
 
 
-_MAX_ITERS = 400_000
-# proportional-response iterations between certificate checks
-_CHECK_EVERY = 8
+# smoothed-dual evaluations per solve
+_MAX_ITERS = 10_000
+# the smoothing starts at q = 4 and grows fourfold per stage; past 1e12,
+# q times the rounding of log(beta_i v_i^tau) is no longer small, so
+# finer stages cannot help
+_Q_START = 4.0
+_Q_MAX = 1e12
+# backtracking halvings before a Newton stage stops
+_MAX_HALVINGS = 40
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class ConvergenceError(RuntimeError):
-    """Solver ran out of iterations; carries the last gap and the count."""
+    """No certificate within the step budget; carries the last gap and the count."""
 
     def __init__(self, message: str, gap: float, iterations: int):
         super().__init__(message)
@@ -147,66 +168,312 @@ def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[first], np.bincount(inverse).astype(np.float64), inverse
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` as a float; a solver tolerance must be positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InstanceError(f"tolerance must be positive and finite, not {tol!r}")
+    return float(tol)
+
+
+def _smoothed(logv_t: np.ndarray, c: np.ndarray, b: np.ndarray, y: np.ndarray, q: float):
+    """The l_q-smoothed dual at ``y = log beta``: (value, c * p, split).
+
+    ``logv_t`` holds ``log v`` agent by agent (n by m), so the reductions
+    over agents run along whole rows.  ``p[tau]`` is the l_q norm of
+    ``(beta_i v_i^tau)_i``, taken in log space; the split ``s[i, tau] =
+    (beta_i v_i^tau / p[tau])^q``, also n by m, sums to one over agents.
+    """
+    z = logv_t + y[:, None]  # becomes the split in place: one n-by-m array per call
+    top = z.max(axis=0)
+    z -= top
+    z *= q
+    np.exp(z, out=z)
+    total = z.sum(axis=0)
+    z /= total
+    w = c * np.exp(top + np.log(total) / q)
+    return float(w.sum() - b @ y), w, z
+
+
+def _newton_stage(
+    logv_t: np.ndarray, c: np.ndarray, b: np.ndarray, y: np.ndarray, q: float, stop: float, budget: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Damped Newton on the smoothed dual at one ``q``; returns (y, split, steps).
+
+    Stops when the spend residual ``|sum_tau c p s - B|_1`` is at most
+    ``stop``, when no step makes progress, or after ``budget`` steps;
+    every evaluation of the smoothed dual is a step.
+    """
+    f, w, s = _smoothed(logv_t, c, b, y, q)
+    g = s @ w - b
+    steps = 1
+    ridge = 1e-9 * b  # an agent whose split is all zero leaves h singular
+    while steps < budget and np.abs(g).sum() > stop:
+        h = (s * w) @ s.T * (1.0 - q)
+        h.flat[:: b.size + 1] += q * (g + b) + ridge
+        scale = 1.0 / np.sqrt(np.diag(h))
+        d = -scale * np.linalg.solve(h * scale[:, None] * scale, scale * g)
+        d /= max(1.0, np.abs(d).max())  # beta moves by at most a factor e
+        slope = float(g @ d)
+        if not slope < 0:
+            break
+        # near the optimum f no longer resolves progress: a step must
+        # lower it by more than rounding, or leave it within rounding
+        # and cut the residual by a tenth
+        noise = 8 * _EPS * (w.sum() + abs(b @ y))
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            if steps >= budget:
+                return y, s, steps
+            y_t = y + t * d
+            f_t, w_t, s_t = _smoothed(logv_t, c, b, y_t, q)
+            g_t = s_t @ w_t - b
+            steps += 1
+            if f_t <= min(f + 1e-4 * t * slope, f - noise) or (
+                f_t <= f + noise and np.abs(g_t).sum() <= 0.9 * np.abs(g).sum()
+            ):
+                break
+            t *= 0.5
+        else:
+            break
+        y, f, w, s, g = y_t, f_t, w_t, s_t, g_t
+    return y, s, steps
+
+
+def _solve_normal(ata: np.ndarray, atd: np.ndarray) -> np.ndarray:
+    """``ata z = atd`` by LU; by least squares where rounding let in a dependent column."""
+    try:
+        z = np.linalg.solve(ata, atd)
+        if np.all(np.isfinite(z)):
+            return z
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(ata, atd, rcond=None)[0]
+
+
+def _nnls(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson nonnegative least squares: argmin ``|a f - d|`` over ``f >= 0``.
+
+    The passive columns stay linearly independent in exact arithmetic, so
+    each subproblem is solved on the normal equations.
+    """
+    k = a.shape[1]
+    ata, atd = a.T @ a, a.T @ d
+    f = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    tol = 10 * _EPS * max(a.shape) * np.abs(d).max()
+    for _ in range(3 * k):
+        w = atd - ata @ f
+        if passive.all() or w[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        for _ in range(k):  # each pass drops at least one passive column
+            p = np.nonzero(passive)[0]
+            z = np.zeros(k)
+            z[p] = _solve_normal(ata[np.ix_(p, p)], atd[p])
+            if z[p].min() > 0:
+                f = z
+                break
+            neg = passive & (z <= 0)
+            f += np.min(f[neg] / np.maximum(f[neg] - z[neg], _TINY)) * (z - f)
+            passive &= f > tol
+            if not passive.any():
+                break
+        else:
+            break  # rounding stalled the step back; f is still feasible
+    return f
+
+
+def _tie_split(
+    beta: np.ndarray, v: np.ndarray, c: np.ndarray, b: np.ndarray, ratio: np.ndarray, support: np.ndarray
+) -> Optional[np.ndarray]:
+    """An exact split of the items among the agents tied on them, or None.
+
+    ``ratio[tau, i]`` is ``beta_i v_i^tau`` over the item's highest such
+    value, and ``support`` marks the tied edges; an item with one tied
+    edge goes whole to its agent.  Along a spanning forest of the
+    support, tightest edges first, ``beta`` and the prices are propagated
+    so that each forest edge is tied exactly, with one scale per
+    component so that its prices add up to its budgets.  Spends then
+    follow from the item clearing and budget equations: leaf by leaf on
+    the forest, or by nonnegative least squares where exactly tied edges
+    close cycles and the forest alone would spend a negative amount.
+    Returns each item's fractions, or None when some agent has nothing
+    to spend on.
+    """
+    m, n = v.shape
+    owner = np.argmax(ratio, axis=1)
+    shared = np.nonzero(support.sum(axis=1) > 1)[0]
+    tied, agent = np.nonzero(support[shared])
+    order = np.argsort(-ratio[shared[tied], agent], kind="stable")
+    tied, agent = tied[order], agent[order]
+    vs = v[shared]
+    # nodes: agents 0..n-1 and shared items n..n+len(shared)-1
+    nodes = n + shared.size
+    root = list(range(nodes))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    adj: List[List[int]] = [[] for _ in range(nodes)]  # forest edge ids
+    for e, (k, i) in enumerate(zip(tied.tolist(), agent.tolist())):
+        ra, rb = find(i), find(n + k)
+        if ra != rb:
+            root[ra] = rb
+            adj[i].append(e)
+            adj[n + k].append(e)
+    # each component in breadth-first order from its lowest agent
+    comp = np.full(nodes, -1)
+    up = [-1] * nodes  # the forest edge towards the component's root
+    visit: List[int] = []
+    for r in range(n):
+        if comp[r] >= 0:
+            continue
+        comp[r] = r
+        head = len(visit)
+        visit.append(r)
+        while head < len(visit):
+            a = visit[head]
+            head += 1
+            for e in adj[a]:
+                o = int(agent[e]) if a >= n else n + int(tied[e])
+                if comp[o] < 0:
+                    comp[o] = r
+                    up[o] = e
+                    visit.append(o)
+    beta = beta.copy()
+    price = np.empty(shared.size)
+    sole = np.ones(m, dtype=bool)
+    sole[shared] = False
+    sole_owner = owner[sole]
+
+    def propagate():
+        for a in visit:
+            e = up[a]
+            if e >= 0:
+                k, i = tied[e], agent[e]
+                if a >= n:
+                    price[k] = beta[i] * vs[k, i]
+                else:
+                    beta[i] = price[k] / vs[k, i]
+        return c[sole] * beta[sole_owner] * v[sole, sole_owner]
+
+    roots = np.nonzero(comp[:n] == np.arange(n))[0]
+    sole_spend = propagate()
+    total = np.bincount(comp[sole_owner], sole_spend, n) + np.bincount(comp[n:], c[shared] * price, n)
+    if not np.all(total[roots] > 0):
+        return None
+    beta[roots] *= np.bincount(comp[:n], b, n)[roots] / total[roots]
+    sole_spend = propagate()
+    demand = np.concatenate([b - np.bincount(sole_owner, sole_spend, n), c[shared] * price])
+    need = demand.copy()
+    flow = np.zeros(tied.size)
+    for a in reversed(visit):
+        e = up[a]
+        if e >= 0:
+            flow[e] = need[a]
+            need[int(agent[e]) if a >= n else n + int(tied[e])] -= need[a]
+    in_forest = np.zeros(tied.size, dtype=bool)
+    in_forest[[e for e in up if e >= 0]] = True
+    # a tie off the forest is exact up to the rounding of its path
+    exact = in_forest | (np.abs(beta[agent] * vs[tied, agent] - price[tied]) <= 64 * _EPS * price[tied])
+    for r in np.nonzero(np.bincount(comp[agent[flow < 0]], minlength=n))[0]:
+        edges = np.nonzero((comp[agent] == r) & exact)[0]
+        if edges.size > np.count_nonzero(in_forest[edges]):
+            at = np.nonzero(comp == r)[0]
+            incidence = (at[:, None] == agent[edges]) | (at[:, None] == n + tied[edges])
+            flow[edges] = _nnls(incidence.astype(np.float64), demand[at])
+    x = np.zeros((m, n))
+    x[sole, sole_owner] = 1.0
+    x[shared[tied], agent] = np.maximum(flow, 0.0) / demand[n + tied]
+    return x / np.maximum(x.sum(axis=1), 1.0)[:, None]
+
+
 # overflow near the float64 limit shows as a NaN gap, refused below
-@np.errstate(over="ignore", invalid="ignore")
-def _pr_fixed_point(
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve_dual(
     matrix: np.ndarray,
     supplies: np.ndarray,
     weights: AgentWeights,
     tol_abs: float,
     max_iters: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Proportional response on items scaled by their supplies.
+    """Solve the program on items scaled by their supplies.
 
-    Returns (allocation, utilities, beta, gap, iterations); allocation
-    rows are fractions of each (supply-scaled) item.
+    Damped Newton on the smoothed dual in ``y = log beta``, from ``beta =
+    B / (each agent's total value)`` at ``q = 4``, with ``q`` four times
+    larger at each stage.  After each stage the smoothed split is
+    certified; when that fails, the exact tie split is certified too.
+    Returns (allocation, utilities, beta, gap, steps); allocation rows
+    are fractions of each (supply-scaled) item.
     """
     b = weights.array
     n = b.size
-    scaled = matrix * supplies[:, None]
-    active = scaled.max(axis=1) > 0
-    va = scaled[active]
-    if va.shape[0] == 0:
+    active = matrix.max(axis=1) > 0
+    v = matrix[active]
+    c = supplies[active]
+    if v.shape[0] == 0:
         raise InstanceError("no item has a positive value")
-    agent_totals = va.sum(axis=0)
+    scaled = v * c[:, None]
+    agent_totals = scaled.sum(axis=0)
     if np.any(agent_totals <= 0):
         i = int(np.argmax(agent_totals <= 0))
         raise InstanceError(f"agent {i + 1} has all-zero values")
 
-    bids = va * (b / agent_totals)
-    gap = math.inf
-    utilities = np.zeros(n)
-    x = np.zeros_like(va)
-    last_iter = 0
-    for it in range(1, max_iters + 1):
-        prices = bids.sum(axis=1)
-        # active rows keep positive prices at a fixed point; guard anyway
-        dead = prices <= 0
-        if dead.any():
-            bids[dead] = va[dead] * (b / agent_totals)
-            prices = bids.sum(axis=1)
-        x = bids / prices[:, None]
-        util_parts = va * x
-        utilities = util_parts.sum(axis=0)
-        bids = util_parts * (b / utilities)
-        last_iter = it
-        if it % _CHECK_EVERY == 0 or it == max_iters:
-            beta = b / utilities
-            gap = _dual_value(beta, va, weights) - float(np.dot(b, np.log(utilities)))
-            gap = max(gap, 0.0)
-            if not gap > tol_abs:  # a NaN gap stops the loop too
-                break
+    def certify(x):
+        u = (scaled * x).sum(axis=0)
+        if np.any(u <= 0):
+            return u, math.inf
+        return u, max(_dual_value(b / u, scaled, weights) - float(b @ np.log(u)), 0.0)
+
+    logv_t = np.ascontiguousarray(np.log(v).T)
+    y = np.log(b / agent_totals)
+    q = _Q_START
+    steps = 0
+    y_prev = last_support = None
+    while True:
+        stop = max(1e-3 / q * weights.total, 0.1 * tol_abs)
+        # along the path y(q) ~ y* + a / q the next stage's optimum is near
+        # y + (y - y_prev) / 4
+        start = y if y_prev is None else y + 0.25 * (y - y_prev)
+        y_prev = y
+        y, s, k = _newton_stage(logv_t, c, b, start, q, stop, max_iters - steps)
+        x = s.T
+        steps += k
+        utilities, gap = certify(x)
+        if not gap > tol_abs:  # a NaN gap ends the solve too
+            break
+        beta = np.exp(y)
+        bv = v * beta
+        ratio = bv / bv.max(axis=1)[:, None]
+        floor = 1.0 - 10.0 * math.log(n) / q
+        support = (ratio >= floor) & (ratio > 0)
+        # the split costs Python work per tied edge: a support with more
+        # tied edges than twice the agents and tied items is split only
+        # once it has held still while the floor rose
+        shared = support.sum(axis=1) > 1
+        near_forest = np.count_nonzero(support[shared]) <= 2 * (n + np.count_nonzero(shared))
+        held_still = last_support is not None and bool((support == last_support).all())
+        split = _tie_split(beta, v, c, b, ratio, support) if near_forest or held_still else None
+        last_support = support if floor > 0 else None
+        if split is not None:
+            u_split, gap_split = certify(split)
+            if gap_split < gap:
+                x, utilities, gap = split, u_split, gap_split
+        if gap <= tol_abs or steps >= max_iters or q >= _Q_MAX:
+            break
+        q *= 4.0
     if not gap <= tol_abs:  # and is never a certificate
         raise ConvergenceError(
-            f"no certificate after {last_iter} iterations (gap {gap:.3e} > {tol_abs:.3e})",
+            f"no certificate after {steps} iterations (gap {gap:.3e} > {tol_abs:.3e})",
             gap,
-            last_iter,
+            steps,
         )
     allocation = np.zeros((matrix.shape[0], n))
     allocation[active] = x
-    beta = b / utilities
-    return allocation, utilities, beta, gap, last_iter
-
+    return allocation, utilities, b / utilities, gap, steps
 
 def solve_eg(
     values: ValueSequence,
@@ -219,15 +486,15 @@ def solve_eg(
     """Solve the hindsight program to certified gap ``tol * ||B||_1``.
 
     Raises :class:`ConvergenceError` (carrying the last gap and the
-    iteration count) if the iteration budget runs out first.
+    step count) if the step budget runs out, or the smoothing reaches
+    its finest level, before a certificate holds.
     """
-    if not (tol > 0):
-        raise InstanceError("tol must be positive")
+    tol = check_tolerance(tol)
     if weights.n != values.n:
         raise InstanceError("weights length does not match agent count")
     matrix = values.matrix
     uniq, counts, inverse = _compress(matrix)
-    x_u, utilities, beta, gap, iters = _pr_fixed_point(
+    x_u, utilities, beta, gap, iters = _solve_dual(
         uniq, counts, weights, tol * weights.total, max_iters
     )
     allocation = x_u[inverse] if include_allocation else None
@@ -253,13 +520,14 @@ def solve_underlying(
     """Equilibrium with item supplies equal to their probabilities.
 
     Utilities come out in time-averaged units: a point with probability
-    p contributes at most p times its value vector.
+    p contributes at most p times its value vector.  Repeated support
+    points are merged, their probabilities added.
     """
     dist = FiniteDistribution(support, probs)
-    if not (tol > 0):
-        raise InstanceError("tol must be positive")
-    tol_abs = tol * weights.total
-    _, utilities, beta, gap, _ = _pr_fixed_point(dist.support, dist.probs, weights, tol_abs, max_iters)
+    tol = check_tolerance(tol)
+    uniq, _, inverse = _compress(dist.support)
+    supplies = np.bincount(inverse, weights=dist.probs)
+    _, utilities, beta, gap, _ = _solve_dual(uniq, supplies, weights, tol * weights.total, max_iters)
     return UnderlyingMarket(support=dist.support, probs=dist.probs, utilities=utilities, beta=beta, gap=gap)
 
 
@@ -377,8 +645,7 @@ def hindsight_prefix(
     equals a cold :func:`solve_eg` of its prefix (restricted to the
     agents present in it) bit for bit.
     """
-    if not (tol > 0):
-        raise InstanceError("tol must be positive")
+    tol = check_tolerance(tol)
     if weights.n != values.n:
         raise InstanceError("weights length does not match agent count")
     cps = sorted({int(c) for c in checkpoints})
@@ -398,7 +665,7 @@ def hindsight_prefix(
         if idx.size == 0:
             raise InstanceError(f"no item among the first {tau} has a positive value")
         sub_w = AgentWeights(weights.array[idx])
-        _, utilities, _, gap, iters = _pr_fixed_point(
+        _, utilities, _, gap, iters = _solve_dual(
             rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total, _MAX_ITERS
         )
         u = np.zeros(values.n)

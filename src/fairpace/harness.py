@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from .dynamics import Variant, run, variant_from_dict
-from .eg import hindsight_prefix
+from .eg import check_tolerance, hindsight_prefix
 from .inputs import MODELS, InputModelSpec, gen
 from .metrics import build_report, relative_regret_trajectory
 from .model import (
@@ -157,8 +157,7 @@ class ExperimentConfig:
             raise InstanceError("need at least one variant")
         if (self.csv_path is None) == (self.model_spec is None):
             raise InstanceError("config needs exactly one of a CSV path or a model spec")
-        if not (self.tolerance > 0):
-            raise InstanceError("tolerance must be positive")
+        check_tolerance(self.tolerance)
         items = _schedule_items(self.checkpoints)  # refused here, before any output exists
         if items is not None and not isinstance(self.checkpoints, str):
             object.__setattr__(self, "checkpoints", tuple(items))

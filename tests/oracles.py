@@ -135,6 +135,54 @@ def eg_split_oracle(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.array(best[1])
 
 
+def eg_threshold_oracle(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Exact two-agent equilibrium utilities from a threshold on v1/v2.
+
+    With items ordered by v1/v2, highest first, agent 1 holds a prefix of
+    the order and agent 2 the rest; at most one group of items with one
+    ratio is split.  Walk the groups, giving each to agent 1 while its
+    weighted marginal gain is at least agent 2's; the first group where
+    it is not is split at the fraction that solves the first-order
+    condition of ``B1 log u1 + B2 log u2`` in closed form.  Linear in the
+    number of items, so it reaches sizes enumeration cannot.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    m = m[(m > 0).any(axis=1)]
+    b1, b2 = float(weights[0]), float(weights[1])
+    with np.errstate(divide="ignore"):
+        ratio = m[:, 0] / m[:, 1]
+    keys, group = np.unique(-ratio, return_inverse=True)
+    a1 = np.bincount(group, weights=m[:, 0], minlength=keys.size)
+    a2 = np.bincount(group, weights=m[:, 1], minlength=keys.size)
+    u1, rest2 = 0.0, float(a2.sum())
+    for k in range(keys.size):
+        rest2 -= a2[k]  # agent 2's value for the groups after k
+        if rest2 > 0 and b1 * a1[k] / (u1 + a1[k]) >= b2 * a2[k] / rest2:
+            u1 += a1[k]
+            continue
+        f = (b1 * a1[k] * (rest2 + a2[k]) - b2 * a2[k] * u1) / (a1[k] * a2[k] * (b1 + b2)) if a1[k] > 0 else 0.0
+        f = min(max(f, 0.0), 1.0)
+        return np.array([u1 + f * a1[k], rest2 + (1.0 - f) * a2[k]])
+    return np.array([u1, 0.0])
+
+
+def nnls_enum(a: np.ndarray, d: np.ndarray) -> float:
+    """Least residual ``|a f - d|`` over ``f >= 0``, by enumerating supports.
+
+    Some optimum is the unconstrained least-squares solution on a set of
+    columns that comes out nonnegative there, so the least residual over
+    every such set is the optimum.  Exponential in the column count.
+    """
+    k = a.shape[1]
+    best = float(np.linalg.norm(d))
+    for size in range(1, k + 1):
+        for cols in itertools.combinations(range(k), size):
+            f = np.linalg.lstsq(a[:, cols], d, rcond=None)[0]
+            if np.all(f >= 0):
+                best = min(best, float(np.linalg.norm(a[:, cols] @ f - d)))
+    return best
+
+
 def utility_ratio_enum(matrix: np.ndarray, utilities: np.ndarray, weights: np.ndarray) -> float:
     """Best weighted utility-ratio sum over every integral allocation."""
     m = np.asarray(matrix, dtype=np.float64)

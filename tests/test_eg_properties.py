@@ -1,13 +1,28 @@
-"""Property tests for duplicate merging and the prefix benchmarks."""
+"""Property tests for the solver, duplicate merging and the prefix benchmarks."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fairpace.eg import _compress, hindsight_prefix, solve_eg
+from oracles import eg_threshold_oracle, nnls_enum
+
+from fairpace.eg import (
+    _compress,
+    _nnls,
+    check_equilibrium,
+    dual_objective,
+    hindsight_prefix,
+    primal_objective,
+    solve_eg,
+    solve_underlying,
+)
 from fairpace.harness import parse_checkpoints
 from fairpace.model import AgentWeights, ValueSequence
+
+EPS = np.finfo(np.float64).eps
 
 # a few value levels make ties common; zero (of either sign) is half the
 # draws, so all-zero rows and all-zero columns are common too
@@ -72,3 +87,100 @@ def test_hindsight_prefix_equals_cold_solve_of_each_prefix(instance):
         assert sol.flagged == absent
         assert sol.iterations == eq.iterations
         assert sol.gap == eq.gap
+
+
+# instance families the solver must certify: ties on a few value levels,
+# sparse values, fewer items than agents, and continuous values; in every
+# family the weights are drawn from {0.5, 1, 2}
+FAMILIES = {
+    "tie-heavy": st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+    "sparse": st.one_of(st.just(0.0), st.just(0.0), st.floats(0.01, 1.0)),
+    "few-items": st.one_of(st.just(0.0), st.sampled_from([0.25, 1.0]), st.floats(0.01, 1.0)),
+    "continuous": st.floats(0.01, 1.0),
+}
+
+
+@st.composite
+def _markets(draw, n_range=(1, 6)):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    n = draw(st.integers(*n_range))
+    t = draw(st.integers(1, n - 1)) if family == "few-items" and n > 1 else draw(st.integers(1, 11))
+    matrix = draw(arrays(np.float64, (t, n), elements=FAMILIES[family]))
+    for i in np.nonzero(matrix.max(axis=0) <= 0)[0]:  # every agent values some item
+        matrix[draw(st.integers(0, t - 1)), i] = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    weights = draw(arrays(np.float64, n, elements=st.sampled_from([0.5, 1.0, 2.0])))
+    return ValueSequence(matrix), AgentWeights(weights)
+
+
+def _rounding(*terms):
+    return 16 * EPS * sum(abs(x) for x in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markets(), st.sampled_from([1e-6, 1e-9]))
+def test_solve_eg_certifies_its_gap_and_allocation(market, tol):
+    values, weights = market
+    eq = solve_eg(values, weights, tol)
+    limit = tol * weights.total
+    assert 0.0 <= eq.gap <= limit
+    # the certificate again, from the allocation alone
+    x = eq.allocation
+    assert np.all(x >= 0) and np.all(x.sum(axis=1) <= 1.0 + 1e-12)
+    u = (values.matrix * x).sum(axis=0)
+    assert np.allclose(u, eq.utilities, rtol=1e-12, atol=0)
+    dual, primal = dual_objective(weights.array / u, values, weights), primal_objective(u, weights)
+    rounding = _rounding(dual, primal, weights.total)
+    assert -rounding <= dual - primal <= limit + rounding
+    if tol == 1e-9:
+        # a gap of 1e-6 bounds the welfare, not each equilibrium condition, to 1e-6
+        report = check_equilibrium(eq, values, weights, 1e-6)
+        assert report.ok, report.failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markets(n_range=(2, 2)), st.sampled_from([1e-6, 1e-9]))
+def test_two_agent_welfare_matches_the_threshold_oracle(market, tol):
+    values, weights = market
+    eq = solve_eg(values, weights, tol)
+    exact = primal_objective(eg_threshold_oracle(values.matrix, weights.array), weights)
+    mine = primal_objective(eq.utilities, weights)
+    rounding = _rounding(exact, mine, weights.total)  # log u to a few ulps of u
+    assert mine <= exact + rounding
+    assert exact - mine <= tol * weights.total + rounding
+
+
+@settings(max_examples=40, deadline=None)
+@given(_markets(), st.data())
+def test_solve_underlying_certifies_on_finite_distributions(market, data):
+    values, weights = market
+    support = values.matrix
+    raw = data.draw(arrays(np.float64, support.shape[0], elements=st.floats(0.05, 1.0)))
+    probs = raw / raw.sum()
+    tol = data.draw(st.sampled_from([1e-6, 1e-9]))
+    m = solve_underlying(support, probs, weights, tol)
+    b = weights.array
+    assert 0.0 <= m.gap <= tol * weights.total
+    assert np.allclose(m.beta * m.utilities, b, rtol=1e-12, atol=0)
+    # the dual at beta = B / u with supplies equal to the probabilities
+    prices = float(probs @ (support * m.beta).max(axis=1))
+    dual = prices - math.fsum(b * np.log(m.beta)) + math.fsum(b * np.log(b) - b)
+    primal = math.fsum(b * np.log(m.utilities))
+    rounding = _rounding(dual, primal, prices)
+    assert -rounding <= dual - primal <= tol * weights.total + rounding
+
+
+@st.composite
+def _nnls_problems(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    # 0/1 columns like the incidence columns of tied edges, repeats included
+    a = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 0.0, 1.0])))
+    return a, draw(arrays(np.float64, rows, elements=st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_nnls_problems())
+def test_nnls_reaches_the_least_nonnegative_residual(problem):
+    a, d = problem
+    f = _nnls(a, d)
+    assert np.all(f >= 0)
+    assert np.linalg.norm(a @ f - d) <= nnls_enum(a, d) + 1e-9 * (1.0 + np.abs(d).sum())

@@ -560,6 +560,7 @@ def test_failed_run_keeps_directories_that_existed(tmp_path):
 
 
 _TWO_AGENTS = "a,b\n1,0\n0,1\n1,1\n0.5,1\n"
+_FOUR_BY_THREE = "a,b,c\n1,0.5,0.2\n0.3,1,0.4\n0.6,0.2,1\n0.5,0.5,0.5\n"
 
 
 def _run_cli(tmp_path, variants, *extra):
@@ -650,12 +651,18 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["solve", "v.csv"], {"v.csv": "a,b\n1,inf\n0,1\n"}, "non-finite value at item 1, agent 2"),
         (["solve", "v.csv"], {"v.csv": "a,b\n1,0\n0,nan\n"}, "non-finite value at item 2, agent 2"),
         (["solve", "v.csv"], {"v.csv": "a,b\n1,0\n-1,1\n"}, "negative value at item 2, agent 1"),
-        (["solve", "v.csv"], {"v.csv": "a,b\n1e308,1e308\n1e308,1e308\n"}, "no certificate after 8 iterations (gap nan"),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1e308,1e308\n1e308,1e308\n"}, "no certificate after 1 iterations (gap nan"),
+        (["solve", "v.csv", "--tol", "inf"], {"v.csv": _FOUR_BY_THREE}, "tolerance must be positive and finite, not inf"),
+        (["solve", "v.csv", "--tol", "nan"], {"v.csv": _FOUR_BY_THREE}, "tolerance must be positive and finite, not nan"),
+        (["eval", "tr.json", "--instance", "inst.csv", "--tol", "inf"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]"}, "tolerance must be positive and finite, not inf"),
+        (["run", "c.yaml"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerance: .inf\n"}, "tolerance must be positive and finite, not inf"),
+        (["run", "c.yaml", "--tol", "nan"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n"}, "tolerance must be positive and finite, not nan"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]", "inst.csv": "a,b\n1,0\nnan,1\n"}, "non-finite value at item 2, agent 1"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
-         "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "eval-nan"],
+         "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "solve-tol-inf",
+         "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "eval-nan"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
