@@ -432,7 +432,7 @@ def _solve_dual(
     y = np.log(b / agent_totals)
     q = _Q_START
     steps = 0
-    y_prev = last_support = None
+    y_prev = None
     while True:
         stop = max(1e-3 / q * weights.total, 0.1 * tol_abs)
         # along the path y(q) ~ y* + a / q the next stage's optimum is near
@@ -445,23 +445,16 @@ def _solve_dual(
         utilities, gap = certify(x)
         if not gap > tol_abs:  # a NaN gap ends the solve too
             break
-        beta = np.exp(y)
-        bv = v * beta
-        ratio = bv / bv.max(axis=1)[:, None]
         floor = 1.0 - 10.0 * math.log(n) / q
-        support = (ratio >= floor) & (ratio > 0)
-        # the split costs Python work per tied edge: a support with more
-        # tied edges than twice the agents and tied items is split only
-        # once it has held still while the floor rose
-        shared = support.sum(axis=1) > 1
-        near_forest = np.count_nonzero(support[shared]) <= 2 * (n + np.count_nonzero(shared))
-        held_still = last_support is not None and bool((support == last_support).all())
-        split = _tie_split(beta, v, c, b, ratio, support) if near_forest or held_still else None
-        last_support = support if floor > 0 else None
-        if split is not None:
-            u_split, gap_split = certify(split)
-            if gap_split < gap:
-                x, utilities, gap = split, u_split, gap_split
+        if floor > 0:  # below a positive floor every valued edge would count as tied
+            beta = np.exp(y)
+            bv = v * beta
+            ratio = bv / bv.max(axis=1)[:, None]
+            split = _tie_split(beta, v, c, b, ratio, (ratio >= floor) & (ratio > 0))
+            if split is not None:
+                u_split, gap_split = certify(split)
+                if gap_split < gap:
+                    x, utilities, gap = split, u_split, gap_split
         if gap <= tol_abs or steps >= max_iters or q >= _Q_MAX:
             break
         q *= 4.0
@@ -474,6 +467,7 @@ def _solve_dual(
     allocation = np.zeros((matrix.shape[0], n))
     allocation[active] = x
     return allocation, utilities, b / utilities, gap, steps
+
 
 def solve_eg(
     values: ValueSequence,

@@ -272,8 +272,9 @@ def test_binary_values_tied_in_cycles_certify_at_1e_12():
 # Cost guards: Newton step counts are deterministic, unlike wall time.
 # Each bound is about twice the count measured when it was set.
 
-# the eight-point support of the wide-stream benchmark workload
-WIDE_SUPPORT = [
+# a fixed eight-point support at ten agents, the shape of the wide-stream
+# benchmark workload: fewer distinct items than agents
+EIGHT_POINT_SUPPORT = [
     [1.0, 0.2, 0.4, 0.6, 0.8, 0.3, 0.5, 0.7, 0.9, 0.1],
     [0.2, 1.0, 0.3, 0.5, 0.1, 0.9, 0.4, 0.8, 0.6, 0.7],
     [0.5, 0.6, 1.0, 0.2, 0.7, 0.1, 0.9, 0.3, 0.4, 0.8],
@@ -296,12 +297,12 @@ def test_newton_steps_over_the_pow2_prefixes_of_256_non_repeating_items():
     vs = ValueSequence(np.random.default_rng(0).random((256, 10)))
     sols = hindsight_prefix(vs, AgentWeights.equal(10), parse_checkpoints("pow2", 256), 1e-6)
     assert len(sols) == 9
-    assert sum(s.iterations for s in sols) <= 512  # 256 when set
+    assert sum(s.iterations for s in sols) <= 540  # 266 when set
 
 
 def test_newton_steps_over_the_pow2_prefixes_of_an_eight_point_support_at_ten_agents():
     # fewer distinct items than agents: every item is tied between agents
-    spec = InputModelSpec(IID(FiniteDistribution.uniform(WIDE_SUPPORT)), 4096, 0)
+    spec = InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 4096, 0)
     sols = hindsight_prefix(gen(spec), AgentWeights.equal(10), parse_checkpoints("pow2", 4096), 1e-6)
     assert len(sols) == 13
-    assert sum(s.iterations for s in sols) <= 640  # 325 when set
+    assert sum(s.iterations for s in sols) <= 670  # 335 when set
