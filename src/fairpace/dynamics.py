@@ -10,14 +10,16 @@ the tracked average utility.
 
 Variants
 --------
-``Unconstrained``   plain pacing; an agent whose tracked utility is still
-                    zero holds a distinguished unserved state and bids
-                    infinite on any item it values.
+``Unconstrained``   plain pacing; an agent whose tracked average is zero
+                    (no win yet, or an average that underflows) holds a
+                    distinguished unserved state and bids infinite on
+                    any item it values.
 ``Constrained``     pacing with the multiplier projected to a fixed
                     per-agent interval after every update.
 ``Seeded``          pacing where every agent is granted a fictitious
                     initial utility, added once before any item arrives;
-                    the unserved state never occurs.
+                    the unserved state occurs only if an average
+                    underflows.
 ``SetAside``        half of every item is reserved and split equally
                     (1/(2n) to each agent); the other half is auctioned
                     with seeded pacing on values normalized by each
@@ -33,7 +35,11 @@ class) and gives its ``label``.  Its rule (its first-round state, bids,
 update after a won round, multipliers, tracked averages and item split)
 is written in the kernel that ``variant.kernel(weights)`` builds, which
 ``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
-metrics all read.
+metrics all read.  An auction kernel's round is one loop in its
+``advance``, with no call per row; ``pace_bid`` and ``pace_step`` advance
+a copy of the state by one row and read the scores it collects, so each
+score formula is written once.  An average that underflows to zero, or a
+multiplier that overflows to ``inf``, is the unserved state.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -41,8 +47,9 @@ Python floats, so a run needs memory on the order of its input.  A
 kernel advances a whole block: the auctions step it row by row;
 proportional, whose update ignores the state, adds the block's weight
 shares as running column sums in one ``np.cumsum``, which rounds
-exactly as the row-by-row sums would.  The single-step API advances a
-one-row block.
+exactly as the row-by-row sums would, and set-aside adds its utilities
+the same way once its auction has picked the block's winners.  The
+single-step API advances a one-row block.
 """
 
 from __future__ import annotations
@@ -69,6 +76,12 @@ class _PaceKernel:
     a :class:`_Runner` as lists or a :class:`PaceState` as arrays.  Every
     item is split as ``base[i]`` to each agent plus ``top`` to the winner;
     ``pays`` says whether the winning score is money spent.
+
+    ``advance`` is the rule: one loop over a block's rows that scores
+    every agent, picks the smallest index holding the largest score (a
+    strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
+    round.  A list passed as ``out`` collects every score as it is
+    computed, which is how :func:`pace_bid` and :func:`pace_step` read them.
     """
 
     top = 1.0
@@ -82,42 +95,39 @@ class _PaceKernel:
         self.n = len(self.b)
         self.base = [0.0] * self.n
 
-    def scores(self, u: List[float], aux, tau0: int, row: Sequence[float]) -> List[float]:
-        """Decision scores for the next item after ``tau0`` rounds; ``inf``
-        only from the unserved state."""
-        # every agent starts unserved, so round one is governed by the
-        # same infinite-bid rule as any other unserved round
-        return [
-            (bi / (ui / tau0)) * v if ui > 0.0 else (INF if v > 0.0 else 0.0)
-            for bi, ui, v in zip(self.b, u, row)
-        ]
-
-    def commit(self, r: "_Runner", row: Sequence[float], w: int, bid: float) -> int:
-        """Credit round ``r.tau + 1`` to winner ``w``: pacing hands over the
-        whole item at the winning bid.  Returns the winner to record, or -1."""
-        r.u[w] += row[w]
-        if bid == INF:
-            r.infinite_spend_round[w] = r.tau + 1  # flagged, not accumulated
-        else:
-            r.spend[w] += bid
-        return w
-
-    def advance(self, r: "_Runner", block: np.ndarray) -> List[int]:
+    def advance(self, r: "_Runner", block: np.ndarray, out: Optional[List[float]] = None) -> List[int]:
         """Advance ``r`` over the rows of ``block`` in order; returns the
-        winners (-1 for none).  A round is scores, then the smallest index
-        holding the largest score, then commit."""
-        scores_of, commit = self.scores, self.commit
+        winners (-1 for none).  Pacing hands the whole item over at the
+        winning bid; an unserved agent (every agent at first) bids ``inf``
+        on any item it values, and its win is flagged, not spent."""
+        b, u, spend, flagged = self.b, r.u, r.spend, r.infinite_spend_round
+        tau = r.tau
         winners = []
         for row in block.tolist():
-            scores = scores_of(r.u, r.aux, r.tau, row)
-            best = max(scores)
-            winners.append(commit(r, row, scores.index(best), best))
-            r.tau += 1
+            best, w = -1.0, 0
+            for i, v in enumerate(row):
+                ui = u[i]
+                if ui > 0.0 and (a := ui / tau) > 0.0 and (m := b[i] / a) < INF:
+                    s = m * v
+                else:
+                    s = INF if v > 0.0 else 0.0
+                if out is not None:
+                    out.append(s)
+                if s > best:
+                    best, w = s, i
+            tau += 1
+            u[w] += row[w]
+            if best == INF:
+                flagged[w] = tau
+            else:
+                spend[w] += best
+            winners.append(w)
+        r.tau = tau
         return winners
 
     def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
         """Multipliers ``B/ubar``, with ``inf`` for the unserved."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = np.array(self.b) / (u / tau)
         out[u == 0] = INF
         return out
@@ -136,15 +146,39 @@ class _ConstrainedKernel(_PaceKernel):
             raise InstanceError("projection intervals length does not match agent count")
         self.aux0 = (1.0,) * self.n
 
-    def scores(self, u, aux, tau0, row):
-        return [a * v for a, v in zip(aux, row)]
-
-    def commit(self, r, row, w, bid):
-        super().commit(r, row, w, bid)
-        u, aux, tau1 = r.u, r.aux, r.tau + 1
-        for i, (bi, lo, hi) in enumerate(zip(self.b, self.variant.lower, self.variant.upper)):
-            aux[i] = hi if u[i] == 0.0 else min(max(bi / (u[i] / tau1), lo), hi)
-        return w
+    def advance(self, r, block, out=None):
+        """Bids are the projected multiplier times value; after every round
+        each multiplier is ``B/ubar`` projected to its interval, and a zero
+        average (no win yet, or underflow) projects to the upper end."""
+        b, lower, upper = self.b, self.variant.lower, self.variant.upper
+        u, mult, spend, flagged = r.u, r.aux, r.spend, r.infinite_spend_round
+        agents = range(self.n)
+        tau = r.tau
+        winners = []
+        for row in block.tolist():
+            best, w = -1.0, 0
+            for i, v in enumerate(row):
+                s = mult[i] * v
+                if out is not None:
+                    out.append(s)
+                if s > best:
+                    best, w = s, i
+            tau += 1
+            u[w] += row[w]
+            if best == INF:
+                flagged[w] = tau
+            else:
+                spend[w] += best
+            for i in agents:
+                a = u[i] / tau
+                if a > 0.0:
+                    m = b[i] / a
+                    mult[i] = lower[i] if m < lower[i] else (upper[i] if m > upper[i] else m)
+                else:
+                    mult[i] = upper[i]
+            winners.append(w)
+        r.tau = tau
+        return winners
 
     def beta(self, u, aux, tau):
         return np.array(aux)
@@ -155,16 +189,45 @@ class _SeededKernel(_PaceKernel):
         super().__init__(variant, weights)
         self.xi = variant.seed_utility
 
-    def scores(self, u, aux, tau0, row):
-        if tau0 == 0:
-            return list(row)  # unit multipliers
-        xi = self.xi
-        return [(bi / ((ui + xi) / tau0)) * v for bi, ui, v in zip(self.b, u, row)]
+    def advance(self, r, block, out=None):
+        return self._rounds(r, r.u, block, out)
+
+    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> List[int]:
+        """Seeded pacing over the rows of ``block``: multipliers start at one,
+        then are ``B/((acc + seed)/tau)``; the winner's ``acc`` grows by
+        ``top`` times its value.  An average that underflows to zero, or a
+        multiplier that overflows, is the unserved state, as in plain pacing."""
+        b, xi, top, spend, flagged = self.b, self.xi, self.top, r.spend, r.infinite_spend_round
+        tau = r.tau
+        winners = []
+        for row in block.tolist():
+            best, w = -1.0, 0
+            for i, v in enumerate(row):
+                if not tau:
+                    s = v  # unit multipliers
+                elif (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
+                    s = m * v
+                else:
+                    s = INF if v > 0.0 else 0.0
+                if out is not None:
+                    out.append(s)
+                if s > best:
+                    best, w = s, i
+            tau += 1
+            acc[w] += top * row[w]
+            if best == INF:
+                flagged[w] = tau
+            else:
+                spend[w] += best
+            winners.append(w)
+        r.tau = tau
+        return winners
 
     def beta(self, u, aux, tau):
         if tau == 0:
             return np.ones(self.n)
-        return np.array(self.b) / ((u + self.xi) / tau)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.array(self.b) / ((u + self.xi) / tau)
 
     def averages(self, u, aux, tau):
         return (u + self.xi) / tau
@@ -188,17 +251,18 @@ class _SetAsideKernel(_SeededKernel):
         self.base = [self.xi] * self.n
         self.aux0 = (0.0,) * self.n
 
-    def scores(self, u, aux, tau0, row):
-        return super().scores(aux, None, tau0, [v / m for v, m in zip(row, self.mono)])
-
-    def commit(self, r, row, w, bid):
-        r.aux[w] += self.top * (row[w] / self.mono[w])
-        u = r.u
-        for i, s in enumerate(self.base):
-            u[i] += s * row[i]
-        u[w] += self.top * row[w]
-        r.spend[w] += bid
-        return w
+    def advance(self, r, block, out=None):
+        """The auction is seeded pacing on the normalized values and ``aux``;
+        the utilities then add, round by round, each agent's ``base`` share
+        and the winner's ``top`` half, as one ``np.cumsum`` over the block."""
+        winners = self._rounds(r, r.aux, np.divide(block, self.mono), out)
+        rows = np.arange(len(block))
+        steps = np.zeros((2 * len(block) + 1, self.n))
+        steps[0] = r.u
+        steps[1::2] = np.multiply(self.base, block)
+        steps[2::2][rows, winners] = self.top * block[rows, winners]
+        r.u = np.cumsum(steps, axis=0, out=steps)[-1].tolist()
+        return winners
 
     def beta(self, u, aux, tau):
         return super().beta(aux, None, tau)
@@ -212,15 +276,30 @@ class _GreedyKernel(_PaceKernel):
 
     pays = False
 
-    def scores(self, u, aux, tau0, row):
-        return [
-            0.0 if v <= 0.0 else (INF if ui == 0.0 else bi * math.log1p(v / ui))
-            for bi, ui, v in zip(self.b, u, row)
-        ]
-
-    def commit(self, r, row, w, bid):
-        r.u[w] += row[w]
-        return w
+    def advance(self, r, block, out=None):
+        """The increment ``B log(1 + v/U)`` is infinite only for ``U == 0``:
+        where ``v/U`` overflows, ``log(v) - log(U)`` is that logarithm."""
+        b, u, log, log1p = self.b, r.u, math.log, math.log1p
+        winners = []
+        for row in block.tolist():
+            best, w = -1.0, 0
+            for i, v in enumerate(row):
+                if v <= 0.0:
+                    s = 0.0
+                elif (ui := u[i]) == 0.0:
+                    s = INF
+                elif (x := v / ui) < INF:
+                    s = b[i] * log1p(x)
+                else:
+                    s = b[i] * (log(v) - log(ui))
+                if out is not None:
+                    out.append(s)
+                if s > best:
+                    best, w = s, i
+            u[w] += row[w]
+            winners.append(w)
+        r.tau += len(winners)
+        return winners
 
 
 class _ProportionalKernel(_PaceKernel):
@@ -234,15 +313,14 @@ class _ProportionalKernel(_PaceKernel):
         total = sum(self.b)
         self.base = [x / total for x in self.b]
 
-    def scores(self, u, aux, tau0, row):
-        return [0.0] * self.n
-
-    def advance(self, r, block):
+    def advance(self, r, block, out=None):
         # row k of the cumulative sum is u + base*row_1 + ... + base*row_k,
         # added in round order: the IEEE operations of ``u[i] += s * row[i]``
         u = np.cumsum(np.vstack((r.u, np.multiply(self.base, block))), axis=0)
         r.u = u[-1].tolist()
         r.tau += len(block)
+        if out is not None:
+            out.extend([0.0] * block.size)  # nobody bids
         return [-1] * len(block)
 
     def beta(self, u, aux, tau):
@@ -527,7 +605,9 @@ def pace_bid(state: PaceState, value_row: Sequence[float]) -> np.ndarray:
     """
     row = _checked_row(value_row, state.n)
     r = _Runner.at(state)
-    return np.array(r.kernel.scores(r.u, r.aux, r.tau, row))
+    scores: List[float] = []
+    r.kernel.advance(r, np.array([row]), scores)  # on a copy: the state stays put
+    return np.array(scores)
 
 
 def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, StepOutcome]:
@@ -535,8 +615,8 @@ def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, 
     row = _checked_row(value_row, state.n)
     r = _Runner.at(state)
     k = r.kernel
-    scores = k.scores(r.u, r.aux, r.tau, row)  # the scores the round compares
-    (w,) = k.advance(r, np.array([row]))
+    scores: List[float] = []  # the scores the round compares
+    (w,) = k.advance(r, np.array([row]), scores)
     alloc = np.array(k.base)
     util = alloc * np.asarray(row)
     exp = np.zeros(k.n)

@@ -201,30 +201,37 @@ def utility_ratio_enum(matrix: np.ndarray, utilities: np.ndarray, weights: np.nd
 def greedy_reference_winners(matrix: np.ndarray, weights: np.ndarray) -> List[int]:
     """Winner sequence of the exact one-step log-welfare greedy rule.
 
-    Computed from the objective increment directly (no first-order
-    shortcut): the winner maximizes ``B_i * [log(U_i + v_i) - log U_i]``,
-    with an infinite increment when ``U_i = 0 < v_i`` and zero when
-    ``v_i = 0``; ties go to the smallest index.
+    The winner maximizes the objective increment
+    ``B_i * [log(U_i + v_i) - log U_i]``, with an infinite increment when
+    ``U_i = 0 < v_i`` and zero when ``v_i = 0``; ties go to the smallest
+    index.  The increment is evaluated as ``log1p(v_i / U_i)``, which rounds
+    once: the difference of two logarithms rounds twice, so equal
+    increments such as ``log 6 - log 3`` and ``log 0.5 - log 0.25`` compared
+    unequal, and a value far below ``U_i`` counted as zero.  Where
+    ``v_i / U_i`` overflows, the increment is ``log v_i - log U_i``: large,
+    but finite.
     """
     m = np.asarray(matrix, dtype=np.float64)
     t, n = m.shape
-    b = np.asarray(weights, dtype=np.float64)
-    u = np.zeros(n)
+    b = [float(x) for x in weights]
+    u = [0.0] * n
     winners = []
     for tau in range(t):
         best_i, best_val = 0, -math.inf
         for i in range(n):
-            v = m[tau, i]
+            v = float(m[tau, i])
             if v <= 0:
                 inc = 0.0
             elif u[i] == 0:
                 inc = math.inf
+            elif math.isinf(v / u[i]):
+                inc = b[i] * (math.log(v) - math.log(u[i]))
             else:
-                inc = b[i] * (math.log(u[i] + v) - math.log(u[i]))
+                inc = b[i] * math.log1p(v / u[i])
             if inc > best_val:
                 best_val, best_i = inc, i
         winners.append(best_i)
-        u[best_i] += m[tau, best_i]
+        u[best_i] += float(m[tau, best_i])
     return winners
 
 

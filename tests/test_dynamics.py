@@ -245,6 +245,22 @@ def test_setaside_beta_is_weight_times_monopoly_over_average():
     assert np.array_equal(st.beta, trace.final_beta)
 
 
+def test_setaside_utilities_add_in_round_order():
+    # the scalar loop that the block cumsum replaces: every agent's base
+    # share of the row, then the winner's half
+    rng = np.random.default_rng(31)
+    vs, w = _random_instance(rng)
+    with mock.patch.object(dynamics, "_CHUNK", 7):
+        trace = run(vs, w, SetAside())
+    share = 1.0 / (2.0 * vs.n)
+    u = [0.0] * vs.n
+    for row, win in zip(vs.matrix.tolist(), trace.winners.tolist()):
+        for i in range(vs.n):
+            u[i] += share * row[i]
+        u[win] += 0.5 * row[win]
+    assert trace.final_utilities.tolist() == u
+
+
 # ---------------------------------------------------------------- invariants
 
 
@@ -483,6 +499,81 @@ def test_matches_independent_reference_simulation():
         ref_winners, ref_u = pace_reference_trace(vs.matrix, w.array)
         assert trace.winners.tolist() == ref_winners
         assert np.allclose(trace.final_utilities, ref_u, rtol=0, atol=0)
+
+
+def _pace_oracle(matrix, weights):
+    # the oracle's b / avg overflows to inf on a subnormal average, which
+    # is its unserved state; numpy warns about that overflow
+    with np.errstate(over="ignore"):
+        return pace_reference_trace(matrix, weights)
+
+
+# tie-heavy levels as above, plus a subnormal one whose averages underflow
+_TINY_LEVELS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0, 1e-310])
+_MATRICES = st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_TINY_LEVELS)
+)
+_WEIGHTS = st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=4, max_size=4)
+
+
+def _instance(matrix, weights):
+    matrix[0, matrix.max(axis=0) == 0] = 1.0  # every agent values some item
+    vs = ValueSequence(matrix)
+    return vs, AgentWeights(weights[: vs.n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_MATRICES, weights=_WEIGHTS)
+def test_pace_matches_the_reference_trace(matrix, weights):
+    vs, w = _instance(matrix, weights)
+    trace = run(vs, w, Unconstrained())
+    ref_winners, ref_u = _pace_oracle(vs.matrix, w.array)
+    assert trace.winners.tolist() == ref_winners
+    assert trace.final_utilities.tolist() == ref_u.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_MATRICES, weights=_WEIGHTS)
+def test_greedy_matches_the_reference_winners(matrix, weights):
+    vs, w = _instance(matrix, weights)
+    assert run(vs, w, OneStepGreedy()).winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_MATRICES, weights=_WEIGHTS, which=st.integers(0, 4))
+def test_each_winner_is_the_smallest_argmax_of_pace_bid(matrix, weights, which):
+    vs, w = _instance(matrix, weights)
+    variant = _all_variants(vs, w)[which]  # the five auctions
+    trace = run(vs, w, variant)
+    state = new_state(variant, w)
+    for row, winner in zip(vs.matrix, trace.winners.tolist()):
+        bids = pace_bid(state, row)
+        assert not np.isnan(bids).any()
+        assert winner == bids.tolist().index(bids.max())
+        state, out = pace_step(state, row)
+        assert out.winner == winner
+        assert np.array_equal(out.bids, bids)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1e-310, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]], [[5e-324, 0.0], [0.0, 1.0], [1.0, 1.0]]],
+)
+def test_an_underflowed_average_is_the_unserved_state(matrix):
+    # agent 1's average underflows to zero, or its multiplier overflows: it
+    # bids inf on the last item, as an agent that never won does
+    vs = ValueSequence(matrix)
+    ref_winners, ref_u = _pace_oracle(vs.matrix, W2.array)
+    trace = run(vs, W2, Unconstrained())
+    assert trace.winners.tolist() == ref_winners
+    assert trace.final_utilities.tolist() == ref_u.tolist()
+    assert trace.infinite_spend_rounds[0] == vs.t
+    assert trace.final_beta[0] < INF  # served once its last win is averaged in
+    for variant in (*_all_variants(vs, W2)[1:], Seeded(5e-324)):
+        trace = run(vs, W2, variant, checkpoints=range(1, vs.t + 1))
+        if trace.variant.kernel(W2).top == 1.0:
+            assert trace.winners.tolist() == ref_winners
+        _assert_run_is_fold(vs, W2, trace.variant, trace)
 
 
 # ---------------------------------------------------------------- restriction
