@@ -35,11 +35,23 @@ class) and gives its ``label``.  Its rule (its first-round state, bids,
 update after a won round, multipliers, tracked averages and item split)
 is written in the kernel that ``variant.kernel(weights)`` builds, which
 ``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
-metrics all read.  An auction kernel's round is one loop in its
-``advance``, with no call per row; ``pace_bid`` and ``pace_step`` advance
-a copy of the state by one row and read the scores it collects, so each
-score formula is written once.  An average that underflows to zero, or a
-multiplier that overflows to ``inf``, is the unserved state.
+metrics all read.  An auction kernel's round is one loop (its
+``_rounds``), with no call per row; ``pace_bid`` and ``pace_step`` advance
+a copy of the state by one row and read the scores it collects.  An
+average that underflows to zero, or a multiplier that overflows to
+``inf``, is the unserved state.
+
+``run`` first speculates: pace, constrained, seeded and set-aside guess a
+window of winners from the state at the window's start, build the state
+before every row from the guesses by one ``np.cumsum``, score all rows at
+once with the kernel's ``_bids`` (the loop's scores by the same IEEE
+operations) and keep the rows up to the first guess that was wrong, whose
+argmax is exact because the state before it is.  The loop takes the rest
+of the block after a wrong guess, so speculation changes no winner and no
+bit of the state; it only pays when the winners repeat, as they do once
+stationary input has settled the multipliers.  Greedy's logarithms
+(``math.log1p`` and ``np.log1p`` round differently) and proportional's
+cumulative sum do not speculate.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -77,11 +89,13 @@ class _PaceKernel:
     item is split as ``base[i]`` to each agent plus ``top`` to the winner;
     ``pays`` says whether the winning score is money spent.
 
-    ``advance`` is the rule: one loop over a block's rows that scores
+    ``_rounds`` is the rule: one loop over a block's rows that scores
     every agent, picks the smallest index holding the largest score (a
     strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
-    round.  A list passed as ``out`` collects every score as it is
-    computed, which is how :func:`pace_bid` and :func:`pace_step` read them.
+    winner ``top`` times its value in the accumulators ``acc``.  A list
+    passed as ``out`` collects every score as it is computed, which is how
+    :func:`pace_bid` and :func:`pace_step` read them.  ``_bids`` scores
+    many rows at once by the same operations, for ``_speculate``.
     """
 
     top = 1.0
@@ -92,21 +106,36 @@ class _PaceKernel:
         self.variant = variant
         self.weights = weights
         self.b = [float(x) for x in weights.array]
+        self.b_vec = np.array(self.b)
         self.n = len(self.b)
         self.base = [0.0] * self.n
 
-    def advance(self, r: "_Runner", block: np.ndarray, out: Optional[List[float]] = None) -> List[int]:
+    def advance(self, r: "_Runner", block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
         """Advance ``r`` over the rows of ``block`` in order; returns the
-        winners (-1 for none).  Pacing hands the whole item over at the
-        winning bid; an unserved agent (every agent at first) bids ``inf``
-        on any item it values, and its win is flagged, not spent."""
-        b, u, spend, flagged = self.b, r.u, r.spend, r.infinite_spend_round
+        winners (-1 for none)."""
+        return self._auction(r, r.u, block, out)
+
+    def _auction(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> Sequence[int]:
+        """Without ``out``, speculate first; the loop takes the rows after a
+        wrong guess, and every row when ``out`` collects the scores."""
+        if out is not None:
+            return self._rounds(r, acc, block, out)
+        head = self._speculate(r, acc, block)
+        if len(head) == len(block):
+            return head
+        return np.concatenate((head, self._rounds(r, acc, block[len(head) :], None)))
+
+    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> List[int]:
+        """Pacing hands the whole item over at the winning bid; an unserved
+        agent (every agent at first) bids ``inf`` on any item it values,
+        and its win is flagged, not spent."""
+        b, spend, flagged = self.b, r.spend, r.infinite_spend_round
         tau = r.tau
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
             for i, v in enumerate(row):
-                ui = u[i]
+                ui = acc[i]
                 if ui > 0.0 and (a := ui / tau) > 0.0 and (m := b[i] / a) < INF:
                     s = m * v
                 else:
@@ -116,7 +145,7 @@ class _PaceKernel:
                 if s > best:
                     best, w = s, i
             tau += 1
-            u[w] += row[w]
+            acc[w] += row[w]
             if best == INF:
                 flagged[w] = tau
             else:
@@ -125,10 +154,77 @@ class _PaceKernel:
         r.tau = tau
         return winners
 
+    def _bids(self, r: "_Runner", acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The scores ``_rounds`` computes on the rows ``v``, given the
+        accumulators before each row (``acc``: one row per row of ``v``, or
+        one row for all) and the rounds before each (``tau``, a column that
+        starts at ``r.tau``).  Called inside ``np.errstate``: the masked
+        cases divide by zero."""
+        a = acc / tau
+        m = self.b_vec / a
+        return np.where((acc > 0.0) & (a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
+
+    def _settle(self, r: "_Runner", acc: List[float]) -> None:
+        """Bring what the loop updates besides ``acc`` up to date after a
+        speculated window (inside its ``np.errstate``); plain pacing keeps
+        nothing else."""
+
+    def _speculate(self, r: "_Runner", acc: List[float], block: np.ndarray) -> np.ndarray:
+        """Advance ``r`` over the leading rows of ``block`` whose winners a
+        window's guess gets right, plus the first row it gets wrong; returns
+        their winners.
+
+        A window's winners are guessed from the accumulators at its start,
+        held fixed while ``tau`` advances.  The state before every row then
+        comes from one ``np.cumsum`` over the guessed credits, and ``_bids``
+        scores all rows.  Every row up to the first whose argmax is not the
+        guess is kept, that row too: the state before it is exact, so its
+        argmax is.  A window is twice the rows the last one kept, within the
+        block; after a wrong guess the loop takes the rest of the block.
+        """
+        n, top, spend, flagged = self.n, self.top, r.spend, r.infinite_spend_round
+        winners, done = [], 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while done < len(block):
+                size = min(len(block) - done, max(1, 2 * r.kept))
+                v = block[done : done + size]
+                tau = np.arange(r.tau, r.tau + size, dtype=np.float64)[:, None]
+                rows = np.arange(size)
+                guess = self._bids(r, np.array([acc]), tau, v).argmax(axis=1)
+                steps = np.zeros((size + 1, n))
+                steps[0] = acc
+                steps[rows + 1, guess] = top * v[rows, guess]
+                before = np.cumsum(steps, axis=0, out=steps)[:-1]
+                scores = self._bids(r, before, tau, v)
+                won = scores.argmax(axis=1)
+                wrong = np.flatnonzero(won != guess)
+                kept = int(wrong[0]) + 1 if wrong.size else size
+                won, rows = won[:kept], rows[:kept]
+                best = scores[rows, won]
+                paid = np.zeros((kept + 1, n))
+                paid[0] = spend
+                finite = best < INF
+                paid[rows[finite] + 1, won[finite]] = best[finite]
+                spend[:] = np.cumsum(paid, axis=0, out=paid)[-1].tolist()
+                for k in np.flatnonzero(~finite).tolist():
+                    flagged[won[k]] = r.tau + k + 1
+                # the last kept row is credited to its argmax, which a wrong guess is not
+                w = int(won[-1])
+                acc[:] = before[kept - 1].tolist()
+                acc[w] += top * float(v[kept - 1, w])
+                r.tau += kept
+                r.kept = kept
+                self._settle(r, acc)
+                winners.append(won)
+                done += kept
+                if wrong.size:
+                    break
+        return np.concatenate(winners or [np.empty(0, dtype=np.intp)])
+
     def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
         """Multipliers ``B/ubar``, with ``inf`` for the unserved."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.array(self.b) / (u / tau)
+            out = self.b_vec / (u / tau)
         out[u == 0] = INF
         return out
 
@@ -146,12 +242,12 @@ class _ConstrainedKernel(_PaceKernel):
             raise InstanceError("projection intervals length does not match agent count")
         self.aux0 = (1.0,) * self.n
 
-    def advance(self, r, block, out=None):
+    def _rounds(self, r, acc, block, out):
         """Bids are the projected multiplier times value; after every round
         each multiplier is ``B/ubar`` projected to its interval, and a zero
         average (no win yet, or underflow) projects to the upper end."""
         b, lower, upper = self.b, self.variant.lower, self.variant.upper
-        u, mult, spend, flagged = r.u, r.aux, r.spend, r.infinite_spend_round
+        mult, spend, flagged = r.aux, r.spend, r.infinite_spend_round
         agents = range(self.n)
         tau = r.tau
         winners = []
@@ -164,13 +260,13 @@ class _ConstrainedKernel(_PaceKernel):
                 if s > best:
                     best, w = s, i
             tau += 1
-            u[w] += row[w]
+            acc[w] += row[w]
             if best == INF:
                 flagged[w] = tau
             else:
                 spend[w] += best
             for i in agents:
-                a = u[i] / tau
+                a = acc[i] / tau
                 if a > 0.0:
                     m = b[i] / a
                     mult[i] = lower[i] if m < lower[i] else (upper[i] if m > upper[i] else m)
@@ -179,6 +275,21 @@ class _ConstrainedKernel(_PaceKernel):
             winners.append(w)
         r.tau = tau
         return winners
+
+    def _project(self, acc, tau):
+        """The multipliers ``_rounds`` sets from ``acc`` after ``tau`` rounds."""
+        lower, upper = self.variant.lower, self.variant.upper
+        a = acc / tau
+        m = self.b_vec / a
+        return np.where(a > 0.0, np.where(m < lower, lower, np.where(m > upper, upper, m)), upper)
+
+    def _bids(self, r, acc, tau, v):
+        mult = self._project(acc, tau)
+        mult[0] = r.aux  # the multipliers the window starts from
+        return mult * v
+
+    def _settle(self, r, acc):
+        r.aux[:] = self._project(np.array(acc), r.tau).tolist()
 
     def beta(self, u, aux, tau):
         return np.array(aux)
@@ -189,10 +300,7 @@ class _SeededKernel(_PaceKernel):
         super().__init__(variant, weights)
         self.xi = variant.seed_utility
 
-    def advance(self, r, block, out=None):
-        return self._rounds(r, r.u, block, out)
-
-    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> List[int]:
+    def _rounds(self, r, acc, block, out):
         """Seeded pacing over the rows of ``block``: multipliers start at one,
         then are ``B/((acc + seed)/tau)``; the winner's ``acc`` grows by
         ``top`` times its value.  An average that underflows to zero, or a
@@ -223,11 +331,19 @@ class _SeededKernel(_PaceKernel):
         r.tau = tau
         return winners
 
+    def _bids(self, r, acc, tau, v):
+        a = (acc + self.xi) / tau
+        m = self.b_vec / a
+        s = np.where((a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
+        if not r.tau:
+            s[0] = v[0]  # unit multipliers
+        return s
+
     def beta(self, u, aux, tau):
         if tau == 0:
             return np.ones(self.n)
         with np.errstate(divide="ignore", over="ignore"):
-            return np.array(self.b) / ((u + self.xi) / tau)
+            return self.b_vec / ((u + self.xi) / tau)
 
     def averages(self, u, aux, tau):
         return (u + self.xi) / tau
@@ -255,7 +371,7 @@ class _SetAsideKernel(_SeededKernel):
         """The auction is seeded pacing on the normalized values and ``aux``;
         the utilities then add, round by round, each agent's ``base`` share
         and the winner's ``top`` half, as one ``np.cumsum`` over the block."""
-        winners = self._rounds(r, r.aux, np.divide(block, self.mono), out)
+        winners = self._auction(r, r.aux, np.divide(block, self.mono), out)
         rows = np.arange(len(block))
         steps = np.zeros((2 * len(block) + 1, self.n))
         steps[0] = r.u
@@ -548,7 +664,7 @@ class _Runner:
     """Mutable state of one dynamic, advanced by its variant's kernel; the
     full run and the single-step API both advance one, so they agree bit for bit."""
 
-    __slots__ = ("kernel", "u", "aux", "tau", "spend", "infinite_spend_round")
+    __slots__ = ("kernel", "u", "aux", "tau", "spend", "infinite_spend_round", "kept")
 
     def __init__(self, variant: Variant, weights: AgentWeights):
         self.kernel = variant.kernel(weights)
@@ -558,6 +674,7 @@ class _Runner:
         self.tau = 0
         self.spend = [0.0] * n
         self.infinite_spend_round = [0] * n
+        self.kept = 0  # rows the last speculated window kept
 
     @classmethod
     def at(cls, state: PaceState) -> "_Runner":

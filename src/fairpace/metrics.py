@@ -60,8 +60,10 @@ def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.nda
 def additive_envy(values: ValueSequence, allocation: AllocationLike, weights: AgentWeights) -> np.ndarray:
     """Per-agent envy ``max_k u_ik/B_k - u_ii/B_i`` (k ranges over all
     agents, so the result is nonnegative)."""
-    cu = cross_utilities(values, allocation)
-    b = weights.array
+    return _additive_envy(cross_utilities(values, allocation), weights.array)
+
+
+def _additive_envy(cu: np.ndarray, b: np.ndarray) -> np.ndarray:
     own = np.diag(cu) / b
     return (cu / b).max(axis=1) - own
 
@@ -74,8 +76,10 @@ def multiplicative_envy(
     Agents with (numerically) zero own utility get ``inf`` unless they
     value nobody's bundle, and a single agent gets 0 (no rival).
     """
-    cu = cross_utilities(values, allocation)
-    b = weights.array
+    return _multiplicative_envy(cross_utilities(values, allocation), weights.array)
+
+
+def _multiplicative_envy(cu: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.size
     out = np.zeros(n)
     for i in range(n):
@@ -277,8 +281,9 @@ def build_report(
     uh = np.asarray(hindsight_utilities, dtype=np.float64)
     ua = trace.final_utilities
     flagged = tuple(int(i) for i in np.nonzero(ua <= _FLAG_FLOOR)[0])
-    env_a = additive_envy(values, trace, weights)
-    env_m = multiplicative_envy(values, trace, weights)
+    cu = cross_utilities(values, trace)  # both envies read it
+    env_a = _additive_envy(cu, weights.array)
+    env_m = _multiplicative_envy(cu, weights.array)
     if flagged:
         ur = math.inf
     else:

@@ -324,6 +324,21 @@ def _assert_run_is_fold(vs, w, variant, trace):
     return state
 
 
+def _assert_aux(vs, trace, state):
+    """The folded state's variant internals agree with ``trace``."""
+    variant = trace.variant
+    if isinstance(variant, Constrained):
+        assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
+    elif isinstance(variant, SetAside):
+        # the normalized auction utilities, accumulated in round order
+        aux = np.zeros(vs.n)
+        for row, win in zip(vs.matrix, trace.winners):
+            aux[win] += 0.5 * (row[win] / variant.monopoly_utilities[win])
+        assert np.array_equal(state.aux, aux)
+    else:
+        assert state.aux is None
+
+
 def test_run_equals_repeated_steps_bitwise():
     rng = np.random.default_rng(15)
     vs, w = _random_instance(rng)
@@ -343,16 +358,7 @@ def test_run_equals_repeated_steps_bitwise():
                             for i, s in enumerate(shares):
                                 u[i] += s * row[i]
                         assert trace.final_utilities.tolist() == u
-                    if isinstance(variant, Constrained):
-                        assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
-                    elif isinstance(variant, SetAside):
-                        # the normalized auction utilities, accumulated in round order
-                        aux = np.zeros(vs.n)
-                        for row, win in zip(vs.matrix, trace.winners):
-                            aux[win] += 0.5 * (row[win] / variant.monopoly_utilities[win])
-                        assert np.array_equal(state.aux, aux)
-                    else:
-                        assert state.aux is None
+                    _assert_aux(vs, trace, state)
 
 
 # a few value levels make ties and unserved agents common
@@ -400,19 +406,29 @@ def test_kernels_refuse_variants_that_do_not_fit_the_agents():
 
 
 def test_run_memory_stays_on_the_order_of_the_matrix():
-    # one block of rows at a time is held as Python floats, never the matrix
+    # one block of rows at a time is held as Python floats, and a speculated
+    # window's arrays are a block's size, never the matrix's; on the
+    # two-point rows constrained speculates every row
     rng = np.random.default_rng(27)
-    vs = ValueSequence(rng.random((40_000, 10)))
-    w = AgentWeights.equal(vs.n)
-    for variant in (Unconstrained(), Proportional()):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(vs, w, variant, checkpoints=[1, 2, 4, vs.t])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * vs.matrix.nbytes, (variant.name, peak / vs.matrix.nbytes)
+    continuous = ValueSequence(rng.random((40_000, 10)))
+    support = np.full((2, 10), 0.2)  # stationary iid rows over two points
+    support[1] = 0.3
+    support[0, 0] = support[1, 1] = 1.0
+    stationary = ValueSequence(support[rng.integers(0, 2, 40_000)])
+    w = AgentWeights.equal(10)
+    for vs, variants in (
+        (continuous, (Unconstrained(), Proportional())),
+        (stationary, _all_variants(stationary, w)[:4]),
+    ):
+        for variant in variants:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(vs, w, variant, checkpoints=[1, 2, 4, vs.t])
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * vs.matrix.nbytes, (variant.name, peak / vs.matrix.nbytes)
 
 
 def test_rerun_is_bit_identical():
@@ -553,6 +569,33 @@ def test_each_winner_is_the_smallest_argmax_of_pace_bid(matrix, weights, which):
         state, out = pace_step(state, row)
         assert out.winner == winner
         assert np.array_equal(out.bids, bids)
+
+
+# two or three support rows over the tie-heavy levels, for 1 to 4 agents
+_SUPPORTS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(arrays(np.float64, n, elements=_TINY_LEVELS), min_size=2, max_size=3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    support=_SUPPORTS,
+    t=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    weights=_WEIGHTS,
+    which=st.integers(0, 3),
+    chunk=st.sampled_from([1, 3, 16, 100, dynamics._CHUNK]),
+    cps=st.sets(st.integers(1, 400), max_size=6),
+)
+def test_speculated_runs_are_a_fold_of_pace_step_on_long_stretches(support, t, seed, weights, which, chunk, cps):
+    # rows repeat, so the winners settle and ``run`` keeps long speculated
+    # windows; the fold steps every row through the loop
+    rows = np.random.default_rng(seed).integers(0, len(support), t)
+    vs, w = _instance(np.array(support)[rows], weights)
+    variant = _all_variants(vs, w)[which]  # pace, constrained, seeded, set-aside
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        trace = run(vs, w, variant, [c for c in cps if c <= t])
+    _assert_aux(vs, trace, _assert_run_is_fold(vs, w, trace.variant, trace))
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Metric formulas, flags, and cross-checks against enumeration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from oracles import utility_ratio_enum
 
+from fairpace import metrics
 from fairpace.dynamics import (
     Constrained,
     OneStepGreedy,
@@ -282,3 +284,17 @@ def test_build_report_roundtrip(hand_trace):
     assert d["competitive_ratio"] == pytest.approx(math.sqrt(1.125), rel=1e-6)
     assert d["utility_ratio"] == pytest.approx(1.5)
     assert d["multiplicative_envy"][1] == pytest.approx(2.0)
+
+
+def test_build_report_computes_cross_utilities_once():
+    rng = np.random.default_rng(206)
+    vs = ValueSequence(rng.random((30, 3)) + 1e-3)
+    w = AgentWeights([0.5, 1.0, 2.0])
+    trace = run(vs, w, Seeded(0.4))
+    eq = solve_eg(vs, w, 1e-9)
+    with mock.patch.object(metrics, "cross_utilities", wraps=metrics.cross_utilities) as cu:
+        report = build_report(trace, vs, w, eq.utilities)
+    assert cu.call_count == 1
+    # the same envies as the public functions, bit for bit
+    assert np.array_equal(report.additive_envy, additive_envy(vs, trace, w))
+    assert np.array_equal(report.multiplicative_envy, multiplicative_envy(vs, trace, w))
