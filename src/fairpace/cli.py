@@ -42,7 +42,7 @@ from .inputs import (
     gen as generate,
 )
 from .metrics import build_report
-from .model import AgentWeights, InstanceError, load_csv, save_csv
+from .model import AgentWeights, InstanceError, integral, load_csv, save_csv
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -59,6 +59,13 @@ def _parse_floats(text: str) -> List[float]:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed number list {text!r}") from None
+
+
+def _parse_rounds(text: str) -> List[int]:
+    try:
+        return [integral(float(x)) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed round list {text!r}") from None
 
 
 def _variant_arg(text: str):
@@ -124,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--growth", type=float, default=1.001, help="ladder ratio (envy-worstcase)")
     a.add_argument("--base-length", type=int, help="phase-one length (envy-worstcase)")
     a.add_argument("--n", type=int, help="agent count (cr-killer)")
-    a.add_argument("--phases", type=_parse_floats, help="phase end rounds (cr-killer)")
+    a.add_argument("--phases", type=_parse_rounds, help="phase end rounds (cr-killer)")
     a.add_argument("--variant", type=_variant_arg, default="pace", help="attacked policy (cr-killer)")
     a.add_argument("--upper2", type=float, help="agent-2 projection upper bound (constrained-failure)")
     a.add_argument("--cap", type=float, default=1.0, help="value cap (constrained-failure)")
@@ -239,7 +246,7 @@ def _cmd_attack(args) -> int:
     elif args.construction == "cr-killer":
         if args.n is None or args.phases is None:
             raise InstanceError("cr-killer needs --n and --phases")
-        res = adv_cr_killer(args.n, [int(x) for x in args.phases], args.variant)
+        res = adv_cr_killer(args.n, args.phases, args.variant)
         save_csv(args.out, res.values)
         print(
             json.dumps(

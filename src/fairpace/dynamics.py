@@ -36,22 +36,28 @@ update after a won round, multipliers, tracked averages and item split)
 is written in the kernel that ``variant.kernel(weights)`` builds, which
 ``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
 metrics all read.  An auction kernel's round is one loop (its
-``_rounds``), with no call per row; ``pace_bid`` and ``pace_step`` advance
-a copy of the state by one row and read the scores it collects.  An
-average that underflows to zero, or a multiplier that overflows to
-``inf``, is the unserved state.
+``_rounds``), with no call per row.  Pace, seeded and set-aside share one
+loop: plain pacing is seeded pacing at seed zero whose round one is the
+unserved state rather than unit multipliers.  Constrained has its own
+loop, which projects each multiplier from the utilities as it bids, so
+it stores no multipliers.  An average that underflows to zero, or a
+multiplier that overflows to ``inf``, is the unserved state.
 
-``run`` first speculates: pace, constrained, seeded and set-aside guess a
-window of winners from the state at the window's start, build the state
-before every row from the guesses by one ``np.cumsum``, score all rows at
-once with the kernel's ``_bids`` (the loop's scores by the same IEEE
-operations) and keep the rows up to the first guess that was wrong, whose
-argmax is exact because the state before it is.  The loop takes the rest
-of the block after a wrong guess, so speculation changes no winner and no
-bit of the state; it only pays when the winners repeat, as they do once
-stationary input has settled the multipliers.  Greedy's logarithms
-(``math.log1p`` and ``np.log1p`` round differently) and proportional's
-cumulative sum do not speculate.
+Every auction block is speculated first: pace, constrained, seeded and
+set-aside guess a window of winners from the state at the window's
+start, build the state before every row from the guesses by one
+``np.cumsum``, score all rows at once with the kernel's ``_bids`` (the
+loop's scores by the same IEEE operations) and keep the rows up to the
+first guess that was wrong, whose argmax is exact because the state
+before it is.  The loop takes the rest of the block after a wrong guess,
+so speculation changes no winner and no bit of the state; it only pays
+when the winners repeat, as they do once stationary input has settled
+the multipliers.  A window keeps at least one row, so round one is
+always scored by ``_bids`` and a loop never starts before it.
+``pace_bid`` and ``pace_step`` advance a copy of the state by one row and
+read the scores of that vector pass.  Greedy's logarithms (``math.log1p``
+and ``np.log1p`` round differently) and proportional's cumulative sum do
+not speculate; greedy's loop collects its scores.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -72,7 +78,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, real, validate_instance
+from .model import AgentWeights, InstanceError, ValueSequence, _normalize_checkpoints, known_keys, real, validate_instance
 
 INF = math.inf
 
@@ -81,26 +87,31 @@ _CHUNK = 4096
 
 
 class _PaceKernel:
-    """Plain pacing's rule bound to the agent weights; each other kernel
-    overrides what its rule changes.
+    """Pacing's rule bound to the agent weights: each multiplier is the
+    agent's weight over its tracked average ``(acc + xi)/tau``.  Plain
+    pacing is seeded pacing at seed ``xi = 0`` whose round one is the
+    unserved state (``beta0``) rather than unit multipliers; each other
+    kernel overrides what its rule changes.
 
-    The state (utilities ``u``, variant internals ``aux``, spend) lives in
-    a :class:`_Runner` as lists or a :class:`PaceState` as arrays.  Every
+    The state (utilities ``u``, set-aside's ``aux``, spend) lives in a
+    :class:`_Runner` as lists or a :class:`PaceState` as arrays.  Every
     item is split as ``base[i]`` to each agent plus ``top`` to the winner;
     ``pays`` says whether the winning score is money spent.
 
     ``_rounds`` is the rule: one loop over a block's rows that scores
     every agent, picks the smallest index holding the largest score (a
     strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
-    winner ``top`` times its value in the accumulators ``acc``.  A list
-    passed as ``out`` collects every score as it is computed, which is how
-    :func:`pace_bid` and :func:`pace_step` read them.  ``_bids`` scores
-    many rows at once by the same operations, for ``_speculate``.
+    winner ``top`` times its value in the accumulators ``acc``.  ``_bids``
+    scores many rows at once by the same operations, for ``_speculate``,
+    which takes at least a block's first row: so the loop never starts at
+    ``tau == 0``, and round one is scored by ``_bids`` alone.
     """
 
     top = 1.0
     pays = True
-    aux0: Optional[Tuple[float, ...]] = None  # the variant internals before round one
+    xi = 0.0  # the seed utility in every tracked average
+    beta0 = INF  # the multipliers before round one
+    aux0: Optional[Tuple[float, ...]] = None  # set-aside's utilities before round one
 
     def __init__(self, variant: Variant, weights: AgentWeights):
         self.variant = variant
@@ -112,40 +123,35 @@ class _PaceKernel:
 
     def advance(self, r: "_Runner", block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
         """Advance ``r`` over the rows of ``block`` in order; returns the
-        winners (-1 for none)."""
+        winners (-1 for none).  A list passed as ``out`` collects the scores
+        of a one-row block."""
         return self._auction(r, r.u, block, out)
 
     def _auction(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> Sequence[int]:
-        """Without ``out``, speculate first; the loop takes the rows after a
-        wrong guess, and every row when ``out`` collects the scores."""
-        if out is not None:
-            return self._rounds(r, acc, block, out)
-        head = self._speculate(r, acc, block)
+        """Speculate; the loop takes the rows after a wrong guess."""
+        head = self._speculate(r, acc, block, out)
         if len(head) == len(block):
             return head
-        return np.concatenate((head, self._rounds(r, acc, block[len(head) :], None)))
+        return np.concatenate((head, self._rounds(r, acc, block[len(head) :])))
 
-    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> List[int]:
+    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray) -> List[int]:
         """Pacing hands the whole item over at the winning bid; an unserved
-        agent (every agent at first) bids ``inf`` on any item it values,
-        and its win is flagged, not spent."""
-        b, spend, flagged = self.b, r.spend, r.infinite_spend_round
+        agent (a zero average, or a multiplier that overflows) bids ``inf``
+        on any item it values, and its win is flagged, not spent."""
+        b, xi, top, spend, flagged = self.b, self.xi, self.top, r.spend, r.infinite_spend_round
         tau = r.tau
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
             for i, v in enumerate(row):
-                ui = acc[i]
-                if ui > 0.0 and (a := ui / tau) > 0.0 and (m := b[i] / a) < INF:
+                if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
                     s = m * v
                 else:
                     s = INF if v > 0.0 else 0.0
-                if out is not None:
-                    out.append(s)
                 if s > best:
                     best, w = s, i
             tau += 1
-            acc[w] += row[w]
+            acc[w] += top * row[w]
             if best == INF:
                 flagged[w] = tau
             else:
@@ -159,20 +165,18 @@ class _PaceKernel:
         accumulators before each row (``acc``: one row per row of ``v``, or
         one row for all) and the rounds before each (``tau``, a column that
         starts at ``r.tau``).  Called inside ``np.errstate``: the masked
-        cases divide by zero."""
-        a = acc / tau
+        cases divide by zero, and plain pacing's round one by ``0/0``."""
+        a = (acc + self.xi) / tau
         m = self.b_vec / a
-        return np.where((acc > 0.0) & (a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
+        s = np.where((a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
+        if not r.tau and self.beta0 < INF:
+            s[0] = v[0]  # unit multipliers
+        return s
 
-    def _settle(self, r: "_Runner", acc: List[float]) -> None:
-        """Bring what the loop updates besides ``acc`` up to date after a
-        speculated window (inside its ``np.errstate``); plain pacing keeps
-        nothing else."""
-
-    def _speculate(self, r: "_Runner", acc: List[float], block: np.ndarray) -> np.ndarray:
+    def _speculate(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> np.ndarray:
         """Advance ``r`` over the leading rows of ``block`` whose winners a
         window's guess gets right, plus the first row it gets wrong; returns
-        their winners.
+        their winners, and ``out`` collects their scores.
 
         A window's winners are guessed from the accumulators at its start,
         held fixed while ``tau`` advances.  The state before every row then
@@ -201,6 +205,8 @@ class _PaceKernel:
                 kept = int(wrong[0]) + 1 if wrong.size else size
                 won, rows = won[:kept], rows[:kept]
                 best = scores[rows, won]
+                if out is not None:
+                    out.extend(scores[:kept].ravel().tolist())
                 paid = np.zeros((kept + 1, n))
                 paid[0] = spend
                 finite = best < INF
@@ -214,7 +220,6 @@ class _PaceKernel:
                 acc[w] += top * float(v[kept - 1, w])
                 r.tau += kept
                 r.kept = kept
-                self._settle(r, acc)
                 winners.append(won)
                 done += kept
                 if wrong.size:
@@ -222,41 +227,49 @@ class _PaceKernel:
         return np.concatenate(winners or [np.empty(0, dtype=np.intp)])
 
     def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
-        """Multipliers ``B/ubar``, with ``inf`` for the unserved."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self.b_vec / (u / tau)
-        out[u == 0] = INF
-        return out
+        """Multipliers after ``tau`` rounds (``B/((u + xi)/tau)``, ``inf``
+        for the unserved); ``beta0`` before round one."""
+        if tau == 0:
+            return np.full(self.n, self.beta0)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self._multipliers(u, tau)
+
+    def _multipliers(self, u: np.ndarray, tau: int) -> np.ndarray:
+        """The multipliers after ``tau >= 1`` rounds, from the accumulators ``u``."""
+        return self.b_vec / ((u + self.xi) / tau)
 
     def averages(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
         """Tracked average utilities after ``tau >= 1`` rounds."""
-        return u / tau
+        return (u + self.xi) / tau
 
 
 class _ConstrainedKernel(_PaceKernel):
-    """``aux`` holds the projected multipliers, which start at one."""
+    """Each multiplier is ``B/ubar`` projected to the agent's interval, a
+    zero average (no win yet, or underflow) projecting to the upper end;
+    round one bids at unit multipliers.  Nothing but the utilities is
+    stored: the loop projects each multiplier as it bids."""
+
+    beta0 = 1.0
 
     def __init__(self, variant: Constrained, weights: AgentWeights):
         super().__init__(variant, weights)
         if len(variant.lower) != self.n:
             raise InstanceError("projection intervals length does not match agent count")
-        self.aux0 = (1.0,) * self.n
+        self.lower, self.upper = np.array(variant.lower), np.array(variant.upper)
 
-    def _rounds(self, r, acc, block, out):
-        """Bids are the projected multiplier times value; after every round
-        each multiplier is ``B/ubar`` projected to its interval, and a zero
-        average (no win yet, or underflow) projects to the upper end."""
+    def _rounds(self, r, acc, block):
         b, lower, upper = self.b, self.variant.lower, self.variant.upper
-        mult, spend, flagged = r.aux, r.spend, r.infinite_spend_round
-        agents = range(self.n)
+        spend, flagged = r.spend, r.infinite_spend_round
         tau = r.tau
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
             for i, v in enumerate(row):
-                s = mult[i] * v
-                if out is not None:
-                    out.append(s)
+                if (a := acc[i] / tau) > 0.0:
+                    m = b[i] / a
+                    s = (lower[i] if m < lower[i] else (upper[i] if m > upper[i] else m)) * v
+                else:
+                    s = upper[i] * v
                 if s > best:
                     best, w = s, i
             tau += 1
@@ -265,88 +278,29 @@ class _ConstrainedKernel(_PaceKernel):
                 flagged[w] = tau
             else:
                 spend[w] += best
-            for i in agents:
-                a = acc[i] / tau
-                if a > 0.0:
-                    m = b[i] / a
-                    mult[i] = lower[i] if m < lower[i] else (upper[i] if m > upper[i] else m)
-                else:
-                    mult[i] = upper[i]
             winners.append(w)
         r.tau = tau
         return winners
 
-    def _project(self, acc, tau):
-        """The multipliers ``_rounds`` sets from ``acc`` after ``tau`` rounds."""
-        lower, upper = self.variant.lower, self.variant.upper
+    def _multipliers(self, acc, tau):
         a = acc / tau
-        m = self.b_vec / a
-        return np.where(a > 0.0, np.where(m < lower, lower, np.where(m > upper, upper, m)), upper)
+        return np.where(a > 0.0, np.clip(self.b_vec / a, self.lower, self.upper), self.upper)
 
     def _bids(self, r, acc, tau, v):
-        mult = self._project(acc, tau)
-        mult[0] = r.aux  # the multipliers the window starts from
+        mult = self._multipliers(acc, tau)
+        if not r.tau:
+            mult[0] = 1.0  # unit multipliers
         return mult * v
-
-    def _settle(self, r, acc):
-        r.aux[:] = self._project(np.array(acc), r.tau).tolist()
-
-    def beta(self, u, aux, tau):
-        return np.array(aux)
 
 
 class _SeededKernel(_PaceKernel):
+    """Pacing with a positive seed; round one bids at unit multipliers."""
+
+    beta0 = 1.0
+
     def __init__(self, variant: Seeded, weights: AgentWeights):
         super().__init__(variant, weights)
         self.xi = variant.seed_utility
-
-    def _rounds(self, r, acc, block, out):
-        """Seeded pacing over the rows of ``block``: multipliers start at one,
-        then are ``B/((acc + seed)/tau)``; the winner's ``acc`` grows by
-        ``top`` times its value.  An average that underflows to zero, or a
-        multiplier that overflows, is the unserved state, as in plain pacing."""
-        b, xi, top, spend, flagged = self.b, self.xi, self.top, r.spend, r.infinite_spend_round
-        tau = r.tau
-        winners = []
-        for row in block.tolist():
-            best, w = -1.0, 0
-            for i, v in enumerate(row):
-                if not tau:
-                    s = v  # unit multipliers
-                elif (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
-                    s = m * v
-                else:
-                    s = INF if v > 0.0 else 0.0
-                if out is not None:
-                    out.append(s)
-                if s > best:
-                    best, w = s, i
-            tau += 1
-            acc[w] += top * row[w]
-            if best == INF:
-                flagged[w] = tau
-            else:
-                spend[w] += best
-            winners.append(w)
-        r.tau = tau
-        return winners
-
-    def _bids(self, r, acc, tau, v):
-        a = (acc + self.xi) / tau
-        m = self.b_vec / a
-        s = np.where((a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
-        if not r.tau:
-            s[0] = v[0]  # unit multipliers
-        return s
-
-    def beta(self, u, aux, tau):
-        if tau == 0:
-            return np.ones(self.n)
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.b_vec / ((u + self.xi) / tau)
-
-    def averages(self, u, aux, tau):
-        return (u + self.xi) / tau
 
 
 class _SetAsideKernel(_SeededKernel):
@@ -423,6 +377,7 @@ class _ProportionalKernel(_PaceKernel):
 
     top = 0.0
     pays = False
+    beta0 = 1.0
 
     def __init__(self, variant: Proportional, weights: AgentWeights):
         super().__init__(variant, weights)
@@ -438,11 +393,6 @@ class _ProportionalKernel(_PaceKernel):
         if out is not None:
             out.extend([0.0] * block.size)  # nobody bids
         return [-1] * len(block)
-
-    def beta(self, u, aux, tau):
-        if tau == 0:
-            return np.ones(self.n)
-        return super().beta(u, aux, tau)
 
 
 class _Variant:
@@ -595,9 +545,8 @@ def resolve_variant(variant: Variant, values: ValueSequence) -> Variant:
 class PaceState:
     """One dynamic's per-agent state after ``tau`` completed rounds.
 
-    ``utilities`` are cumulative realized utilities.  ``aux`` holds
-    variant internals: the projected multipliers for ``Constrained``,
-    the cumulative normalized auction utilities for ``SetAside``, and
+    ``utilities`` are cumulative realized utilities.  ``aux`` holds the
+    cumulative normalized auction utilities for ``SetAside`` and is
     ``None`` otherwise.
     """
 
@@ -872,18 +821,6 @@ def variant_from_dict(d: Mapping, weights: Optional[AgentWeights] = None) -> Var
         return cls.from_dict(d, weights)
     except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
         raise InstanceError(f"{kind} variant: {exc}") from None
-
-
-def _normalize_checkpoints(checkpoints, t: int) -> Tuple[int, ...]:
-    if checkpoints is None:
-        return ()
-    try:
-        cps = sorted({integral(c) for c in checkpoints})
-    except (TypeError, ValueError):
-        raise InstanceError(f"checkpoints must be a list of rounds, not {checkpoints!r}") from None
-    if cps and (cps[0] < 1 or cps[-1] > t):
-        raise InstanceError(f"checkpoints must lie in [1, {t}]")
-    return tuple(cps)
 
 
 def run(

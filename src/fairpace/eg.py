@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .inputs import FiniteDistribution
-from .model import AgentWeights, InstanceError, ValueSequence
+from .model import AgentWeights, InstanceError, ValueSequence, _normalize_checkpoints
 
 __all__ = [
     "MarketEquilibrium",
@@ -642,11 +642,9 @@ def hindsight_prefix(
     tol = check_tolerance(tol)
     if weights.n != values.n:
         raise InstanceError("weights length does not match agent count")
-    cps = sorted({int(c) for c in checkpoints})
+    cps = _normalize_checkpoints(checkpoints, values.t)
     if not cps:
         return []
-    if cps[0] < 1 or cps[-1] > values.t:
-        raise InstanceError(f"checkpoints must lie in [1, {values.t}]")
     uniq, _, inverse = _compress(values.matrix)
     out: List[PrefixSolution] = []
     for tau in cps:

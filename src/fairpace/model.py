@@ -40,6 +40,20 @@ def integral(x) -> int:
     return int(x)
 
 
+def _normalize_checkpoints(checkpoints, t: int) -> Tuple[int, ...]:
+    """The distinct rounds of ``checkpoints`` in order (none for None),
+    refused unless each is an integer in ``[1, t]``."""
+    if checkpoints is None:
+        return ()
+    try:
+        cps = sorted({integral(c) for c in checkpoints})
+    except (TypeError, ValueError):
+        raise InstanceError(f"checkpoints must be a list of rounds, not {checkpoints!r}") from None
+    if cps and (cps[0] < 1 or cps[-1] > t):
+        raise InstanceError(f"checkpoints must lie in [1, {t}]")
+    return tuple(cps)
+
+
 def real(x) -> float:
     """``x`` as a float; a boolean or a string is refused, not read."""
     if isinstance(x, (bool, str)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -235,20 +235,29 @@ def greedy_reference_winners(matrix: np.ndarray, weights: np.ndarray) -> List[in
     return winners
 
 
-def pace_reference_trace(matrix: np.ndarray, weights: np.ndarray) -> Tuple[List[int], np.ndarray]:
-    """Plain transcription of the unconstrained pacing dynamic.
+def pace_reference_trace(
+    matrix: np.ndarray,
+    weights: np.ndarray,
+    seed: float = 0.0,
+    interval: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+) -> Tuple[List[int], np.ndarray]:
+    """Plain transcription of the pacing dynamics: plain, seeded and projected.
 
     Kept separate from the package implementation: winners maximize
-    multiplier times value with smallest-index ties, the multiplier is
-    weight over time-averaged utility with an explicit infinite state
-    for zero averages, and every agent starts in the infinite (unserved)
-    state — which is what makes the instance-restriction recursion exact.
+    multiplier times value with smallest-index ties, and the multiplier
+    is weight over the time-averaged utility plus ``seed``.  Without an
+    ``interval`` it has an explicit infinite state for zero averages, and
+    with no seed every agent starts in it (unserved), which is what makes
+    the instance-restriction recursion exact; a positive seed starts from
+    unit multipliers.  With an ``interval`` (lower and upper bounds per
+    agent) the multipliers start at one, then each is projected to its
+    interval, a zero average going to the upper end.
     """
     m = np.asarray(matrix, dtype=np.float64)
     t, n = m.shape
     b = np.asarray(weights, dtype=np.float64)
     u = np.zeros(n)
-    beta = np.full(n, math.inf)
+    beta = np.full(n, math.inf if seed == 0.0 and interval is None else 1.0)
     winners: List[int] = []
     for tau in range(1, t + 1):
         bids = []
@@ -265,6 +274,10 @@ def pace_reference_trace(matrix: np.ndarray, weights: np.ndarray) -> Tuple[List[
         winners.append(w)
         u[w] += m[tau - 1, w]
         for i in range(n):
-            avg = u[i] / tau
-            beta[i] = b[i] / avg if avg > 0 else math.inf
+            avg = (u[i] + seed) / tau
+            if interval is None:
+                beta[i] = b[i] / avg if avg > 0 else math.inf
+            else:
+                lower, upper = interval[0][i], interval[1][i]
+                beta[i] = min(max(b[i] / avg, lower), upper) if avg > 0 else upper
     return winners, u

@@ -1,6 +1,7 @@
 """Allocation dynamics: bids, steps, full runs, and their invariants."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -30,6 +31,8 @@ from fairpace.dynamics import (
     run,
     variant_from_dict,
 )
+from fairpace.harness import parse_checkpoints
+from fairpace.inputs import IID, FiniteDistribution, InputModelSpec, gen
 from fairpace.model import AgentWeights, InstanceError, ValueSequence
 
 W2 = AgentWeights.equal(2)
@@ -327,9 +330,7 @@ def _assert_run_is_fold(vs, w, variant, trace):
 def _assert_aux(vs, trace, state):
     """The folded state's variant internals agree with ``trace``."""
     variant = trace.variant
-    if isinstance(variant, Constrained):
-        assert np.array_equal(state.aux, trace.final_beta)  # the projected multipliers
-    elif isinstance(variant, SetAside):
+    if isinstance(variant, SetAside):
         # the normalized auction utilities, accumulated in round order
         aux = np.zeros(vs.n)
         for row, win in zip(vs.matrix, trace.winners):
@@ -431,6 +432,50 @@ def test_run_memory_stays_on_the_order_of_the_matrix():
             assert peak < 2 * vs.matrix.nbytes, (variant.name, peak / vs.matrix.nbytes)
 
 
+# (support, weights) of two iid instances at t=5000, seed=13: on the first
+# (n=2) winners settle and whole windows are speculated; on the second
+# (n=4) items split between agents and the loop takes most rows
+_PINNED_INSTANCES = {
+    "two-point": ([[1.0, 0.2], [0.3, 1.0]], [1.0, 1.0]),
+    "eight-point": (
+        [[1.0, 1.0, 0.2, 0.2], [0.2, 0.2, 1.0, 1.0], [1.0, 0.5, 0.5, 1.0], [0.5, 1.0, 1.0, 0.5],
+         [0.6, 0.6, 0.6, 0.6], [0.3, 0.9, 0.3, 0.9], [0.9, 0.3, 0.9, 0.3], [0.4, 0.4, 0.8, 0.8]],
+        [1.0, 2.0, 1.0, 0.5],
+    ),
+}
+
+# SHA-256 of json.dumps(run(...).to_json_dict(), sort_keys=True) with pow2
+# checkpoints; the dynamics use only elementwise IEEE operations and
+# sequential sums, so their bytes must not change across runs, releases
+# or platforms
+_RUN_SHA256 = {
+    ("two-point", "pace"): "22916ef123bb8b7aa38f95523c7f159b91d813dd7b6a28bd8d04a7f8f8bb15ed",
+    ("two-point", "constrained"): "fa4d7a84d3be900c13ffdab8a4bec494f3d5a38dd2aa7d78d4eae102a1b4f9cc",
+    ("two-point", "seeded"): "63870bcab0f691c7f36a3dd27cd21c0e279bdc7fe4b4e8f18fcc24d118941f06",
+    ("two-point", "setaside"): "1242b4c884d4f20a2553f3798d0edfc6476426e4425d4096615f7528717df508",
+    ("two-point", "greedy"): "5b6b01fcaaf004154a73e9d3e25bdc396b5495b55c2e2287aaae42c9aebc54f6",
+    ("two-point", "proportional"): "693270717df9dc86a113d84aec160f638d91ceb0a14c0a1d87e977223dce9ea8",
+    ("eight-point", "pace"): "a300a30a812394da405635b9f2572fd83b6317858e7c2a891a61d975cd9ffb3d",
+    ("eight-point", "constrained"): "1a4619253d8809537f280698422b16a5d4d6d67cd6e74da13087c79dc0ee01a4",
+    ("eight-point", "seeded"): "f5c92b05010d209811a2de47101490298941c89ce46c2395a8630df27cde0122",
+    ("eight-point", "setaside"): "c1531f8d514101cb7524a08312290a93c0d68c3c99bf2ad3d97a759ca151d2c5",
+    ("eight-point", "greedy"): "821e569d2652b6a187dbeb9b2b721a8824110aa5e74c45b1dbc6c6d74e29634e",
+    ("eight-point", "proportional"): "c6aa5d92e61e35f4aad363850947853dc1926574b648e0fa289935e8bdd4eae7",
+}
+
+
+@pytest.mark.parametrize("instance", sorted(_PINNED_INSTANCES))
+def test_run_output_is_pinned(instance):
+    support, weights = _PINNED_INSTANCES[instance]
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(support)), t=5000, seed=13))
+    w = AgentWeights(weights)
+    cps = parse_checkpoints("pow2", vs.t)
+    for variant in _all_variants(vs, w):
+        d = run(vs, w, variant, cps).to_json_dict()
+        digest = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+        assert digest == _RUN_SHA256[instance, variant.name], variant.name
+
+
 def test_rerun_is_bit_identical():
     rng = np.random.default_rng(16)
     vs, w = _random_instance(rng)
@@ -517,11 +562,11 @@ def test_matches_independent_reference_simulation():
         assert np.allclose(trace.final_utilities, ref_u, rtol=0, atol=0)
 
 
-def _pace_oracle(matrix, weights):
+def _pace_oracle(matrix, weights, **kw):
     # the oracle's b / avg overflows to inf on a subnormal average, which
-    # is its unserved state; numpy warns about that overflow
+    # is its unserved state (or its upper bound); numpy warns about that overflow
     with np.errstate(over="ignore"):
-        return pace_reference_trace(matrix, weights)
+        return pace_reference_trace(matrix, weights, **kw)
 
 
 # tie-heavy levels as above, plus a subnormal one whose averages underflow
@@ -546,6 +591,18 @@ def test_pace_matches_the_reference_trace(matrix, weights):
     ref_winners, ref_u = _pace_oracle(vs.matrix, w.array)
     assert trace.winners.tolist() == ref_winners
     assert trace.final_utilities.tolist() == ref_u.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_MATRICES, weights=_WEIGHTS, seed=st.sampled_from([0.4, 5e-324]), slack=st.sampled_from([0.3, 2.0]))
+def test_seeded_and_constrained_match_the_reference_trace(matrix, weights, seed, slack):
+    vs, w = _instance(matrix, weights)
+    c = Constrained.from_slack(w, slack)
+    for variant, kw in ((Seeded(seed), {"seed": seed}), (c, {"interval": (c.lower, c.upper)})):
+        trace = run(vs, w, variant)
+        ref_winners, ref_u = _pace_oracle(vs.matrix, w.array, **kw)
+        assert trace.winners.tolist() == ref_winners, variant.label
+        assert trace.final_utilities.tolist() == ref_u.tolist(), variant.label
 
 
 @settings(max_examples=60, deadline=None)
@@ -589,7 +646,8 @@ _SUPPORTS = st.integers(1, 4).flatmap(
 )
 def test_speculated_runs_are_a_fold_of_pace_step_on_long_stretches(support, t, seed, weights, which, chunk, cps):
     # rows repeat, so the winners settle and ``run`` keeps long speculated
-    # windows; the fold steps every row through the loop
+    # windows; after a wrong guess the loop takes the rest of a block, while
+    # the fold scores every row in a one-row speculated window
     rows = np.random.default_rng(seed).integers(0, len(support), t)
     vs, w = _instance(np.array(support)[rows], weights)
     variant = _all_variants(vs, w)[which]  # pace, constrained, seeded, set-aside

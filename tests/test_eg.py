@@ -240,6 +240,14 @@ def test_hindsight_prefix_identical_items_constant():
         assert np.allclose(sol.avg_utilities, [0.25, 0.75], atol=1e-8)
 
 
+@pytest.mark.parametrize("checkpoints", [[2.5], [0], [2.5, 3]])
+def test_hindsight_prefix_refuses_checkpoints_run_refuses(checkpoints):
+    # a fractional round is refused, not truncated to the prefix before it
+    vs = ValueSequence(np.ones((3, 2)))
+    with pytest.raises(InstanceError, match="checkpoints"):
+        hindsight_prefix(vs, W2, checkpoints)
+
+
 def test_duplicate_item_compression_is_exact():
     rng = np.random.default_rng(107)
     base = rng.random((4, 3)) + 1e-3

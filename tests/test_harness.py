@@ -424,6 +424,19 @@ def test_cli_usage_errors_exit_two(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_attack_refuses_fractional_phase_ends(tmp_path):
+    # a phase ends at a whole round: 10.7 is a usage error, not round 10
+    out = tmp_path / "k.csv"
+    r = subprocess.run(
+        CLI + ["attack", "--construction", "cr-killer", "--n", "2", "--phases", "10.7,20", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 2
+    assert "malformed round list" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_runtime_errors_exit_one(tmp_path):
     r = subprocess.run(CLI + ["solve", str(tmp_path / "missing.csv")], capture_output=True, text=True)
     assert r.returncode == 1
