@@ -35,29 +35,34 @@ class) and gives its ``label``.  Its rule (its first-round state, bids,
 update after a won round, multipliers, tracked averages and item split)
 is written in the kernel that ``variant.kernel(weights)`` builds, which
 ``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
-metrics all read.  An auction kernel's round is one loop (its
-``_rounds``), with no call per row.  Pace, seeded and set-aside share one
-loop: plain pacing is seeded pacing at seed zero whose round one is the
-unserved state rather than unit multipliers.  Constrained has its own
-loop, which projects each multiplier from the utilities as it bids, so
-it stores no multipliers.  An average that underflows to zero, or a
-multiplier that overflows to ``inf``, is the unserved state.
+metrics all read.  The kernel is also the running dynamic: it holds one
+run's state and advances it; a ``PaceState`` is that state as arrays,
+and ``_resume`` builds a kernel from one.  An auction kernel's round is
+one loop (its ``_rounds``), with no call per row.  Pace, seeded and
+set-aside share one loop: plain pacing is seeded pacing at seed zero
+whose round one is the unserved state rather than unit multipliers.
+Constrained has its own loop, which projects each multiplier from the
+utilities as it bids, so it stores no multipliers.  An average that
+underflows to zero, or a multiplier that overflows to ``inf``, is the
+unserved state.
 
 Every auction block is speculated first: pace, constrained, seeded and
 set-aside guess a window of winners from the state at the window's
 start, build the state before every row from the guesses by one
-``np.cumsum``, score all rows at once with the kernel's ``_bids`` (the
-loop's scores by the same IEEE operations) and keep the rows up to the
-first guess that was wrong, whose argmax is exact because the state
-before it is.  The loop takes the rest of the block after a wrong guess,
-so speculation changes no winner and no bit of the state; it only pays
+``np.cumsum``, score all rows at once with ``_bids`` (the loop's scores
+by the same IEEE operations; one method serves all four, as every
+multiplier lies in ``[0, inf]``) and keep the rows up to the first guess
+that was wrong, whose argmax is exact because the state before it is.
+The loop takes the rest of the block after a wrong guess, so
+speculation changes no winner and no bit of the state; it only pays
 when the winners repeat, as they do once stationary input has settled
 the multipliers.  A window keeps at least one row, so round one is
 always scored by ``_bids`` and a loop never starts before it.
-``pace_bid`` and ``pace_step`` advance a copy of the state by one row and
-read the scores of that vector pass.  Greedy's logarithms (``math.log1p``
-and ``np.log1p`` round differently) and proportional's cumulative sum do
-not speculate; greedy's loop collects its scores.
+``pace_step`` resumes a kernel from its state, advances it by one row
+and reads the scores of that vector pass; ``pace_bid`` returns them.
+Greedy's logarithms (``math.log1p`` and ``np.log1p`` round differently)
+and proportional's cumulative sum do not speculate; greedy's loop
+collects its scores.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -87,59 +92,81 @@ _CHUNK = 4096
 
 
 class _PaceKernel:
-    """Pacing's rule bound to the agent weights: each multiplier is the
-    agent's weight over its tracked average ``(acc + xi)/tau``.  Plain
-    pacing is seeded pacing at seed ``xi = 0`` whose round one is the
-    unserved state (``beta0``) rather than unit multipliers; each other
-    kernel overrides what its rule changes.
+    """Pacing's rule bound to the agent weights, and one run's state: each
+    multiplier is the agent's weight over its tracked average
+    ``(acc + xi)/tau``.  Plain pacing is seeded pacing at seed ``xi = 0``
+    whose round one is the unserved state (``beta0``) rather than unit
+    multipliers; each other kernel overrides what its rule changes.
 
-    The state (utilities ``u``, set-aside's ``aux``, spend) lives in a
-    :class:`_Runner` as lists or a :class:`PaceState` as arrays.  Every
-    item is split as ``base[i]`` to each agent plus ``top`` to the winner;
-    ``pays`` says whether the winning score is money spent.
+    The state is the utilities ``u``, set-aside's ``aux``, the rounds
+    ``tau``, the finite ``spend`` and each agent's ``infinite_spend_round``,
+    as lists; ``acc`` names the accumulators the averages track.
+    :meth:`state` reads it as a :class:`PaceState`, and :func:`_resume`
+    builds a kernel from one.  Every item is split as ``base[i]`` to each
+    agent plus ``top`` to the winner; ``pays`` says whether the winning
+    score is money spent.
 
     ``_rounds`` is the rule: one loop over a block's rows that scores
     every agent, picks the smallest index holding the largest score (a
     strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
-    winner ``top`` times its value in the accumulators ``acc``.  ``_bids``
-    scores many rows at once by the same operations, for ``_speculate``,
-    which takes at least a block's first row: so the loop never starts at
-    ``tau == 0``, and round one is scored by ``_bids`` alone.
+    winner ``top`` times its value in ``acc``.  ``_bids`` scores many rows
+    at once by the same operations, for ``_speculate``, which takes at
+    least a block's first row: so the loop never starts at ``tau == 0``,
+    and round one is scored by ``_bids`` alone.
     """
 
     top = 1.0
     pays = True
     xi = 0.0  # the seed utility in every tracked average
     beta0 = INF  # the multipliers before round one
-    aux0: Optional[Tuple[float, ...]] = None  # set-aside's utilities before round one
 
     def __init__(self, variant: Variant, weights: AgentWeights):
         self.variant = variant
         self.weights = weights
         self.b = [float(x) for x in weights.array]
         self.b_vec = np.array(self.b)
-        self.n = len(self.b)
-        self.base = [0.0] * self.n
+        self.n = n = len(self.b)
+        self.base = [0.0] * n
+        self.u = [0.0] * n
+        self.aux: Optional[List[float]] = None
+        self.tau = 0
+        self.spend = [0.0] * n
+        self.infinite_spend_round = [0] * n
+        self.kept = 0  # rows the last speculated window kept
 
-    def advance(self, r: "_Runner", block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
-        """Advance ``r`` over the rows of ``block`` in order; returns the
-        winners (-1 for none).  A list passed as ``out`` collects the scores
-        of a one-row block."""
-        return self._auction(r, r.u, block, out)
+    @property
+    def acc(self) -> List[float]:
+        """The accumulators the tracked averages read: the utilities."""
+        return self.u
 
-    def _auction(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> Sequence[int]:
+    def state(self) -> PaceState:
+        return PaceState(
+            tau=self.tau,
+            utilities=np.array(self.u),
+            variant=self.variant,
+            weights=self.weights,
+            aux=None if self.aux is None else np.array(self.aux),
+        )
+
+    def advance(self, block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
+        """Advance over the rows of ``block`` in order; returns the winners
+        (-1 for none).  A list passed as ``out`` collects the scores of a
+        one-row block."""
+        return self._auction(block, out)
+
+    def _auction(self, block: np.ndarray, out: Optional[List[float]]) -> Sequence[int]:
         """Speculate; the loop takes the rows after a wrong guess."""
-        head = self._speculate(r, acc, block, out)
+        head = self._speculate(block, out)
         if len(head) == len(block):
             return head
-        return np.concatenate((head, self._rounds(r, acc, block[len(head) :])))
+        return np.concatenate((head, self._rounds(block[len(head) :])))
 
-    def _rounds(self, r: "_Runner", acc: List[float], block: np.ndarray) -> List[int]:
+    def _rounds(self, block: np.ndarray) -> List[int]:
         """Pacing hands the whole item over at the winning bid; an unserved
         agent (a zero average, or a multiplier that overflows) bids ``inf``
         on any item it values, and its win is flagged, not spent."""
-        b, xi, top, spend, flagged = self.b, self.xi, self.top, r.spend, r.infinite_spend_round
-        tau = r.tau
+        b, xi, top, acc, spend, flagged = self.b, self.xi, self.top, self.acc, self.spend, self.infinite_spend_round
+        tau = self.tau
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
@@ -157,24 +184,25 @@ class _PaceKernel:
             else:
                 spend[w] += best
             winners.append(w)
-        r.tau = tau
+        self.tau = tau
         return winners
 
-    def _bids(self, r: "_Runner", acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _bids(self, acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The scores ``_rounds`` computes on the rows ``v``, given the
         accumulators before each row (``acc``: one row per row of ``v``, or
         one row for all) and the rounds before each (``tau``, a column that
-        starts at ``r.tau``).  Called inside ``np.errstate``: the masked
-        cases divide by zero, and plain pacing's round one by ``0/0``."""
-        a = (acc + self.xi) / tau
-        m = self.b_vec / a
-        s = np.where((a > 0.0) & (m < INF), m * v, np.where(v > 0.0, INF, 0.0))
-        if not r.tau and self.beta0 < INF:
-            s[0] = v[0]  # unit multipliers
-        return s
+        starts at ``self.tau``).  Every multiplier lies in ``[0, inf]``: a
+        zero or underflowed average gives ``b/0 = inf``, the unserved state,
+        and round one's ``0/0`` is replaced by ``beta0``; so ``m * v`` is the
+        loop's score wherever ``v > 0``, and ``0.0`` where ``v == 0``.
+        Called inside ``np.errstate``."""
+        m = self._multipliers(acc, tau)
+        if not self.tau:
+            m[0] = self.beta0
+        return np.where(v > 0.0, m * v, 0.0)
 
-    def _speculate(self, r: "_Runner", acc: List[float], block: np.ndarray, out: Optional[List[float]]) -> np.ndarray:
-        """Advance ``r`` over the leading rows of ``block`` whose winners a
+    def _speculate(self, block: np.ndarray, out: Optional[List[float]]) -> np.ndarray:
+        """Advance over the leading rows of ``block`` whose winners a
         window's guess gets right, plus the first row it gets wrong; returns
         their winners, and ``out`` collects their scores.
 
@@ -186,20 +214,20 @@ class _PaceKernel:
         argmax is.  A window is twice the rows the last one kept, within the
         block; after a wrong guess the loop takes the rest of the block.
         """
-        n, top, spend, flagged = self.n, self.top, r.spend, r.infinite_spend_round
+        n, top, acc, spend, flagged = self.n, self.top, self.acc, self.spend, self.infinite_spend_round
         winners, done = [], 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while done < len(block):
-                size = min(len(block) - done, max(1, 2 * r.kept))
+                size = min(len(block) - done, max(1, 2 * self.kept))
                 v = block[done : done + size]
-                tau = np.arange(r.tau, r.tau + size, dtype=np.float64)[:, None]
+                tau = np.arange(self.tau, self.tau + size, dtype=np.float64)[:, None]
                 rows = np.arange(size)
-                guess = self._bids(r, np.array([acc]), tau, v).argmax(axis=1)
+                guess = self._bids(np.array([acc]), tau, v).argmax(axis=1)
                 steps = np.zeros((size + 1, n))
                 steps[0] = acc
                 steps[rows + 1, guess] = top * v[rows, guess]
                 before = np.cumsum(steps, axis=0, out=steps)[:-1]
-                scores = self._bids(r, before, tau, v)
+                scores = self._bids(before, tau, v)
                 won = scores.argmax(axis=1)
                 wrong = np.flatnonzero(won != guess)
                 kept = int(wrong[0]) + 1 if wrong.size else size
@@ -213,34 +241,35 @@ class _PaceKernel:
                 paid[rows[finite] + 1, won[finite]] = best[finite]
                 spend[:] = np.cumsum(paid, axis=0, out=paid)[-1].tolist()
                 for k in np.flatnonzero(~finite).tolist():
-                    flagged[won[k]] = r.tau + k + 1
+                    flagged[won[k]] = self.tau + k + 1
                 # the last kept row is credited to its argmax, which a wrong guess is not
                 w = int(won[-1])
                 acc[:] = before[kept - 1].tolist()
                 acc[w] += top * float(v[kept - 1, w])
-                r.tau += kept
-                r.kept = kept
+                self.tau += kept
+                self.kept = kept
                 winners.append(won)
                 done += kept
                 if wrong.size:
                     break
         return np.concatenate(winners or [np.empty(0, dtype=np.intp)])
 
-    def beta(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
-        """Multipliers after ``tau`` rounds (``B/((u + xi)/tau)``, ``inf``
+    def beta(self) -> np.ndarray:
+        """Multipliers after ``tau`` rounds (``B/((acc + xi)/tau)``, ``inf``
         for the unserved); ``beta0`` before round one."""
-        if tau == 0:
+        if self.tau == 0:
             return np.full(self.n, self.beta0)
         with np.errstate(divide="ignore", over="ignore"):
-            return self._multipliers(u, tau)
+            return self._multipliers(np.array(self.acc), self.tau)
 
-    def _multipliers(self, u: np.ndarray, tau: int) -> np.ndarray:
-        """The multipliers after ``tau >= 1`` rounds, from the accumulators ``u``."""
-        return self.b_vec / ((u + self.xi) / tau)
+    def _multipliers(self, acc: np.ndarray, tau: Union[int, np.ndarray]) -> np.ndarray:
+        """The multipliers after ``tau >= 1`` rounds, from the accumulators
+        ``acc``; ``tau`` is a count or a column of counts."""
+        return self.b_vec / ((acc + self.xi) / tau)
 
-    def averages(self, u: np.ndarray, aux: Optional[np.ndarray], tau: int) -> np.ndarray:
+    def averages(self) -> np.ndarray:
         """Tracked average utilities after ``tau >= 1`` rounds."""
-        return (u + self.xi) / tau
+        return (np.array(self.acc) + self.xi) / self.tau
 
 
 class _ConstrainedKernel(_PaceKernel):
@@ -257,10 +286,10 @@ class _ConstrainedKernel(_PaceKernel):
             raise InstanceError("projection intervals length does not match agent count")
         self.lower, self.upper = np.array(variant.lower), np.array(variant.upper)
 
-    def _rounds(self, r, acc, block):
+    def _rounds(self, block):
         b, lower, upper = self.b, self.variant.lower, self.variant.upper
-        spend, flagged = r.spend, r.infinite_spend_round
-        tau = r.tau
+        acc, spend, flagged = self.acc, self.spend, self.infinite_spend_round
+        tau = self.tau
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
@@ -279,18 +308,12 @@ class _ConstrainedKernel(_PaceKernel):
             else:
                 spend[w] += best
             winners.append(w)
-        r.tau = tau
+        self.tau = tau
         return winners
 
     def _multipliers(self, acc, tau):
         a = acc / tau
         return np.where(a > 0.0, np.clip(self.b_vec / a, self.lower, self.upper), self.upper)
-
-    def _bids(self, r, acc, tau, v):
-        mult = self._multipliers(acc, tau)
-        if not r.tau:
-            mult[0] = 1.0  # unit multipliers
-        return mult * v
 
 
 class _SeededKernel(_PaceKernel):
@@ -319,26 +342,27 @@ class _SetAsideKernel(_SeededKernel):
             raise InstanceError("monopoly utilities length does not match agent count")
         self.mono = mono
         self.base = [self.xi] * self.n
-        self.aux0 = (0.0,) * self.n
+        self.aux = [0.0] * self.n
 
-    def advance(self, r, block, out=None):
+    @property
+    def acc(self):
+        return self.aux
+
+    def advance(self, block, out=None):
         """The auction is seeded pacing on the normalized values and ``aux``;
         the utilities then add, round by round, each agent's ``base`` share
         and the winner's ``top`` half, as one ``np.cumsum`` over the block."""
-        winners = self._auction(r, r.aux, np.divide(block, self.mono), out)
+        winners = self._auction(np.divide(block, self.mono), out)
         rows = np.arange(len(block))
         steps = np.zeros((2 * len(block) + 1, self.n))
-        steps[0] = r.u
+        steps[0] = self.u
         steps[1::2] = np.multiply(self.base, block)
         steps[2::2][rows, winners] = self.top * block[rows, winners]
-        r.u = np.cumsum(steps, axis=0, out=steps)[-1].tolist()
+        self.u = np.cumsum(steps, axis=0, out=steps)[-1].tolist()
         return winners
 
-    def beta(self, u, aux, tau):
-        return super().beta(aux, None, tau)
-
-    def averages(self, u, aux, tau):
-        return np.asarray(self.mono) * super().averages(aux, None, tau)
+    def averages(self):
+        return np.asarray(self.mono) * super().averages()
 
 
 class _GreedyKernel(_PaceKernel):
@@ -346,10 +370,10 @@ class _GreedyKernel(_PaceKernel):
 
     pays = False
 
-    def advance(self, r, block, out=None):
+    def advance(self, block, out=None):
         """The increment ``B log(1 + v/U)`` is infinite only for ``U == 0``:
         where ``v/U`` overflows, ``log(v) - log(U)`` is that logarithm."""
-        b, u, log, log1p = self.b, r.u, math.log, math.log1p
+        b, u, log, log1p = self.b, self.u, math.log, math.log1p
         winners = []
         for row in block.tolist():
             best, w = -1.0, 0
@@ -368,7 +392,7 @@ class _GreedyKernel(_PaceKernel):
                     best, w = s, i
             u[w] += row[w]
             winners.append(w)
-        r.tau += len(winners)
+        self.tau += len(winners)
         return winners
 
 
@@ -384,12 +408,12 @@ class _ProportionalKernel(_PaceKernel):
         total = sum(self.b)
         self.base = [x / total for x in self.b]
 
-    def advance(self, r, block, out=None):
+    def advance(self, block, out=None):
         # row k of the cumulative sum is u + base*row_1 + ... + base*row_k,
         # added in round order: the IEEE operations of ``u[i] += s * row[i]``
-        u = np.cumsum(np.vstack((r.u, np.multiply(self.base, block))), axis=0)
-        r.u = u[-1].tolist()
-        r.tau += len(block)
+        u = np.cumsum(np.vstack((self.u, np.multiply(self.base, block))), axis=0)
+        self.u = u[-1].tolist()
+        self.tau += len(block)
         if out is not None:
             out.extend([0.0] * block.size)  # nobody bids
         return [-1] * len(block)
@@ -564,13 +588,12 @@ class PaceState:
     def beta(self) -> np.ndarray:
         """Pacing multipliers; ``inf`` marks the unserved state.
 
-        ``inf`` here is a display marker only — bid computation treats
-        unserved agents by case, never by arithmetic on infinities.
-        Under the unconstrained (and greedy) rule every agent starts
-        unserved; the seeded, projected, set-aside and proportional
+        An unserved agent bids ``inf`` on any item it values and zero on
+        the others.  Under the unconstrained (and greedy) rule every agent
+        starts unserved; the seeded, projected, set-aside and proportional
         variants start with unit multipliers instead.
         """
-        return self.variant.kernel(self.weights).beta(self.utilities, self.aux, self.tau)
+        return _resume(self).beta()
 
     @property
     def averages(self) -> Optional[np.ndarray]:
@@ -582,12 +605,22 @@ class PaceState:
         """
         if self.tau == 0:
             return None
-        return self.variant.kernel(self.weights).averages(self.utilities, self.aux, self.tau)
+        return _resume(self).averages()
 
 
 def new_state(variant: Variant, weights: AgentWeights) -> PaceState:
     """Fresh state before any item has arrived."""
-    return _Runner(variant, weights).state()
+    return variant.kernel(weights).state()
+
+
+def _resume(state: PaceState) -> _PaceKernel:
+    """The kernel of ``state``'s dynamic, resumed from it (spend restarts at zero)."""
+    k = state.variant.kernel(state.weights)
+    k.u = [float(x) for x in state.utilities]
+    k.tau = state.tau
+    if state.aux is not None:
+        k.aux = [float(x) for x in state.aux]
+    return k
 
 
 @dataclass(frozen=True)
@@ -609,56 +642,6 @@ class StepOutcome:
     utilities: np.ndarray
 
 
-class _Runner:
-    """Mutable state of one dynamic, advanced by its variant's kernel; the
-    full run and the single-step API both advance one, so they agree bit for bit."""
-
-    __slots__ = ("kernel", "u", "aux", "tau", "spend", "infinite_spend_round", "kept")
-
-    def __init__(self, variant: Variant, weights: AgentWeights):
-        self.kernel = variant.kernel(weights)
-        n = self.kernel.n
-        self.u = [0.0] * n
-        self.aux = None if self.kernel.aux0 is None else list(self.kernel.aux0)
-        self.tau = 0
-        self.spend = [0.0] * n
-        self.infinite_spend_round = [0] * n
-        self.kept = 0  # rows the last speculated window kept
-
-    @classmethod
-    def at(cls, state: PaceState) -> "_Runner":
-        """A runner resuming from ``state`` (spend restarts at zero)."""
-        r = cls(state.variant, state.weights)
-        r.u = [float(x) for x in state.utilities]
-        r.tau = state.tau
-        if state.aux is not None:
-            r.aux = [float(x) for x in state.aux]
-        return r
-
-    def state(self) -> PaceState:
-        k = self.kernel
-        return PaceState(
-            tau=self.tau,
-            utilities=np.array(self.u),
-            variant=k.variant,
-            weights=k.weights,
-            aux=None if self.aux is None else np.array(self.aux),
-        )
-
-    def beta(self) -> np.ndarray:
-        aux = None if self.aux is None else np.array(self.aux)
-        return self.kernel.beta(np.array(self.u), aux, self.tau)
-
-
-def _checked_row(value_row: Sequence[float], n: int) -> List[float]:
-    """The row as floats, refused as a one-item :class:`ValueSequence` is,
-    or for a length other than ``n``."""
-    row = ValueSequence([value_row]).matrix[0].tolist()
-    if len(row) != n:
-        raise InstanceError(f"value row length {len(row)} does not match agent count {n}")
-    return row
-
-
 def pace_bid(state: PaceState, value_row: Sequence[float]) -> np.ndarray:
     """Decision scores the next auction would compare (``inf`` possible).
 
@@ -669,29 +652,28 @@ def pace_bid(state: PaceState, value_row: Sequence[float]) -> np.ndarray:
     (for set-aside: weight-normalized) values.  Greedy scores are the
     exact log-welfare increments; the proportional baseline bids zero.
     """
-    row = _checked_row(value_row, state.n)
-    r = _Runner.at(state)
-    scores: List[float] = []
-    r.kernel.advance(r, np.array([row]), scores)  # on a copy: the state stays put
-    return np.array(scores)
+    return pace_step(state, value_row)[1].bids
 
 
 def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, StepOutcome]:
-    """Run one auction round; returns the advanced state and its outcome."""
-    row = _checked_row(value_row, state.n)
-    r = _Runner.at(state)
-    k = r.kernel
+    """Run one auction round; returns the advanced state and its outcome.
+    The row is refused as a one-item :class:`ValueSequence` is, or for a
+    length other than the state's agent count."""
+    block = ValueSequence([value_row]).matrix
+    if block.shape[1] != state.n:
+        raise InstanceError(f"value row length {block.shape[1]} does not match agent count {state.n}")
+    k = _resume(state)
     scores: List[float] = []  # the scores the round compares
-    (w,) = k.advance(r, np.array([row]), scores)
+    (w,) = k.advance(block, scores)
     alloc = np.array(k.base)
-    util = alloc * np.asarray(row)
+    util = alloc * block[0]
     exp = np.zeros(k.n)
     if w >= 0:
         alloc[w] += k.top
-        util[w] += k.top * row[w]
+        util[w] += k.top * block[0, w]
         if k.pays:
             exp[w] = scores[w]  # inf when won from the unserved state
-    return r.state(), StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
+    return k.state(), StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
 
 
 @dataclass(frozen=True)
@@ -844,21 +826,20 @@ def run(
     t, n = values.t, values.n
     cps = _normalize_checkpoints(checkpoints, t)
 
-    runner = _Runner(variant, weights)
+    kernel = variant.kernel(weights)
     winners = np.empty(t, dtype=np.int32)
     k = len(cps)
     cp_u = np.zeros((k, n))
     cp_beta = np.zeros((k, n))
     cp_spend = np.zeros((k, n))
 
-    advance = runner.kernel.advance
     start = cp_iter = 0
     for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
-        winners[start:end] = advance(runner, values.matrix[start:end])
+        winners[start:end] = kernel.advance(values.matrix[start:end])
         if cp_iter < k and cps[cp_iter] == end:
-            cp_u[cp_iter] = runner.u
-            cp_beta[cp_iter] = runner.beta()
-            cp_spend[cp_iter] = runner.spend
+            cp_u[cp_iter] = kernel.u
+            cp_beta[cp_iter] = kernel.beta()
+            cp_spend[cp_iter] = kernel.spend
             cp_iter += 1
         start = end
 
@@ -872,10 +853,10 @@ def run(
         checkpoint_utilities=cp_u,
         checkpoint_beta=cp_beta,
         checkpoint_spend=cp_spend,
-        final_utilities=np.array(runner.u),
-        final_beta=runner.beta(),
-        final_spend=np.array(runner.spend),
-        infinite_spend_rounds=tuple(runner.infinite_spend_round),
+        final_utilities=np.array(kernel.u),
+        final_beta=kernel.beta(),
+        final_spend=np.array(kernel.spend),
+        infinite_spend_rounds=tuple(kernel.infinite_spend_round),
     )
 
 

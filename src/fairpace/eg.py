@@ -637,7 +637,9 @@ def hindsight_prefix(
     Identical items are merged once over the whole sequence.  Each
     checkpoint is solved cold and on its own, in no required order, and
     equals a cold :func:`solve_eg` of its prefix (restricted to the
-    agents present in it) bit for bit.
+    agents present in it) bit for bit.  A prefix in which no agent values
+    any item has zero utilities with every agent flagged, ``iterations=0``
+    and ``gap=0.0``.
     """
     tol = check_tolerance(tol)
     if weights.n != values.n:
@@ -654,14 +656,14 @@ def hindsight_prefix(
         # dropped columns are zero on every kept row: order and merge hold
         present = (rows > 0).any(axis=0)
         idx = np.nonzero(present)[0]
-        if idx.size == 0:
-            raise InstanceError(f"no item among the first {tau} has a positive value")
-        sub_w = AgentWeights(weights.array[idx])
-        _, utilities, _, gap, iters = _solve_dual(
-            rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total, _MAX_ITERS
-        )
         u = np.zeros(values.n)
-        u[idx] = utilities / tau
+        gap, iters = 0.0, 0
+        if idx.size:
+            sub_w = AgentWeights(weights.array[idx])
+            _, utilities, _, gap, iters = _solve_dual(
+                rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total, _MAX_ITERS
+            )
+            u[idx] = utilities / tau
         flagged = tuple(int(i) for i in np.nonzero(~present)[0])
         out.append(PrefixSolution(tau=tau, avg_utilities=u, flagged=flagged, iterations=iters, gap=gap))
     return out

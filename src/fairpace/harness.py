@@ -69,7 +69,10 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
         if "=" not in p:
             raise InstanceError(f"malformed variant parameter {p!r}")
         key, val = p.split("=", 1)
-        params[key.strip()] = float(val)
+        key = key.strip()
+        if key in params:
+            raise InstanceError(f"repeated variant parameter {key!r}")
+        params[key] = float(val)
     return variant_from_dict({"type": name, **params}, weights)
 
 
@@ -198,9 +201,13 @@ class ExperimentConfig:
             csv_path = _path(csv_path, "instance.csv", base_dir)
         model = inst.get("model")
         spec = None
-        if model is not None:
-            if not isinstance(model, dict):
-                raise InstanceError("config 'instance.model' must be a mapping")
+        if model is None:
+            for key in ("t", "seed"):
+                if key in inst:
+                    raise InstanceError(f"'instance.{key}' only applies to generated instances")
+        elif not isinstance(model, dict):
+            raise InstanceError("config 'instance.model' must be a mapping")
+        else:
             spec = model_from_dict({"t": inst.get("t"), "seed": inst.get("seed", 0), **model})
         return cls(
             weights=weights,

@@ -47,7 +47,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .dynamics import _CHUNK, Variant, _Runner
+from .dynamics import _CHUNK, Variant
 from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, real
 
 
@@ -533,7 +533,7 @@ def adv_cr_killer(
         raise InstanceError("phase ends must be strictly increasing and positive")
 
     weights = AgentWeights.equal(n)
-    runner = _Runner(variant, weights)
+    kernel = variant.kernel(weights)
     alive = [True] * n
     kill_order: List[int] = []
     blocks: List[np.ndarray] = []
@@ -543,11 +543,11 @@ def adv_cr_killer(
         length = end - prev
         blocks.append(np.tile(row, (length, 1)))
         for start in range(0, length, _CHUNK):
-            runner.kernel.advance(runner, blocks[-1][start : start + _CHUNK])
+            kernel.advance(blocks[-1][start : start + _CHUNK])
         prev = end
         if k < n - 1:
             candidates = [i for i in range(n) if alive[i]]
-            victim = min(candidates, key=lambda i: (runner.u[i], i))
+            victim = min(candidates, key=lambda i: (kernel.u[i], i))
             alive[victim] = False
             kill_order.append(victim)
     kill_order.append(next(i for i in range(n) if alive[i]))
@@ -560,7 +560,7 @@ def adv_cr_killer(
         bound=float(bound),
         kill_order=tuple(kill_order),
         witness_utilities=tuple(float(s) for s in spans),
-        policy_utilities=np.array(runner.u),
+        policy_utilities=np.array(kernel.u),
         phase_ends=tuple(ends),
     )
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -593,6 +593,12 @@ def test_pace_matches_the_reference_trace(matrix, weights):
     assert trace.final_utilities.tolist() == ref_u.tolist()
 
 
+# constrained: agent index 1 wins nothing before round four, where its zero
+# average bids its upper bound and wins (winners 2, 0, 2, 1); a bid at its
+# lower bound would hand round four to agent index 0
+@example(
+    matrix=np.array([[1, 0, 2], [2, 0.5, 1], [1, 0, 2], [2, 2, 0.5]]), weights=[1.0] * 4, seed=0.4, slack=2.0
+)
 @settings(max_examples=60, deadline=None)
 @given(matrix=_MATRICES, weights=_WEIGHTS, seed=st.sampled_from([0.4, 5e-324]), slack=st.sampled_from([0.3, 2.0]))
 def test_seeded_and_constrained_match_the_reference_trace(matrix, weights, seed, slack):

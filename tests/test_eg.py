@@ -232,6 +232,18 @@ def test_hindsight_prefix_flags_zero_agents():
     assert np.allclose(sols[1].avg_utilities, [0.5, 0.5], atol=1e-9)
 
 
+def test_hindsight_prefix_flags_every_agent_when_no_item_is_valued():
+    # run accepts an instance whose first items nobody values; so does its benchmark
+    vs = ValueSequence([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sols = hindsight_prefix(vs, W2, [1, 2, 4], 1e-10)
+    for sol in sols[:2]:
+        assert sol.flagged == (0, 1)
+        assert sol.avg_utilities.tolist() == [0.0, 0.0]
+        assert (sol.iterations, sol.gap) == (0, 0.0)
+    assert sols[2].flagged == ()
+    assert np.allclose(sols[2].avg_utilities, [0.25, 0.25], atol=1e-9)
+
+
 def test_hindsight_prefix_identical_items_constant():
     vs = ValueSequence(np.ones((3, 2)))
     w = AgentWeights([1.0, 3.0])

@@ -41,6 +41,8 @@ def test_parse_variant_forms():
         parse_variant("seeded")
     with pytest.raises(InstanceError, match="bounds or a slack"):
         parse_variant("constrained")
+    with pytest.raises(InstanceError, match="repeated variant parameter 'seed_utility'"):
+        parse_variant("seeded,seed_utility=0.5,seed_utility=2")
 
 
 def test_parse_checkpoints():
@@ -274,6 +276,22 @@ def test_cli_child_imports_same_package_from_any_cwd(tmp_path):
     assert Path(r.stdout.strip()).resolve() == Path(fairpace.__file__).resolve()
 
 
+def test_runtime_needs_neither_scipy_nor_hypothesis():
+    # both are installed beside the tests, but only numpy and PyYAML are dependencies
+    code = (
+        "import sys\n"
+        "import fairpace.cli\n"
+        "from fairpace import AgentWeights, Unconstrained, ValueSequence, run, solve_eg\n"
+        "vs, w = ValueSequence([[1.0, 0.5], [0.2, 1.0]]), AgentWeights.equal(2)\n"
+        "run(vs, w, Unconstrained(), [1])\n"
+        "solve_eg(vs, w, 1e-9)\n"
+        "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_cli_gen_and_solve_round_trip(tmp_path):
     inst = tmp_path / "inst.csv"
     r = subprocess.run(
@@ -422,6 +440,15 @@ def test_cli_usage_errors_exit_two(tmp_path):
         CLI + ["run", "cfg.yaml", "--checkpoints", "1,zz"], capture_output=True, text=True
     )
     assert r.returncode == 2
+    r = subprocess.run(
+        CLI + ["attack", "--construction", "cr-killer", "--n", "2", "--phases", "10,100",
+               "--variant", "seeded,seed_utility=0.5,seed_utility=2", "--out", str(tmp_path / "x.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 2
+    assert "repeated variant parameter" in r.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_attack_refuses_fractional_phase_ends(tmp_path):
@@ -532,6 +559,7 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {model: {type: block, lengths: [4], dists: [{support: [[1, 1]]}], max_delta: true}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "block model: max_delta must be a number, not True"),
         ("instance: {model: {type: corrupted, base: {support: [[1, 1]]}, corruptions: {}, max_delta: true}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "corrupted model: max_delta must be a number, not True"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nnormalize: true\n", "unknown key 'normalize'"),
+        ("instance: {csv: inst.csv, t: 100, seed: 3}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.t' only applies to generated instances"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -543,7 +571,7 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
          "repetitions-bool", "checkpoints-fraction", "checkpoints-inf", "t-inf", "csv-inf",
          "weights-entry-mapping", "weights-entry-bool", "weights-entry-text", "weights-scalar", "tolerance-bool",
          "seeded-utility-bool", "constrained-slack-bool", "constrained-bounds-bool", "setaside-monopoly-bool",
-         "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level"],
+         "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level", "csv-with-t-and-seed"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -555,6 +583,18 @@ def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected)
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
     assert not (tmp_path / "out").exists()  # nothing half-written is left
+
+
+def test_cli_run_accepts_a_prefix_that_no_agent_values(tmp_path):
+    # round one is worth nothing to anyone: its benchmark flags every agent
+    (tmp_path / "inst.csv").write_text("a,b\n0,0\n1,0\n0,1\n1,1\n")
+    cfg = _write_config(tmp_path / "c.yaml", "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n")
+    r = subprocess.run(CLI + ["run", cfg], capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "out" / "trajectories.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["value"] for row in rows if row["tau"] == "1"] == ["nan"] * 4
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["hindsight_solver"][0]["gap"][0] == 0.0
 
 
 def test_failed_run_keeps_directories_that_existed(tmp_path):
