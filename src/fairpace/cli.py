@@ -228,55 +228,28 @@ def _cmd_attack(args) -> int:
         if args.eps is None or args.base_length is None:
             raise InstanceError("envy-worstcase needs --eps and --base-length")
         res = adv_envy_worstcase(args.eps, args.growth, args.base_length)
-        save_csv(args.out, res.values)
         limit = 1 + 2 * math.log(1 / args.eps) if args.eps < 1 else 1.0
-        print(
-            json.dumps(
-                {
-                    "construction": "envy-worstcase",
-                    "t": res.values.t,
-                    "predicted_envy": res.predicted_envy,
-                    "limit_envy": limit,
-                    "growth": res.growth,
-                    "levels": res.levels,
-                },
-                sort_keys=True,
-            )
-        )
+        values = res.values
+        facts = {"predicted_envy": res.predicted_envy, "limit_envy": limit, "growth": res.growth, "levels": res.levels}
     elif args.construction == "cr-killer":
         if args.n is None or args.phases is None:
             raise InstanceError("cr-killer needs --n and --phases")
         res = adv_cr_killer(args.n, args.phases, args.variant)
-        save_csv(args.out, res.values)
-        print(
-            json.dumps(
-                {
-                    "construction": "cr-killer",
-                    "policy": args.variant.label,
-                    "t": res.values.t,
-                    "bound": res.bound,
-                    "kill_order": list(res.kill_order),
-                    "witness_utilities": list(res.witness_utilities),
-                    "policy_utilities": [float(u) for u in res.policy_utilities],
-                },
-                sort_keys=True,
-            )
-        )
+        values = res.values
+        facts = {
+            "policy": args.variant.label,
+            "bound": res.bound,
+            "kill_order": list(res.kill_order),
+            "witness_utilities": list(res.witness_utilities),
+            "policy_utilities": [float(u) for u in res.policy_utilities],
+        }
     else:
         if args.upper2 is None or args.t is None:
             raise InstanceError("constrained-failure needs --upper2 and --t")
         values = adv_constrained_failure(args.upper2, args.cap, args.t)
-        save_csv(args.out, values)
-        print(
-            json.dumps(
-                {
-                    "construction": "constrained-failure",
-                    "t": values.t,
-                    "value": float(values.matrix[0, 0]),
-                },
-                sort_keys=True,
-            )
-        )
+        facts = {"value": float(values.matrix[0, 0])}
+    save_csv(args.out, values)
+    print(json.dumps({"construction": args.construction, "t": values.t, **facts}, sort_keys=True))
     return 0
 
 

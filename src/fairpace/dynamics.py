@@ -29,11 +29,13 @@ Variants
 ``Proportional``    splits every item in proportion to the weights; no
                     auction takes place.
 
-Each variant is defined once.  Its class reads and writes its config
-form (``from_dict``, ``to_dict``; ``VARIANTS`` maps each ``type`` to its
-class) and gives its ``label``.  Its rule (its first-round state, bids,
-update after a won round, multipliers, tracked averages and item split)
-is written in the kernel that ``variant.kernel(weights)`` builds, which
+Each variant is defined once.  Its class is a frozen dataclass whose
+fields are its config keys, read by the shared ``model.Spec`` reader
+(``Constrained`` adds its slack form) and checked by its own
+``__post_init__``; it writes them back (``to_dict``) and gives its
+``label``, and ``VARIANTS`` maps each ``type`` to its class.  Its rule
+(its first-round state, bids, update after a won round, multipliers,
+tracked averages and item split) is written in the kernel that ``variant.kernel(weights)`` builds, which
 ``run``, the single-step API, ``PaceState``, ``RunTrace`` and the
 metrics all read.  The kernel is also the running dynamic: it holds one
 run's state and advances it; a ``PaceState`` is that state as arrays,
@@ -78,12 +80,13 @@ single-step API advances a one-row block.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
-from .model import AgentWeights, InstanceError, ValueSequence, _normalize_checkpoints, known_keys, real, validate_instance
+from .model import (AgentWeights, InstanceError, Spec, ValueSequence, _normalize_checkpoints, known_keys, real,
+                    spec_from_dict, validate_instance)
 
 INF = math.inf
 
@@ -419,9 +422,10 @@ class _ProportionalKernel(_PaceKernel):
         return [-1] * len(block)
 
 
-class _Variant:
-    """A variant's spec (``from_dict``, ``to_dict``, ``label``) and kernel; the
-    six variants are frozen dataclasses whose fields are their config keys."""
+class _Variant(Spec):
+    """A variant's spec (read by :class:`Spec`, written by ``to_dict``, and its
+    ``label``) and kernel; the six variants are frozen dataclasses whose
+    fields are their config keys."""
 
     name: ClassVar[str]
     _kernel: ClassVar[type]
@@ -435,19 +439,9 @@ class _Variant:
         return self._kernel(self, weights)
 
     def to_dict(self) -> dict:
-        """JSON-friendly structured form, inverse of :meth:`from_dict`."""
+        """JSON-friendly structured form, inverse of :func:`variant_from_dict`."""
         items = asdict(self).items()
         return {"type": self.name, **{k: list(v) if isinstance(v, tuple) else v for k, v in items}}
-
-    @classmethod
-    def from_dict(cls, d: Mapping, weights: Optional[AgentWeights] = None) -> "_Variant":
-        """Read the fields by name; a missing required field or a key that
-        is not a field is refused."""
-        known_keys(d, "type", *(f.name for f in fields(cls)))
-        for f in fields(cls):
-            if f.name not in d and f.default is MISSING:
-                raise InstanceError(f"needs a {f.name}")
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -495,7 +489,7 @@ class Constrained(_Variant):
             raise InstanceError("give lower/upper bounds or a slack, not both")
         if weights is None:
             raise InstanceError("the slack form needs agent weights")
-        return cls.from_slack(weights, real(known_keys(d, "type", "slack")["slack"]))
+        return cls.from_slack(weights, real(known_keys(d, "slack")["slack"]))
 
 
 @dataclass(frozen=True)
@@ -793,16 +787,7 @@ class RunTrace:
 def variant_from_dict(d: Mapping, weights: Optional[AgentWeights] = None) -> Variant:
     """Build a variant from its structured form, read by its class in
     :data:`VARIANTS`; ``weights`` serve ``constrained``'s slack form."""
-    if not isinstance(d, Mapping):
-        raise InstanceError(f"variant spec must be a mapping, not {d!r}")
-    kind = d.get("type")
-    cls = VARIANTS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise InstanceError(f"unknown variant type {kind!r}")
-    try:
-        return cls.from_dict(d, weights)
-    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
-        raise InstanceError(f"{kind} variant: {exc}") from None
+    return spec_from_dict(VARIANTS, d, "variant", weights)
 
 
 def run(

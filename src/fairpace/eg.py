@@ -519,6 +519,8 @@ def solve_underlying(
     """
     dist = FiniteDistribution(support, probs)
     tol = check_tolerance(tol)
+    if weights.n != dist.n:
+        raise InstanceError("weights length does not match agent count")
     uniq, _, inverse = _compress(dist.support)
     supplies = np.bincount(inverse, weights=dist.probs)
     _, utilities, beta, gap, _ = _solve_dual(uniq, supplies, weights, tol * weights.total, max_iters)

@@ -47,6 +47,7 @@ from .model import (
     normalize_values,
     real,
     save_csv,
+    spec_from_dict,
 )
 from .svgplot import write_line_svg
 
@@ -115,23 +116,20 @@ def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]
 
 
 def model_from_dict(d: dict) -> InputModelSpec:
-    """Build a generator spec from its config-file form; the model's own
-    fields are read by its class in :data:`fairpace.inputs.MODELS`."""
-    kind = d.get("type")
+    """Build a generator spec from its flat form: a model's keys, read by its
+    class in :data:`fairpace.inputs.MODELS`, beside ``t`` and ``seed``."""
+    return _generated({k: v for k, v in d.items() if k not in ("t", "seed")}, d)
+
+
+def _generated(model: dict, d: dict) -> InputModelSpec:
+    """The generator spec of the model mapping ``model`` over the horizon
+    ``d['t']`` with the seed ``d['seed']`` (zero when absent or null); the
+    horizon and the seed are read before the model."""
     if d.get("t") is None:
         raise InstanceError("model spec needs a horizon t")
     t = _number(d, "t", None, integral)
     seed = _number(d, "seed", 0, integral) if d.get("seed") is not None else 0
-    cls = MODELS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise InstanceError(f"unknown input model type {kind!r}")
-    try:
-        model = cls.from_dict({k: v for k, v in d.items() if k not in ("type", "t", "seed")})
-    except KeyError as exc:
-        raise InstanceError(f"model spec is missing the {exc.args[0]!r} field") from None
-    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
-        raise InstanceError(f"{kind} model: {exc}") from None
-    return InputModelSpec(model=model, t=t, seed=seed)
+    return InputModelSpec(model=spec_from_dict(MODELS, model, "model"), t=t, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +206,7 @@ class ExperimentConfig:
         elif not isinstance(model, dict):
             raise InstanceError("config 'instance.model' must be a mapping")
         else:
-            spec = model_from_dict({"t": inst.get("t"), "seed": inst.get("seed", 0), **model})
+            spec = _generated(model, inst)
         return cls(
             weights=weights,
             variants=tuple(variants),

@@ -20,11 +20,15 @@ Stochastic models
 ``Corrupted``  independent rounds from a base distribution, except listed
                rounds whose distribution is replaced outright.
 
-Each model is defined once, on its class: ``from_dict`` reads its config
-form, ``rows`` draws its rows from the per-round uniforms, and the two
-nonstationary models, ``Block`` and ``Corrupted``, list their
-``segments`` (rounds and distribution) for the declared budget.
-``MODELS`` maps each config ``type`` to its class.
+Each model is defined once, on its class: a frozen dataclass whose
+fields are its config keys, read by the shared ``model.Spec`` reader
+(``IID`` reads its distribution's keys) and converted and checked by its
+own ``__post_init__``, so the constructor and the config refuse the same
+values.  A distribution field takes a ``FiniteDistribution`` or its
+``{support, probs}`` mapping.  ``rows`` draws a model's rows from the
+per-round uniforms, and the two nonstationary models, ``Block`` and
+``Corrupted``, list their ``segments`` (rounds and distribution) for the
+declared budget.  ``MODELS`` maps each config ``type`` to its class.
 
 Adversarial constructions
 -------------------------
@@ -48,7 +52,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .dynamics import _CHUNK, Variant
-from .model import AgentWeights, InstanceError, ValueSequence, integral, known_keys, real
+from .model import AgentWeights, InstanceError, Spec, ValueSequence, integral, real
 
 
 # --------------------------------------------------------------------------
@@ -56,16 +60,22 @@ from .model import AgentWeights, InstanceError, ValueSequence, integral, known_k
 
 
 @dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability distribution over finitely many value vectors."""
+class FiniteDistribution(Spec):
+    """Probability distribution over finitely many value vectors; uniform
+    over the support when ``probs`` is None."""
 
     support: np.ndarray  # (m, n) nonnegative
-    probs: np.ndarray  # (m,) summing to one
+    probs: Optional[np.ndarray] = None  # (m,) summing to one
 
     def __post_init__(self):
         sup = np.asarray(self.support, dtype=np.float64)
-        pr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if sup.ndim != 2 or sup.shape[0] != pr.size or sup.shape[0] < 1:
+        if sup.ndim != 2 or sup.shape[0] < 1:
+            raise InstanceError("support must be a nonempty matrix of value vectors")
+        if self.probs is None:
+            pr = np.full(sup.shape[0], 1.0 / sup.shape[0])
+        else:
+            pr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        if sup.shape[0] != pr.size:
             raise InstanceError("support and probs shapes do not match")
         if not np.all(np.isfinite(sup)) or np.any(sup < 0):
             raise InstanceError("support vectors must be nonnegative and finite")
@@ -83,18 +93,12 @@ class FiniteDistribution:
 
     @classmethod
     def uniform(cls, support) -> "FiniteDistribution":
-        sup = np.asarray(support, dtype=np.float64)
-        if sup.ndim != 2 or sup.shape[0] < 1:
-            raise InstanceError("support must be a nonempty matrix of value vectors")
-        return cls(sup, np.full(sup.shape[0], 1.0 / sup.shape[0]))
+        return cls(support)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "FiniteDistribution":
-        """``{support, probs}``; uniform when ``probs`` is absent or null."""
-        support = known_keys(d, "support", "probs")["support"]
-        if d.get("probs") is None:
-            return cls.uniform(support)
-        return cls(np.asarray(support, dtype=np.float64), np.asarray(d["probs"], dtype=np.float64))
+    def of(cls, d) -> "FiniteDistribution":
+        """``d`` itself if it is a distribution, else read from its mapping."""
+        return d if isinstance(d, cls) else cls.from_dict(d)
 
     @property
     def n(self) -> int:
@@ -121,12 +125,13 @@ def _budget(max_delta) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class IID:
+class IID(Spec):
     dist: FiniteDistribution
     name: ClassVar[str] = "iid"
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "IID":
+        """The distribution's own keys, ``{support, probs}``."""
         return cls(FiniteDistribution.from_dict(d))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
@@ -134,7 +139,7 @@ class IID:
 
 
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(Spec):
     """One pool of vectors per position within the period; uniform draws."""
 
     pools: Tuple[np.ndarray, ...]
@@ -157,10 +162,6 @@ class Periodic:
     def period(self) -> int:
         return len(self.pools)
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Periodic":
-        return cls(tuple(np.asarray(p, dtype=np.float64) for p in known_keys(d, "pools")["pools"]))
-
     def rows(self, u: np.ndarray) -> np.ndarray:
         pos = np.arange(u.size) % self.period
         rows = np.empty((u.size, self.pools[0].shape[1]))
@@ -172,7 +173,7 @@ class Periodic:
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Spec):
     """Partition of the horizon with a distribution per block.
 
     ``max_delta``, when given, asserts a budget on the declared
@@ -186,25 +187,17 @@ class Block:
     name: ClassVar[str] = "block"
 
     def __post_init__(self):
-        lengths = tuple(int(x) for x in self.lengths)
-        if len(lengths) != len(self.dists) or not lengths:
+        lengths = tuple(integral(x) for x in self.lengths)
+        dists = tuple(FiniteDistribution.of(d) for d in self.dists)
+        if len(lengths) != len(dists) or not lengths:
             raise InstanceError("need one distribution per block")
         if any(x < 1 for x in lengths):
             raise InstanceError("block lengths must be positive")
-        n = self.dists[0].n
-        if any(d.n != n for d in self.dists):
+        if any(d.n != dists[0].n for d in dists):
             raise InstanceError("block distributions must share the agent count")
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "dists", tuple(self.dists))
+        object.__setattr__(self, "dists", dists)
         object.__setattr__(self, "max_delta", _budget(self.max_delta))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Block":
-        return cls(
-            lengths=tuple(integral(x) for x in known_keys(d, "lengths", "dists", "max_delta")["lengths"]),
-            dists=tuple(FiniteDistribution.from_dict(b) for b in d["dists"]),
-            max_delta=d.get("max_delta"),
-        )
 
     def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
         if sum(self.lengths) != t:
@@ -224,7 +217,7 @@ class Block:
 
 
 @dataclass(frozen=True)
-class Ergodic:
+class Ergodic(Spec):
     """Finite Markov chain over value vectors; row one is the start state."""
 
     states: np.ndarray  # (m, n)
@@ -241,21 +234,14 @@ class Ergodic:
             raise InstanceError("state vectors must be nonnegative and finite")
         if np.any(tr < 0) or np.any(np.abs(tr.sum(axis=1) - 1.0) > 1e-12):
             raise InstanceError("transition rows must be distributions")
-        if not (0 <= int(self.start) < st.shape[0]):
+        start = integral(self.start)
+        if not (0 <= start < st.shape[0]):
             raise InstanceError("start state out of range")
         st.setflags(write=False)
         tr.setflags(write=False)
         object.__setattr__(self, "states", st)
         object.__setattr__(self, "transitions", tr)
-        object.__setattr__(self, "start", int(self.start))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Ergodic":
-        return cls(
-            states=np.asarray(known_keys(d, "states", "transitions", "start")["states"], dtype=np.float64),
-            transitions=np.asarray(d["transitions"], dtype=np.float64),
-            start=integral(d.get("start", 0)),
-        )
+        object.__setattr__(self, "start", start)
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.transitions, axis=1)
@@ -269,7 +255,7 @@ class Ergodic:
 
 
 @dataclass(frozen=True)
-class Corrupted:
+class Corrupted(Spec):
     """IID base distribution with listed rounds replaced outright.
 
     ``corruptions`` maps 1-based round numbers to replacement
@@ -282,25 +268,18 @@ class Corrupted:
     name: ClassVar[str] = "corrupted"
 
     def __post_init__(self):
-        corr = dict(self.corruptions)
+        base = FiniteDistribution.of(self.base)
+        if not isinstance(self.corruptions, Mapping):
+            raise InstanceError("corruptions must map rounds to distributions")
+        corr = {integral(r): FiniteDistribution.of(d) for r, d in self.corruptions.items()}
         for r, d in corr.items():
-            if int(r) < 1:
+            if r < 1:
                 raise InstanceError("corruption rounds are 1-based")
-            if d.n != self.base.n:
+            if d.n != base.n:
                 raise InstanceError("corruption distributions must share the agent count")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "corruptions", corr)
         object.__setattr__(self, "max_delta", _budget(self.max_delta))
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Corrupted":
-        corruptions = known_keys(d, "base", "corruptions", "max_delta").get("corruptions", {})
-        if not isinstance(corruptions, Mapping):
-            raise InstanceError("corruptions must map rounds to distributions")
-        return cls(
-            base=FiniteDistribution.from_dict(d["base"]),
-            corruptions={integral(r): FiniteDistribution.from_dict(c) for r, c in corruptions.items()},
-            max_delta=d.get("max_delta"),
-        )
 
     def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
         hits = [(1, d) for r, d in self.corruptions.items() if r <= t]
@@ -328,10 +307,11 @@ class InputModelSpec:
     seed: int
 
     def __post_init__(self):
-        if int(self.t) < 1:
+        t = integral(self.t)
+        if t < 1:
             raise InstanceError("t must be positive")
-        object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(self, "seed", int(self.seed) & 0xFFFFFFFFFFFFFFFF)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "seed", integral(self.seed) & 0xFFFFFFFFFFFFFFFF)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -36,8 +36,40 @@ def known_keys(d: Mapping, *keys: str) -> Mapping:
 def integral(x) -> int:
     """``x`` as an int; only a number with an integer value such as ``3.0`` is read."""
     if isinstance(x, (bool, str)) or not float(x).is_integer():
-        raise ValueError(f"{x!r} is not an integer")
+        raise InstanceError(f"{x!r} is not an integer")
     return int(x)
+
+
+class Spec:
+    """A frozen dataclass read from its config mapping: its fields are its
+    keys, and its own ``__post_init__`` converts and checks them, so the
+    Python API and the config reach one reader."""
+
+    @classmethod
+    def from_dict(cls, d: Mapping, *context) -> "Spec":
+        """Read the fields by name; a key that is not a field, or a missing
+        field without a default, is refused."""
+        known_keys(d, *(f.name for f in fields(cls)))
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise InstanceError(f"missing the {f.name!r} field")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
+def spec_from_dict(registry: Mapping[str, type], d, what: str, *context) -> Spec:
+    """Build the spec that ``d['type']`` names in ``registry`` from the rest
+    of ``d``; ``context`` goes to its ``from_dict``.  Any failure is one
+    :class:`InstanceError` that names the type."""
+    if not isinstance(d, Mapping):
+        raise InstanceError(f"{what} spec must be a mapping, not {d!r}")
+    kind = d.get("type")
+    cls = registry.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InstanceError(f"unknown {what} type {kind!r}")
+    try:
+        return cls.from_dict({k: v for k, v in d.items() if k != "type"}, *context)
+    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
+        raise InstanceError(f"{kind} {what}: {exc}") from None
 
 
 def _normalize_checkpoints(checkpoints, t: int) -> Tuple[int, ...]:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -710,14 +710,23 @@ def test_restrict_drops_agents_and_their_items():
     assert sub.t == vs.t - len(won_by_3)
 
 
-def test_restriction_preserves_kept_agents_utilities():
-    rng = np.random.default_rng(24)
-    vs, w = _random_instance(rng, t_max=120, n_max=5)
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_LEVELS)
+    ),
+    weights=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=4, max_size=4),
+    keep=st.sets(st.integers(0, 3), min_size=1),
+)
+def test_restriction_preserves_kept_agents_utilities(matrix, weights, keep):
+    matrix[0, matrix.max(axis=0) == 0] = 1.0  # every agent values some item
+    vs = ValueSequence(matrix)
+    w = AgentWeights(weights[: vs.n])
+    agents = sorted(i for i in keep if i < vs.n)
     trace = run(vs, w, Unconstrained())
-    agents = sorted(rng.choice(vs.n, size=max(1, vs.n - 1), replace=False).tolist())
-    winners_in = np.isin(trace.winners, agents)
-    if not winners_in.any():
-        pytest.skip("subset won nothing")
+    rows = np.isin(trace.winners, agents)
+    # run refuses a restriction that leaves a kept agent valuing nothing
+    assume(agents and rows.any() and np.all(vs.matrix[rows][:, agents].max(axis=0) > 0))
     sub = restrict_instance(vs, trace, agents)
     sub_trace = run(sub, AgentWeights(w.array[agents]), Unconstrained())
     assert np.array_equal(sub_trace.final_utilities, trace.final_utilities[agents])

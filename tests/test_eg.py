@@ -154,6 +154,11 @@ def test_solve_underlying_validates_probs():
         solve_underlying([[1.0, 1.0]], [0.9], W2, 1e-9)
 
 
+def test_solve_underlying_refuses_weights_for_another_agent_count():
+    with pytest.raises(InstanceError, match="weights length does not match agent count"):
+        solve_underlying([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], AgentWeights([1.0, 1.0, 1.0]))
+
+
 @pytest.mark.parametrize(
     "support", [[[1.0, -1.0], [1.0, 3.0]], [[1.0, math.inf], [1.0, 1.0]]], ids=["negative", "infinite"]
 )

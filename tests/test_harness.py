@@ -560,6 +560,8 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {model: {type: corrupted, base: {support: [[1, 1]]}, corruptions: {}, max_delta: true}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "corrupted model: max_delta must be a number, not True"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nnormalize: true\n", "unknown key 'normalize'"),
         ("instance: {csv: inst.csv, t: 100, seed: 3}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.t' only applies to generated instances"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], t: 50}, t: 100}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 't'"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], seed: 3}, t: 100, seed: 9}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 'seed'"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -571,7 +573,8 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
          "repetitions-bool", "checkpoints-fraction", "checkpoints-inf", "t-inf", "csv-inf",
          "weights-entry-mapping", "weights-entry-bool", "weights-entry-text", "weights-scalar", "tolerance-bool",
          "seeded-utility-bool", "constrained-slack-bool", "constrained-bounds-bool", "setaside-monopoly-bool",
-         "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level", "csv-with-t-and-seed"],
+         "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level", "csv-with-t-and-seed",
+         "model-with-t", "model-with-seed"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")

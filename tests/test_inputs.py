@@ -208,6 +208,31 @@ def test_distribution_requires_positive_expected_values():
         _dist([[0.0, 5.0]])
 
 
+# each integer field is read by the constructor, as the config reads it
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: Block(lengths=(2.5,), dists=(d,)),
+        lambda d: Ergodic(np.eye(2), np.full((2, 2), 0.5), start=1.5),
+        lambda d: InputModelSpec(IID(d), t=2.5, seed=0),
+        lambda d: InputModelSpec(IID(d), t=3, seed=2.5),
+        lambda d: Corrupted(d, {1.5: d}),
+    ],
+    ids=["block-length", "ergodic-start", "spec-t", "spec-seed", "corrupted-round"],
+)
+def test_constructors_refuse_a_fractional_integer(build):
+    with pytest.raises(InstanceError, match=r"\d\.5 is not an integer"):
+        build(_dist([[1.0, 1.0]]))
+
+
+def test_constructors_read_distributions_from_mappings():
+    d = {"support": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.25, 0.75]}
+    assert Block(lengths=(4,), dists=(d,)).dists[0].probs.tolist() == [0.25, 0.75]
+    assert Corrupted(d, {2: d}).corruptions[2].support.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(InstanceError, match="corruptions must map rounds to distributions"):
+        Corrupted(d, [(2, d)])
+
+
 def test_generated_instances_validate():
     specs = [
         InputModelSpec(IID(_dist([[1.0, 0.1], [0.1, 1.0]])), t=50, seed=4),

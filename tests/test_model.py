@@ -1,11 +1,14 @@
 """Domain types, CSV ingestion, normalization, extremity."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairpace.model import (
     AgentWeights,
@@ -117,6 +120,24 @@ def test_csv_round_trip_bit_exact(tmp_path):
         back = load_csv(path)
         assert back.agents == vs.agents
         assert np.array_equal(back.matrix, vs.matrix)  # bitwise
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, allow_infinity=False))
+    )
+)
+# the smallest subnormal, the smallest normal and the largest finite float
+@example(matrix=np.array([[5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]]))
+def test_csv_round_trip_is_bit_exact_for_any_finite_values(matrix):
+    vs = ValueSequence(matrix)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rt.csv")
+        save_csv(path, vs)
+        back = load_csv(path)
+    assert back.agents == vs.agents
+    assert back.matrix.tobytes() == vs.matrix.tobytes()
 
 
 def test_normalize_examples():

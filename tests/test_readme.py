@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import yaml
 
 from fairpace.dynamics import VARIANTS, variant_from_dict
 from fairpace.harness import parse_variant
+from fairpace.inputs import MODELS, FiniteDistribution
 from fairpace.model import AgentWeights
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -38,3 +40,12 @@ def test_readme_variant_examples_parse_in_both_forms():
         assert parse_variant(text, weights).name == kind
         assert variant_from_dict(yaml.safe_load(mapping), weights).name == kind
     assert sorted(row[0] for row in rows) == sorted(VARIANTS)
+
+
+def test_readme_model_list_names_each_model_and_the_keys_it_reads():
+    listed = dict(re.findall(r"^- `(\w+) \{([^}]*)\}`", _section("## Experiment config (YAML)"), re.M))
+    assert sorted(listed) == sorted(MODELS)
+    for kind, keys in listed.items():
+        # iid's config keys are its distribution's
+        reader = FiniteDistribution if kind == "iid" else MODELS[kind]
+        assert sorted(k.strip() for k in keys.split(",")) == sorted(f.name for f in dataclasses.fields(reader)), kind
