@@ -48,23 +48,28 @@ utilities as it bids, so it stores no multipliers.  An average that
 underflows to zero, or a multiplier that overflows to ``inf``, is the
 unserved state.
 
-Every auction block is speculated first: pace, constrained, seeded and
-set-aside guess a window of winners from the state at the window's
-start, build the state before every row from the guesses by one
-``np.cumsum``, score all rows at once with ``_bids`` (the loop's scores
-by the same IEEE operations; one method serves all four, as every
-multiplier lies in ``[0, inf]``) and keep the rows up to the first guess
-that was wrong, whose argmax is exact because the state before it is.
-The loop takes the rest of the block after a wrong guess, so
-speculation changes no winner and no bit of the state; it only pays
-when the winners repeat, as they do once stationary input has settled
-the multipliers.  A window keeps at least one row, so round one is
-always scored by ``_bids`` and a loop never starts before it.
-``pace_step`` resumes a kernel from its state, advances it by one row
-and reads the scores of that vector pass; ``pace_bid`` returns them.
-Greedy's logarithms (``math.log1p`` and ``np.log1p`` round differently)
-and proportional's cumulative sum do not speculate; greedy's loop
-collects its scores.
+Every auction block is speculated first: a kernel guesses a window of
+winners from the state at the window's start, builds the state before
+every row from the guesses by one ``np.cumsum``, scores all rows at once
+with ``_bids`` and keeps the rows up to the first guess that was wrong,
+whose argmax is exact because the state before it is.  The loop takes
+the rest of the block after a wrong guess, so speculation changes no
+winner and no bit of the state; it only pays when the winners repeat,
+as they do once stationary input has settled the multipliers.  For pace,
+constrained, seeded and set-aside, ``_bids`` computes the loop's scores
+by the same IEEE operations (one method serves all four, as every
+multiplier lies in ``[0, inf]``), so a window keeps at least one row:
+round one is always scored by ``_bids`` and their loops never start
+before it.  Greedy's ``_bids`` takes ``np.log1p`` where its loop takes
+``math.log1p``, and the two can differ by an ulp; so greedy keeps a row
+only where ``_certain`` shows the loop's argmax is numpy's (the top
+score leads by far more than an ulp, or is the one infinite score, or
+every score is zero), and the loop takes the first uncertain row and the rest of the
+block.  ``pace_step`` resumes a kernel from its state, advances it by
+one row and reads the scores of that vector pass; ``pace_bid`` returns
+them.  Greedy's single step runs its loop, so it reports the
+``math.log1p`` scores.  Proportional's cumulative sum does not
+speculate.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
@@ -114,12 +119,14 @@ class _PaceKernel:
     strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
     winner ``top`` times its value in ``acc``.  ``_bids`` scores many rows
     at once by the same operations, for ``_speculate``, which takes at
-    least a block's first row: so the loop never starts at ``tau == 0``,
-    and round one is scored by ``_bids`` alone.
+    least a block's first row where ``_certain`` is ``None``: so the
+    pacing loops never start at ``tau == 0``, and round one is scored by
+    ``_bids`` alone.
     """
 
     top = 1.0
     pays = True
+    _certain = None  # the rows of ``_bids`` whose argmax is the loop's; ``None`` for all
     xi = 0.0  # the seed utility in every tracked average
     beta0 = INF  # the multipliers before round one
 
@@ -154,11 +161,8 @@ class _PaceKernel:
     def advance(self, block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
         """Advance over the rows of ``block`` in order; returns the winners
         (-1 for none).  A list passed as ``out`` collects the scores of a
-        one-row block."""
-        return self._auction(block, out)
-
-    def _auction(self, block: np.ndarray, out: Optional[List[float]]) -> Sequence[int]:
-        """Speculate; the loop takes the rows after a wrong guess."""
+        one-row block.  Speculation takes the leading rows, the loop the
+        rest."""
         head = self._speculate(block, out)
         if len(head) == len(block):
             return head
@@ -214,8 +218,11 @@ class _PaceKernel:
         comes from one ``np.cumsum`` over the guessed credits, and ``_bids``
         scores all rows.  Every row up to the first whose argmax is not the
         guess is kept, that row too: the state before it is exact, so its
-        argmax is.  A window is twice the rows the last one kept, within the
-        block; after a wrong guess the loop takes the rest of the block.
+        argmax is.  A kernel whose ``_bids`` may round otherwise than its
+        loop keeps no row from the first that ``_certain`` does not vouch
+        for.  A window is twice the rows the last one kept, within the
+        block; after a wrong guess or an uncertain row the loop takes the
+        rest of the block.
         """
         n, top, acc, spend, flagged = self.n, self.top, self.acc, self.spend, self.infinite_spend_round
         winners, done = [], 0
@@ -234,26 +241,28 @@ class _PaceKernel:
                 won = scores.argmax(axis=1)
                 wrong = np.flatnonzero(won != guess)
                 kept = int(wrong[0]) + 1 if wrong.size else size
+                if self._certain:  # keep no row from the first uncertain one, argmin's first False
+                    kept = int(np.argmin(np.append(self._certain(scores[:kept]), False)))
                 won, rows = won[:kept], rows[:kept]
-                best = scores[rows, won]
                 if out is not None:
                     out.extend(scores[:kept].ravel().tolist())
-                paid = np.zeros((kept + 1, n))
-                paid[0] = spend
-                finite = best < INF
-                paid[rows[finite] + 1, won[finite]] = best[finite]
-                spend[:] = np.cumsum(paid, axis=0, out=paid)[-1].tolist()
-                for k in np.flatnonzero(~finite).tolist():
-                    flagged[won[k]] = self.tau + k + 1
-                # the last kept row is credited to its argmax, which a wrong guess is not
-                w = int(won[-1])
-                acc[:] = before[kept - 1].tolist()
-                acc[w] += top * float(v[kept - 1, w])
+                if self.pays:
+                    best = scores[rows, won]
+                    paid = np.zeros((kept + 1, n))
+                    paid[0] = spend
+                    paid[rows + 1, won] = np.where(best < INF, best, 0.0)  # a win from the unserved state adds zero
+                    spend[:] = np.cumsum(paid, axis=0, out=paid)[-1].tolist()
+                    for k in np.flatnonzero(best == INF).tolist():
+                        flagged[won[k]] = self.tau + k + 1
+                if kept:  # the last kept row is credited to its argmax, which a wrong guess is not
+                    w = int(won[-1])
+                    acc[:] = before[kept - 1].tolist()
+                    acc[w] += top * float(v[kept - 1, w])
                 self.tau += kept
                 self.kept = kept
                 winners.append(won)
                 done += kept
-                if wrong.size:
+                if kept < size or wrong.size:
                     break
         return np.concatenate(winners or [np.empty(0, dtype=np.intp)])
 
@@ -355,7 +364,7 @@ class _SetAsideKernel(_SeededKernel):
         """The auction is seeded pacing on the normalized values and ``aux``;
         the utilities then add, round by round, each agent's ``base`` share
         and the winner's ``top`` half, as one ``np.cumsum`` over the block."""
-        winners = self._auction(np.divide(block, self.mono), out)
+        winners = super().advance(np.divide(block, self.mono), out)
         rows = np.arange(len(block))
         steps = np.zeros((2 * len(block) + 1, self.n))
         steps[0] = self.u
@@ -369,11 +378,18 @@ class _SetAsideKernel(_SeededKernel):
 
 
 class _GreedyKernel(_PaceKernel):
-    """Scores are exact log-welfare increments, not money: nothing is spent."""
+    """Scores are exact log-welfare increments, not money: nothing is spent.
+    ``np.log1p`` and ``math.log1p`` can round an increment differently, by
+    an ulp, so a speculated row is kept only where ``_certain`` shows that
+    the loop's argmax is numpy's; a single step reports the loop's scores."""
 
     pays = False
 
-    def advance(self, block, out=None):
+    def _speculate(self, block, out):
+        # a single step is not speculated: it reports the loop's scores
+        return super()._speculate(block, out) if out is None else self._rounds(block, out)
+
+    def _rounds(self, block, out=None):
         """The increment ``B log(1 + v/U)`` is infinite only for ``U == 0``:
         where ``v/U`` overflows, ``log(v) - log(U)`` is that logarithm."""
         b, u, log, log1p = self.b, self.u, math.log, math.log1p
@@ -397,6 +413,27 @@ class _GreedyKernel(_PaceKernel):
             winners.append(w)
         self.tau += len(winners)
         return winners
+
+    def _bids(self, acc, tau, v):
+        """The loop's increments in numpy: ``U == 0 < v`` gives ``v/U = inf``
+        and ``log1p(inf) = inf``, ``0/0`` is the zero of ``v == 0``, and the
+        logarithms are taken only where ``v/U`` overflows from ``U > 0``."""
+        x = v / acc
+        s = np.log1p(x)
+        if (over := x == INF).any():
+            over &= acc > 0.0
+            s[over] = np.log(v[over]) - np.log(np.broadcast_to(acc, v.shape)[over])
+        return np.where(v > 0.0, self.b_vec * s, 0.0)
+
+    def _certain(self, scores):
+        """Rows whose argmax ``math.log1p`` cannot change.  The top score
+        beats the runner-up by far more than an ulp of either (``2**-40`` of
+        the top, and more than a subnormal's error), where an infinite top
+        (``U == 0``) counts as ``2**1000``, so a finite runner-up is far from
+        overflow; or every score is zero."""
+        ranked = np.sort(scores, axis=1)
+        top, second = ranked[:, -1], (ranked[:, -2] if self.n > 1 else -1.0)
+        return (second < np.minimum(top, 2.0**1000) * (1 - 2**-40) - 2**-1000) | (top == 0.0)
 
 
 class _ProportionalKernel(_PaceKernel):
@@ -717,21 +754,10 @@ class RunTrace:
 
         with open(path, "w", newline="") as fh:
             wr = _csv.writer(fh, lineterminator="\n")
-            names = [f"a{i + 1}" for i in range(self.n)]
-            wr.writerow(
-                ["tau"]
-                + [f"u_avg_{s}" for s in names]
-                + [f"beta_{s}" for s in names]
-                + [f"spend_{s}" for s in names]
-            )
+            wr.writerow(["tau"] + [f"{col}_a{i + 1}" for col in ("u_avg", "beta", "spend") for i in range(self.n)])
             for k, tau in enumerate(self.checkpoints):
-                u_avg = self.checkpoint_utilities[k] / tau
-                wr.writerow(
-                    [tau]
-                    + [repr(float(v)) for v in u_avg]
-                    + [repr(float(v)) for v in self.checkpoint_beta[k]]
-                    + [repr(float(v)) for v in self.checkpoint_spend[k]]
-                )
+                cols = (self.checkpoint_utilities[k] / tau, self.checkpoint_beta[k], self.checkpoint_spend[k])
+                wr.writerow([tau] + [repr(float(v)) for col in cols for v in col])
 
     def to_json_dict(self) -> dict:
         def _vals(a):
@@ -813,18 +839,13 @@ def run(
 
     kernel = variant.kernel(weights)
     winners = np.empty(t, dtype=np.int32)
-    k = len(cps)
-    cp_u = np.zeros((k, n))
-    cp_beta = np.zeros((k, n))
-    cp_spend = np.zeros((k, n))
+    cp = np.zeros((3, len(cps), n))  # utilities, multipliers and spend at each checkpoint
 
     start = cp_iter = 0
     for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
         winners[start:end] = kernel.advance(values.matrix[start:end])
-        if cp_iter < k and cps[cp_iter] == end:
-            cp_u[cp_iter] = kernel.u
-            cp_beta[cp_iter] = kernel.beta()
-            cp_spend[cp_iter] = kernel.spend
+        if cp_iter < len(cps) and cps[cp_iter] == end:
+            cp[:, cp_iter] = kernel.u, kernel.beta(), kernel.spend
             cp_iter += 1
         start = end
 
@@ -835,9 +856,9 @@ def run(
         n=n,
         winners=winners,
         checkpoints=cps,
-        checkpoint_utilities=cp_u,
-        checkpoint_beta=cp_beta,
-        checkpoint_spend=cp_spend,
+        checkpoint_utilities=cp[0],
+        checkpoint_beta=cp[1],
+        checkpoint_spend=cp[2],
         final_utilities=np.array(kernel.u),
         final_beta=kernel.beta(),
         final_spend=np.array(kernel.spend),

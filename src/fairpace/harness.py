@@ -118,17 +118,18 @@ def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]
 def model_from_dict(d: dict) -> InputModelSpec:
     """Build a generator spec from its flat form: a model's keys, read by its
     class in :data:`fairpace.inputs.MODELS`, beside ``t`` and ``seed``."""
-    return _generated({k: v for k, v in d.items() if k not in ("t", "seed")}, d)
+    return _generated({k: v for k, v in d.items() if k not in ("t", "seed")}, d, "model spec")
 
 
-def _generated(model: dict, d: dict) -> InputModelSpec:
+def _generated(model: dict, d: dict, what: str) -> InputModelSpec:
     """The generator spec of the model mapping ``model`` over the horizon
     ``d['t']`` with the seed ``d['seed']`` (zero when absent or null); the
-    horizon and the seed are read before the model."""
+    horizon and the seed are read before the model, and a bad one is
+    refused as a field of ``what``."""
     if d.get("t") is None:
         raise InstanceError("model spec needs a horizon t")
-    t = _number(d, "t", None, integral)
-    seed = _number(d, "seed", 0, integral) if d.get("seed") is not None else 0
+    t = _number(d, "t", None, integral, what)
+    seed = _number(d, "seed", 0, integral, what) if d.get("seed") is not None else 0
     return InputModelSpec(model=spec_from_dict(MODELS, model, "model"), t=t, seed=seed)
 
 
@@ -206,7 +207,7 @@ class ExperimentConfig:
         elif not isinstance(model, dict):
             raise InstanceError("config 'instance.model' must be a mapping")
         else:
-            spec = _generated(model, inst)
+            spec = _generated(model, inst, "config")
         return cls(
             weights=weights,
             variants=tuple(variants),
@@ -247,13 +248,14 @@ def _path(value, key: str, base_dir: str) -> str:
     return value if os.path.isabs(value) else os.path.join(base_dir, value)
 
 
-def _number(d: dict, key: str, default, kind):
-    """``kind(d[key])``, or ``default`` when absent, refused in one line."""
+def _number(d: dict, key: str, default, kind, what: str = "config"):
+    """``kind(d[key])``, or ``default`` when absent, refused in one line
+    that names ``key`` as a field of ``what``."""
     try:
         return kind(d.get(key, default))
     except (TypeError, ValueError, OverflowError):
         whole = " with an integer value" if kind is integral else ""
-        raise InstanceError(f"config {key!r} must be a number{whole}, not {d.get(key)!r}") from None
+        raise InstanceError(f"{what} {key!r} must be a number{whole}, not {d.get(key)!r}") from None
 
 
 def _flag(d: dict, key: str, default: bool) -> bool:

@@ -149,9 +149,8 @@ class Periodic(Spec):
         pools = tuple(np.ascontiguousarray(p, dtype=np.float64) for p in self.pools)
         if not pools:
             raise InstanceError("need at least one pool")
-        n = pools[0].shape[1]
-        for p in pools:
-            if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != n:
+        for p in pools:  # the first pool's rank is checked before its width is read
+            if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != pools[0].shape[1]:
                 raise InstanceError("pools must be nonempty and share the agent count")
             if not np.all(np.isfinite(p)) or np.any(p < 0):
                 raise InstanceError("pool vectors must be nonnegative and finite")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -185,6 +186,12 @@ class ValueSequence:
         """Per-agent total value of the whole sequence (column sums)."""
         return self.matrix.sum(axis=0)
 
+    @cached_property
+    def zero_agents(self) -> Tuple[int, ...]:
+        """The agents whose values are all zero; read once per sequence, so
+        every run on it checks them without a pass over the matrix."""
+        return tuple(np.flatnonzero(self.matrix.max(axis=0) == 0).tolist())  # values are nonnegative
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -208,7 +215,7 @@ def validate_instance(values: ValueSequence, weights: AgentWeights) -> Validatio
     failures: List[str] = []
     if weights.n != values.n:
         failures.append(f"dimension mismatch: {weights.n} weights for {values.n} agents")
-    for i in np.nonzero(values.matrix.max(axis=0) == 0)[0]:  # values are nonnegative
+    for i in values.zero_agents:
         failures.append(f"agent {i + 1} has all-zero values")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 

@@ -83,6 +83,20 @@ def test_run_rejects_invalid_instances():
         run(ValueSequence([[1.0, -0.5]]), W2, Unconstrained())
 
 
+def test_every_run_refuses_an_all_zero_agent_found_once_per_instance():
+    vs = ValueSequence([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+    w = AgentWeights.equal(3)
+    # set-aside unresolved: its monopoly utilities would hold agent 2's zero
+    variants = (Unconstrained(), Constrained.from_slack(w, 0.3), Seeded(0.4), SetAside(), OneStepGreedy(),
+                Proportional())
+    for variant in variants * 2:
+        with pytest.raises(InstanceError, match="^agent 2 has all-zero values$"):
+            run(vs, w, variant)
+    assert vars(vs)["zero_agents"] == (1,)  # the column check is cached on the instance
+    with pytest.raises(InstanceError, match="^dimension mismatch: 2 weights for 3 agents$"):
+        run(vs, W2, Unconstrained())
+
+
 def test_served_bids_are_multiplier_times_value():
     st = new_state(Unconstrained(), W2)
     st, _ = pace_step(st, [2.0, 0.0])  # only agent 1 values it: served
@@ -193,6 +207,23 @@ def test_greedy_equal_weights_matches_pace_decision_on_served_states():
         greedy_pick = int(np.argmax(np.log1p(v / u)))
         pace_pick = int(np.argmax(v / u))
         assert greedy_pick == pace_pick
+
+
+# math.log1p of both is A; np.log1p of the second is A plus one ulp on an
+# x86-64 numpy 2.x build, so numpy ranks the second agent strictly first
+# while the loop's tie goes to the first
+_ULP_APART = (0.3510059666686379, 0.351005966668638)
+
+
+def test_greedy_bids_are_the_loops_math_increments():
+    w = AgentWeights([2.0, 3.0, 1.0, 1.0])
+    state = new_state(OneStepGreedy(), w)
+    for row in ([5e-324, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]):  # utilities (5e-324, 1, 0, 0)
+        state, _ = pace_step(state, row)
+    bids = pace_bid(state, [1.0, _ULP_APART[1], 0.5, 0.0])
+    # 1/5e-324 overflows, so the first agent's increment is a difference of
+    # logs; the second's is 3 * math.log1p, not numpy's (see _ULP_APART)
+    assert bids.tolist() == [2.0 * (math.log(1.0) - math.log(5e-324)), 3.0 * math.log1p(_ULP_APART[1]), INF, 0.0]
 
 
 # ---------------------------------------------------------------- proportional
@@ -646,20 +677,65 @@ _SUPPORTS = st.integers(1, 4).flatmap(
     t=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
     weights=_WEIGHTS,
-    which=st.integers(0, 3),
+    which=st.integers(0, 4),
     chunk=st.sampled_from([1, 3, 16, 100, dynamics._CHUNK]),
     cps=st.sets(st.integers(1, 400), max_size=6),
 )
 def test_speculated_runs_are_a_fold_of_pace_step_on_long_stretches(support, t, seed, weights, which, chunk, cps):
     # rows repeat, so the winners settle and ``run`` keeps long speculated
     # windows; after a wrong guess the loop takes the rest of a block, while
-    # the fold scores every row in a one-row speculated window
+    # the fold scores every row in a one-row speculated window (greedy's in
+    # its loop)
     rows = np.random.default_rng(seed).integers(0, len(support), t)
     vs, w = _instance(np.array(support)[rows], weights)
-    variant = _all_variants(vs, w)[which]  # pace, constrained, seeded, set-aside
+    variant = _all_variants(vs, w)[which]  # pace, constrained, seeded, set-aside, greedy
     with mock.patch.object(dynamics, "_CHUNK", chunk):
         trace = run(vs, w, variant, [c for c in cps if c <= t])
     _assert_aux(vs, trace, _assert_run_is_fold(vs, w, trace.variant, trace))
+
+
+def _stretch(support, t, seed):
+    """``t`` rows drawn iid from the rows of ``support``."""
+    return np.array(support)[np.random.default_rng(seed).integers(0, len(support), t)]
+
+
+# long iid stretches over two or three points, where greedy's winners settle
+# and whole windows are kept, or over tie-heavy levels, where they are not
+_GREEDY_MATRICES = st.one_of(
+    st.builds(
+        _stretch,
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                arrays(np.float64, n, elements=st.one_of(_TINY_LEVELS, st.floats(0.01, 4.0))), min_size=2, max_size=3
+            )
+        ),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    ),
+    _MATRICES,
+)
+
+
+def _loop_only(self, scores):
+    return np.zeros(len(scores), dtype=bool)
+
+
+@example(matrix=np.array([[1.0, 0.0], [0.0, 1.0], list(_ULP_APART)]), weights=[1.0] * 4, chunk=dynamics._CHUNK)
+@settings(max_examples=80, deadline=None)
+@given(matrix=_GREEDY_MATRICES, weights=_WEIGHTS, chunk=st.sampled_from([3, 100, dynamics._CHUNK]))
+def test_speculated_greedy_is_the_loop(matrix, weights, chunk):
+    # a row's winner is kept from numpy's scores only where math.log1p cannot
+    # rank it otherwise; a run whose rows all go to the loop is the reference
+    vs, w = _instance(matrix, weights)
+    cps = parse_checkpoints("pow2", vs.t)
+    with mock.patch.object(dynamics, "_CHUNK", chunk):
+        trace = run(vs, w, OneStepGreedy(), cps)
+    assert trace.winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
+    with mock.patch.object(dynamics._GreedyKernel, "_certain", _loop_only):
+        loop = run(vs, w, OneStepGreedy(), cps)
+    assert trace.winners.tolist() == loop.winners.tolist()
+    assert trace.checkpoint_utilities.tolist() == loop.checkpoint_utilities.tolist()
+    assert trace.final_utilities.tolist() == loop.final_utilities.tolist()
 
 
 @pytest.mark.parametrize(

@@ -145,6 +145,14 @@ def test_periodic_alternating_pools():
     assert np.array_equal(vs.matrix, [[1, 0], [0, 1]] * 3)
 
 
+@pytest.mark.parametrize(
+    "pools", [([1.0, 0.0],), (np.array([[1.0, 0.0]]), [0.0, 1.0]), (5.0,), ([[1.0, 0.0]], [[1.0]])]
+)
+def test_periodic_refuses_a_pool_that_is_not_a_matrix_of_the_agents(pools):
+    with pytest.raises(InstanceError, match="^pools must be nonempty and share the agent count$"):
+        Periodic(pools)
+
+
 def test_periodic_positions_sample_their_own_pool():
     pools = (
         np.array([[1.0, 0.1], [0.5, 0.1]]),
