@@ -40,13 +40,20 @@ tracked averages and item split) is written in the kernel that ``variant.kernel(
 metrics all read.  The kernel is also the running dynamic: it holds one
 run's state and advances it; a ``PaceState`` is that state as arrays,
 and ``_resume`` builds a kernel from one.  An auction kernel's round is
-one loop (its ``_rounds``), with no call per row.  Pace, seeded and
-set-aside share one loop: plain pacing is seeded pacing at seed zero
-whose round one is the unserved state rather than unit multipliers.
-Constrained has its own loop, which projects each multiplier from the
-utilities as it bids, so it stores no multipliers.  An average that
-underflows to zero, or a multiplier that overflows to ``inf``, is the
-unserved state.
+one loop (its ``_rounds``), with no call per row.  Pace, constrained,
+seeded and set-aside share one loop: plain pacing is seeded pacing at
+seed zero whose round one is the unserved state rather than unit
+multipliers, and whose multipliers are projected to ``[0, inf]`` where
+constrained's are projected to its intervals.  The loop projects each
+multiplier from the utilities as it bids, so it stores no multipliers.
+It takes a block in windows of ``_WINDOW`` rows and scores in each row
+only its candidates: two ``_bids`` passes per window bound every agent's
+score from above (the window's starting state) and below (the agent
+credited every earlier row of the window), and an agent whose upper
+bound is below the row's largest lower bound cannot win it.  Rounding is
+monotonic, so the bounds hold bit for bit and pruning changes no winner.
+An average that underflows to zero, or a multiplier that overflows to
+``inf``, is the unserved state.
 
 Every auction block is speculated first: a kernel guesses a window of
 winners from the state at the window's start, builds the state before
@@ -97,6 +104,8 @@ INF = math.inf
 
 # rows converted to Python floats at once; bounds a run's memory, not its result
 _CHUNK = 4096
+# rows whose candidates one pair of ``_bids`` calls bounds; changes no result
+_WINDOW = 512
 
 
 class _PaceKernel:
@@ -108,20 +117,22 @@ class _PaceKernel:
 
     The state is the utilities ``u``, set-aside's ``aux``, the rounds
     ``tau``, the finite ``spend`` and each agent's ``infinite_spend_round``,
-    as lists; ``acc`` names the accumulators the averages track.
-    :meth:`state` reads it as a :class:`PaceState`, and :func:`_resume`
-    builds a kernel from one.  Every item is split as ``base[i]`` to each
-    agent plus ``top`` to the winner; ``pays`` says whether the winning
-    score is money spent.
+    as lists; ``acc`` names the accumulators the averages track, and
+    ``floor`` and ``cap`` the interval each multiplier is projected to
+    (``[0, inf]`` unless constrained).  :meth:`state` reads it as a
+    :class:`PaceState`, and :func:`_resume` builds a kernel from one.
+    Every item is split as ``base[i]`` to each agent plus ``top`` to the
+    winner; ``pays`` says whether the winning score is money spent.
 
     ``_rounds`` is the rule: one loop over a block's rows that scores
-    every agent, picks the smallest index holding the largest score (a
-    strict ``>`` scan, as ``max`` then ``index`` picks) and credits the
-    winner ``top`` times its value in ``acc``.  ``_bids`` scores many rows
-    at once by the same operations, for ``_speculate``, which takes at
-    least a block's first row where ``_certain`` is ``None``: so the
-    pacing loops never start at ``tau == 0``, and round one is scored by
-    ``_bids`` alone.
+    each row's candidates (the agents that ``_candidates`` finds can hold
+    the row's largest score), picks the smallest index holding the
+    largest score (a strict ``>`` scan, as ``max`` then ``index`` picks)
+    and credits the winner ``top`` times its value in ``acc``.  ``_bids``
+    scores many rows at once by the same operations, for ``_speculate``
+    and ``_candidates``; ``_speculate`` takes at least a block's first
+    row where ``_certain`` is ``None``: so the pacing loop never starts
+    at ``tau == 0``, and round one is scored by ``_bids`` alone.
     """
 
     top = 1.0
@@ -137,6 +148,7 @@ class _PaceKernel:
         self.b_vec = np.array(self.b)
         self.n = n = len(self.b)
         self.base = [0.0] * n
+        self.floor, self.cap = [0.0] * n, [INF] * n  # each multiplier's interval
         self.u = [0.0] * n
         self.aux: Optional[List[float]] = None
         self.tau = 0
@@ -169,30 +181,66 @@ class _PaceKernel:
         return np.concatenate((head, self._rounds(block[len(head) :])))
 
     def _rounds(self, block: np.ndarray) -> List[int]:
-        """Pacing hands the whole item over at the winning bid; an unserved
-        agent (a zero average, or a multiplier that overflows) bids ``inf``
-        on any item it values, and its win is flagged, not spent."""
-        b, xi, top, acc, spend, flagged = self.b, self.xi, self.top, self.acc, self.spend, self.infinite_spend_round
-        tau = self.tau
+        """The rule's loop over ``block``, one window of ``_WINDOW`` rows at a
+        time, each scanning only the candidates that :meth:`_candidates`
+        finds for its rows."""
         winners = []
-        for row in block.tolist():
-            best, w = -1.0, 0
-            for i, v in enumerate(row):
-                if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
-                    s = m * v
-                else:
-                    s = INF if v > 0.0 else 0.0
-                if s > best:
-                    best, w = s, i
-            tau += 1
-            acc[w] += top * row[w]
-            if best == INF:
-                flagged[w] = tau
+        # the scan is a short method of its own, and the lists are made here:
+        # under tracemalloc an object costs time in proportion to how far
+        # into its function it is made
+        for start in range(0, len(block), _WINDOW):
+            winners += self._scan(*map(np.ndarray.tolist, self._candidates(block[start : start + _WINDOW])))
+        return winners
+
+    def _scan(self, agents: List[int], values: List[float], last: List[bool]) -> List[int]:
+        """Pacing hands the whole item over at the winning bid, the
+        multiplier projected to ``[floor, cap]``; an unserved agent (a zero
+        average, or a multiplier that overflows) bids ``cap`` times any
+        value it has (``inf`` unless constrained), and an infinite winning
+        bid is flagged, not spent.  The candidates come row after row, in
+        index order, each row's ``last`` closing it; a strict ``>`` scan
+        keeps the smallest index holding the largest score."""
+        b, xi, top, floor, cap, acc = self.b, self.xi, self.top, self.floor, self.cap, self.acc
+        tau, best, winners = self.tau, -1.0, []
+        for i, x, closes in zip(agents, values, last):
+            if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
+                s = (floor[i] if m < floor[i] else (cap[i] if m > cap[i] else m)) * x
             else:
-                spend[w] += best
-            winners.append(w)
+                s = cap[i] * x if x > 0.0 else 0.0
+            if s > best:
+                best, w, won = s, i, x
+            if closes:
+                tau += 1
+                acc[w] += top * won
+                if best == INF:
+                    self.infinite_spend_round[w] = tau
+                else:
+                    self.spend[w] += best
+                winners.append(w)
+                best = -1.0
         self.tau = tau
         return winners
+
+    def _candidates(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The agents of every row of ``v`` that can hold the row's largest
+        score, row after row in index order: each one's index and value,
+        and whether it is its row's last.
+
+        ``_bids`` gives every agent's score at the state before ``v``
+        (``hi``, only ``tau`` advancing), and as if it had been credited
+        every earlier row of ``v``, from the sequential ``np.cumsum`` of
+        those credits (``lo``).  IEEE rounding is monotonic and a score is
+        nonincreasing in ``acc``, which lies between the two, so
+        ``lo <= score <= hi`` bit for bit and only agents with
+        ``hi >= max(lo)`` can reach the row's maximum; ties stay in."""
+        tau = np.arange(self.tau, self.tau + len(v), dtype=np.float64)[:, None]
+        steps = np.empty((len(v) + 1, self.n))
+        steps[0] = self.acc
+        np.multiply(self.top, v, out=steps[1:])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lo = self._bids(np.cumsum(steps, axis=0, out=steps)[:-1], tau, v).max(axis=1, keepdims=True)
+            rows, cols = np.nonzero(self._bids(np.array([self.acc]), tau, v) >= lo)
+        return cols, v[rows, cols], np.append(rows[1:] != rows[:-1], True)
 
     def _bids(self, acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The scores ``_rounds`` computes on the rows ``v``, given the
@@ -285,10 +333,10 @@ class _PaceKernel:
 
 
 class _ConstrainedKernel(_PaceKernel):
-    """Each multiplier is ``B/ubar`` projected to the agent's interval, a
-    zero average (no win yet, or underflow) projecting to the upper end;
-    round one bids at unit multipliers.  Nothing but the utilities is
-    stored: the loop projects each multiplier as it bids."""
+    """Each multiplier is ``B/ubar`` projected to the agent's interval
+    ``[floor, cap]``, a zero average (no win yet, or underflow) projecting
+    to ``cap``; round one bids at unit multipliers.  Nothing but the
+    utilities is stored: the loop projects each multiplier as it bids."""
 
     beta0 = 1.0
 
@@ -296,36 +344,11 @@ class _ConstrainedKernel(_PaceKernel):
         super().__init__(variant, weights)
         if len(variant.lower) != self.n:
             raise InstanceError("projection intervals length does not match agent count")
-        self.lower, self.upper = np.array(variant.lower), np.array(variant.upper)
-
-    def _rounds(self, block):
-        b, lower, upper = self.b, self.variant.lower, self.variant.upper
-        acc, spend, flagged = self.acc, self.spend, self.infinite_spend_round
-        tau = self.tau
-        winners = []
-        for row in block.tolist():
-            best, w = -1.0, 0
-            for i, v in enumerate(row):
-                if (a := acc[i] / tau) > 0.0:
-                    m = b[i] / a
-                    s = (lower[i] if m < lower[i] else (upper[i] if m > upper[i] else m)) * v
-                else:
-                    s = upper[i] * v
-                if s > best:
-                    best, w = s, i
-            tau += 1
-            acc[w] += row[w]
-            if best == INF:
-                flagged[w] = tau
-            else:
-                spend[w] += best
-            winners.append(w)
-        self.tau = tau
-        return winners
+        self.floor, self.cap = list(variant.lower), list(variant.upper)
 
     def _multipliers(self, acc, tau):
-        a = acc / tau
-        return np.where(a > 0.0, np.clip(self.b_vec / a, self.lower, self.upper), self.upper)
+        # a zero average's ``B/0 = inf`` projects to ``cap``
+        return np.clip(super()._multipliers(acc, tau), self.floor, self.cap)
 
 
 class _SeededKernel(_PaceKernel):

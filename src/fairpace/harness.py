@@ -124,10 +124,10 @@ def model_from_dict(d: dict) -> InputModelSpec:
 def _generated(model: dict, d: dict, what: str) -> InputModelSpec:
     """The generator spec of the model mapping ``model`` over the horizon
     ``d['t']`` with the seed ``d['seed']`` (zero when absent or null); the
-    horizon and the seed are read before the model, and a bad one is
-    refused as a field of ``what``."""
+    horizon and the seed are read before the model, and a missing or bad
+    one is refused as a field of ``what``."""
     if d.get("t") is None:
-        raise InstanceError("model spec needs a horizon t")
+        raise InstanceError(f"{what} needs a horizon t")
     t = _number(d, "t", None, integral, what)
     seed = _number(d, "seed", 0, integral, what) if d.get("seed") is not None else 0
     return InputModelSpec(model=spec_from_dict(MODELS, model, "model"), t=t, seed=seed)
@@ -207,7 +207,7 @@ class ExperimentConfig:
         elif not isinstance(model, dict):
             raise InstanceError("config 'instance.model' must be a mapping")
         else:
-            spec = _generated(model, inst, "config")
+            spec = _generated(model, inst, "config 'instance'")
         return cls(
             weights=weights,
             variants=tuple(variants),

@@ -642,6 +642,57 @@ def test_seeded_and_constrained_match_the_reference_trace(matrix, weights, seed,
         assert trace.final_utilities.tolist() == ref_u.tolist(), variant.label
 
 
+def _loop_instance(n, t, levels, zeros, dup, late, window, seed, weights):
+    """``t`` rows for ``n`` agents that keep a run in the pruned loop: values
+    that never repeat, or ``{0, .5, 1}`` levels with ties; a share of zeros;
+    agent 1 a copy of agent 0 at equal weight; and the last agent's first
+    positive value ``late`` rows after the first window."""
+    rng = np.random.default_rng(seed)
+    m = rng.choice([0.0, 0.5, 1.0], (t, n)) if levels else rng.random((t, n))
+    m[rng.random((t, n)) < zeros] = 0.0
+    m[0, m.max(axis=0) == 0] = 1.0  # every agent values some item
+    w = list(weights[:n])
+    if dup:
+        m[:, 1], w[1] = m[:, 0], w[0]
+    if late is not None and window + late < t:
+        m[: window + late, -1] = 0.0
+        m[window + late, -1] = 0.75
+    return ValueSequence(m), AgentWeights(w)
+
+
+# constrained agents that have not won yet bid their upper bound in the loop
+# from round two on; bidding the lower bound changes the winners here
+@example(n=5, t=5, levels=False, zeros=0.0, dup=False, late=None, window=2, seed=0, weights=[0.5] * 10, slack=0.01)
+@example(n=10, t=200, levels=True, zeros=0.3, dup=True, late=10, window=16, seed=1, weights=[1.0] * 10, slack=0.01)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    t=st.integers(2, 200),
+    levels=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.3, 0.6]),
+    dup=st.booleans(),
+    late=st.one_of(st.none(), st.integers(0, 40)),
+    window=st.sampled_from([1, 2, 5, 16, dynamics._WINDOW]),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=10, max_size=10),
+    slack=st.sampled_from([0.01, 0.5]),
+)
+def test_pruned_loop_matches_the_reference_trace(n, t, levels, zeros, dup, late, window, seed, weights, slack):
+    # a row of the loop scores only the agents whose score bounds over its
+    # window reach the row's best lower bound; the reference scores them all.
+    # Slack 0.01 makes both ends of the projection bind, and the late agent
+    # bids from the unserved state (``cap`` times its value) in the loop
+    vs, w = _loop_instance(n, t, levels, zeros, dup, late, window, seed, weights)
+    c = Constrained.from_slack(w, slack)
+    cases = ((Unconstrained(), {}), (Seeded(0.5), {"seed": 0.5}), (c, {"interval": (c.lower, c.upper)}))
+    for variant, kw in cases:
+        with mock.patch.object(dynamics, "_WINDOW", window):
+            trace = run(vs, w, variant, [1, vs.t])
+        ref_winners, ref_u = _pace_oracle(vs.matrix, w.array, **kw)
+        assert trace.winners.tolist() == ref_winners, variant.label
+        assert trace.final_utilities.tolist() == ref_u.tolist(), variant.label
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrix=_MATRICES, weights=_WEIGHTS)
 def test_greedy_matches_the_reference_winners(matrix, weights):

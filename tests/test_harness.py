@@ -562,6 +562,7 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {csv: inst.csv, t: 100, seed: 3}\nweights: {equal: 2}\nvariants: [pace]\n", "'instance.t' only applies to generated instances"),
         ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], t: 50}, t: 100}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 't'"),
         ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], seed: 3}, t: 100, seed: 9}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 'seed'"),
+        ("instance: {model: {type: iid, support: [[1, 0.5]]}}\nweights: {equal: 2}\nvariants: [pace]\n", "error: config 'instance' needs a horizon t"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -574,7 +575,7 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
          "weights-entry-mapping", "weights-entry-bool", "weights-entry-text", "weights-scalar", "tolerance-bool",
          "seeded-utility-bool", "constrained-slack-bool", "constrained-bounds-bool", "setaside-monopoly-bool",
          "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level", "csv-with-t-and-seed",
-         "model-with-t", "model-with-seed"],
+         "model-with-t", "model-with-seed", "model-without-t"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -717,12 +718,13 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: periodic\npools: [[1, 0]]\nt: 3\n"}, "error: periodic model: pools must be nonempty and share the agent count"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 2.5\n"}, "error: model spec 't' must be a number with an integer value, not 2.5"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nseed: [1]\n"}, "error: model spec 'seed' must be a number with an integer value, not [1]"),
+        (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\n"}, "error: model spec needs a horizon t"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
          "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "solve-tol-inf",
          "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "eval-nan", "gen-periodic-vector-pool",
-         "gen-spec-fractional-t", "gen-spec-seed-list"],
+         "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
