@@ -73,6 +73,8 @@ _Q_MAX = 1e12
 _MAX_HALVINGS = 40
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+# sorted rows compared per block when merging identical items
+_MERGE_BLOCK = 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -158,14 +160,23 @@ def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
 def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge identical items; returns (unique rows, counts, inverse map).
 
-    Row-wise ``np.unique`` results, order included, from a stable lexsort.
+    Row-wise ``np.unique`` results, order included, from a stable lexsort:
+    each unique row is its group's first arrival.  Neighbouring sorted
+    rows are compared ``_MERGE_BLOCK`` at a time, so no sorted copy of
+    the matrix is made.
     """
     order = np.lexsort(matrix.T[::-1])
-    s = matrix[order]
-    first = np.concatenate(([True], np.any(s[1:] != s[:-1], axis=1)))
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    for a in range(1, order.size, _MERGE_BLOCK):
+        s = matrix[order[a - 1 : a + _MERGE_BLOCK]]
+        np.any(s[1:] != s[:-1], axis=1, out=first[a : a + _MERGE_BLOCK])
+    uniq = matrix[order[first]]
+    group = np.cumsum(first, dtype=order.dtype)
+    group -= 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    return s[first], np.bincount(inverse).astype(np.float64), inverse
+    inverse[order] = group
+    return uniq, np.bincount(inverse).astype(np.float64), inverse
 
 
 def check_tolerance(tol: float) -> float:

@@ -333,6 +333,51 @@ def _nan_mean(vals: Sequence[float]) -> float:
 _TRAJECTORY_HEADER = ["tau", "variant", "agent", "value"]
 
 
+def _run_repetition(
+    config: ExperimentConfig,
+    rep: int,
+    cps: Optional[Tuple[int, ...]],
+    reps_dir: str,
+    traj: Dict[str, List[list]],
+    finals: Dict[str, List[dict]],
+    solver: List[dict],
+    rep_names: List[str],
+) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+    """Run repetition ``rep`` and append its results to ``traj``, ``finals``,
+    ``solver`` and ``rep_names``; returns its agent names and the checkpoints,
+    read off this instance when ``cps`` is None.  Its instance, prefixes and
+    traces are released on return, before the next instance is built."""
+    values = _load_instance(config, rep)
+    if cps is None:
+        cps = parse_checkpoints(config.checkpoints, values.t)
+    if values.n != config.weights.n:
+        raise InstanceError(
+            f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
+        )
+    if config.save_instances:
+        rep_names.append(f"instance_{rep:03d}.csv")
+        save_csv(os.path.join(reps_dir, rep_names[-1]), values)
+    try:
+        prefixes = hindsight_prefix(values, config.weights, cps, config.tolerance)
+    except Exception as exc:
+        raise RuntimeError(f"repetition {rep}: hindsight benchmark failed: {exc}") from exc
+    solver.append({"iterations": [p.iterations for p in prefixes], "gap": [p.gap for p in prefixes]})
+    hindsight_final = prefixes[-1].avg_utilities * values.t
+    for variant in config.variants:
+        label = variant.label
+        try:
+            trace = run(values, config.weights, variant, cps)
+            points = relative_regret_trajectory(trace, prefixes)
+            report = build_report(trace, values, config.weights, hindsight_final)
+        except Exception as exc:
+            raise RuntimeError(f"repetition {rep}, variant {label}: {exc}") from exc
+        traj[label].append(points)
+        finals[label].append(report.to_json_dict())
+        rep_names.append(f"rep{rep:03d}_{_safe_name(label)}.csv")
+        trace.to_csv(os.path.join(reps_dir, rep_names[-1]))
+    return values.agents, cps
+
+
 def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
     """Write every report file into ``out_dir``; the names of the files
     written under ``reps/``, in order."""
@@ -348,35 +393,9 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
     os.mkdir(reps_dir)
 
     for rep in range(config.repetitions):
-        values = _load_instance(config, rep)
+        names, cps = _run_repetition(config, rep, cps, reps_dir, traj, finals, solver, rep_names)
         if agent_names is None:
-            agent_names = values.agents
-            cps = parse_checkpoints(config.checkpoints, values.t)
-        if values.n != config.weights.n:
-            raise InstanceError(
-                f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
-            )
-        if config.save_instances:
-            rep_names.append(f"instance_{rep:03d}.csv")
-            save_csv(os.path.join(reps_dir, rep_names[-1]), values)
-        try:
-            prefixes = hindsight_prefix(values, config.weights, cps, config.tolerance)
-        except Exception as exc:
-            raise RuntimeError(f"repetition {rep}: hindsight benchmark failed: {exc}") from exc
-        solver.append({"iterations": [p.iterations for p in prefixes], "gap": [p.gap for p in prefixes]})
-        full = prefixes[-1]
-        hindsight_final = full.avg_utilities * values.t
-        for variant, label in zip(config.variants, labels):
-            try:
-                trace = run(values, config.weights, variant, cps)
-                points = relative_regret_trajectory(trace, prefixes)
-                report = build_report(trace, values, config.weights, hindsight_final)
-            except Exception as exc:
-                raise RuntimeError(f"repetition {rep}, variant {label}: {exc}") from exc
-            traj[label].append(points)
-            finals[label].append(report.to_json_dict())
-            rep_names.append(f"rep{rep:03d}_{_safe_name(label)}.csv")
-            trace.to_csv(os.path.join(reps_dir, rep_names[-1]))
+            agent_names = names
 
     # aggregate trajectories over repetitions
     reps = config.repetitions

@@ -107,7 +107,8 @@ class FiniteDistribution(Spec):
     def sample(self, uniforms: np.ndarray) -> np.ndarray:
         """The support vectors that inverse-CDF sampling picks for ``uniforms``."""
         idx = np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
-        return self.support[np.minimum(idx, self.probs.size - 1)]
+        np.minimum(idx, self.probs.size - 1, out=idx)
+        return self.support[idx]
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 
+# data rows that load_csv holds as Python floats before making them an array
+_CSV_BLOCK = 1024
+
+
 class InstanceError(ValueError):
     """Raised for malformed instance files or ill-formed instance data."""
 
@@ -148,6 +152,11 @@ class ValueSequence:
     carries the column names from the CSV header, if any.  The first
     non-finite, then the first negative entry (row-major) is refused at
     construction, naming its item and agent; all-zero columns are kept.
+
+    A C-contiguous float64 array is kept as is, without a copy, and is
+    marked read-only: ``ValueSequence(m).matrix is m`` and
+    ``m.flags.writeable`` becomes False.  Any other input is copied into
+    one such array.  So an instance costs one matrix, not two.
     """
 
     matrix: np.ndarray
@@ -224,7 +233,9 @@ def load_csv(path) -> ValueSequence:
     """Parse an instance CSV: header row of agent names, one item per row.
 
     Raises :class:`InstanceError` naming the offending line for ragged
-    rows, malformed numbers, or an empty data section.
+    rows, malformed numbers, or an empty data section.  At most
+    ``_CSV_BLOCK`` rows are held as Python floats at a time: each block
+    becomes a float64 array, and the arrays are joined once.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -235,6 +246,7 @@ def load_csv(path) -> ValueSequence:
         names = tuple(name.strip() for name in header)
         if not names or any(not s for s in names):
             raise InstanceError("line 1: empty agent name in header")
+        blocks: List[np.ndarray] = []
         rows: List[List[float]] = []
         for lineno, rec in enumerate(reader, start=2):
             if not rec or (len(rec) == 1 and not rec[0].strip()):
@@ -247,9 +259,14 @@ def load_csv(path) -> ValueSequence:
                 rows.append([float(s) for s in rec])
             except ValueError:
                 raise InstanceError(f"line {lineno}: malformed number") from None
-        if not rows:
+            if len(rows) == _CSV_BLOCK:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows = []
+        if rows:
+            blocks.append(np.array(rows, dtype=np.float64))
+        if not blocks:
             raise InstanceError("no items")
-    return ValueSequence(np.array(rows, dtype=np.float64), names)
+    return ValueSequence(np.concatenate(blocks), names)
 
 
 def save_csv(path, values: ValueSequence) -> None:

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import greedy_reference_winners, pace_reference_trace
+from tracing import traced_peak
 
 from fairpace import dynamics
 from fairpace.dynamics import (
@@ -453,13 +453,7 @@ def test_run_memory_stays_on_the_order_of_the_matrix():
         (stationary, _all_variants(stationary, w)[:4]),
     ):
         for variant in variants:
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                run(vs, w, variant, checkpoints=[1, 2, 4, vs.t])
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(run, vs, w, variant, checkpoints=[1, 2, 4, vs.t])
             assert peak < 2 * vs.matrix.nbytes, (variant.name, peak / vs.matrix.nbytes)
 
 

@@ -1,6 +1,7 @@
 """Property tests for the solver, duplicate merging and the prefix benchmarks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import eg_threshold_oracle, nnls_enum
 
+from fairpace import eg
 from fairpace.eg import (
     _compress,
     _nnls,
@@ -34,18 +36,38 @@ def _tie_heavy(max_t=40, max_n=4, elements=LEVELS):
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
 
 
+@st.composite
+def _signed_zero_twins(draw):
+    """A tie-heavy matrix with some rows repeated at drawn places, each
+    repeat with the sign of its every zero flipped, so ``-0.0`` and
+    ``0.0`` rows merge."""
+    matrix = draw(_tie_heavy())
+    t = matrix.shape[0]
+    picks = draw(st.lists(st.tuples(st.integers(0, t - 1), st.integers(0, t)), max_size=6))
+    for src, at in picks:
+        row = matrix[src]
+        twin = np.where(row == 0, -row, row)  # -(0.0) is -0.0 and -(-0.0) is 0.0
+        matrix = np.insert(matrix, at, twin, axis=0)
+    return matrix
+
+
 @settings(max_examples=60, deadline=None)
-@given(_tie_heavy())
-def test_compress_matches_np_unique(matrix):
-    uniq, counts, inverse = _compress(matrix)
+@given(_signed_zero_twins(), st.sampled_from([1, 2, 3, eg._MERGE_BLOCK]))
+def test_compress_matches_np_unique(matrix, block):
+    # blocks of 1, 2 and 3 rows put group starts on every block edge
+    with mock.patch.object(eg, "_MERGE_BLOCK", block):
+        uniq, counts, inverse = _compress(matrix)
     ref_uniq, ref_inverse, ref_counts = np.unique(
         matrix, axis=0, return_inverse=True, return_counts=True
     )
-    # the two may keep different signs of a merged zero; array_equal ignores the sign
+    # np.unique may keep either sign of a merged zero; array_equal ignores the sign
     assert np.array_equal(uniq, ref_uniq)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(inverse, ref_inverse.reshape(-1))
     assert counts.dtype == np.float64
+    # each kept row is bit for bit its group's first arrival, signed zeros included
+    _, first_arrival = np.unique(inverse, return_index=True)
+    assert np.array_equal(uniq.view(np.uint64), matrix[first_arrival].view(np.uint64))
 
 
 def _cold_prefix(values, weights, tau, tol):

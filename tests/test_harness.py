@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
+
+from tracing import traced_peak
 
 from fairpace.harness import (
     ExperimentConfig,
@@ -18,7 +21,8 @@ from fairpace.harness import (
     run_experiment,
 )
 from fairpace.dynamics import Seeded, Unconstrained
-from fairpace.model import AgentWeights, InstanceError, load_csv
+from fairpace.inputs import IID, FiniteDistribution, InputModelSpec, gen
+from fairpace.model import AgentWeights, InstanceError, load_csv, save_csv
 
 CLI = [sys.executable, "-m", "fairpace.cli"]
 
@@ -169,6 +173,31 @@ output_dir: %s
         (r1.svg_files[0], r2.svg_files[0]),
     ]:
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["model", "csv"])
+def test_a_repetition_releases_its_instance_before_the_next_is_built(tmp_path, source):
+    # iid rows over eight points at ten agents, generated per repetition or
+    # read from a CSV: the next instance is built after the last one is freed,
+    # so a second repetition adds no matrix to the peak
+    support = np.random.default_rng(6).integers(1, 10, size=(8, 10)) / 10
+    spec = InputModelSpec(IID(FiniteDistribution.uniform(support)), 10_000, 1)
+    model = "{model: {type: iid, support: %s}, t: %%d, seed: 1}" % support.tolist()
+    if source == "csv":
+        save_csv(tmp_path / "inst.csv", gen(spec))
+        instance = "{csv: inst.csv}"
+    else:
+        instance = model % spec.t
+    body = "instance: %s\nweights: {equal: 10}\nvariants: [proportional]\nrepetitions: %d\noutput_dir: %s\n"
+
+    def peak(instance, reps, out):
+        path = _write_config(tmp_path / f"{out}.yaml", body % (instance, reps, out))
+        return traced_peak(run_experiment, ExperimentConfig.from_yaml(path))
+
+    peak(model % 100, 1, "warm")  # first-use allocations stay out of the comparison
+    one, two = peak(instance, 1, "one"), peak(instance, 2, "two")
+    matrix_bytes = spec.t * 10 * 8
+    assert two - one <= 0.25 * matrix_bytes, (one / matrix_bytes, two / matrix_bytes)
 
 
 def test_failure_removes_partial_outputs(tmp_path):
