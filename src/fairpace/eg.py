@@ -33,6 +33,12 @@ Items with identical value vectors are merged internally (supplies add
 up); the expanded allocation splits each duplicate identically, which
 preserves utilities, prices, and the gap exactly.  The prefix benchmarks
 merge once per sequence and read each prefix's supplies off the merge.
+
+The value layer is ``model``, the only package module this one imports:
+instances and underlying supports are checked there (``ValueSequence``,
+``FiniteDistribution``), and identical rows are merged there
+(``_compress``), so the benchmark does not depend on the generators or
+the online dynamics.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .inputs import FiniteDistribution
-from .model import AgentWeights, InstanceError, ValueSequence, _normalize_checkpoints
+from .model import (AgentWeights, FiniteDistribution, InstanceError, ValueSequence, _compress,
+                    _normalize_checkpoints)
 
 __all__ = [
     "MarketEquilibrium",
@@ -73,8 +79,6 @@ _Q_MAX = 1e12
 _MAX_HALVINGS = 40
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-# sorted rows compared per block when merging identical items
-_MERGE_BLOCK = 1024
 
 
 class ConvergenceError(RuntimeError):
@@ -155,28 +159,6 @@ def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise InstanceError("beta entries must be positive and finite")
     return _dual_value(arr, values.matrix, weights)
-
-
-def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge identical items; returns (unique rows, counts, inverse map).
-
-    Row-wise ``np.unique`` results, order included, from a stable lexsort:
-    each unique row is its group's first arrival.  Neighbouring sorted
-    rows are compared ``_MERGE_BLOCK`` at a time, so no sorted copy of
-    the matrix is made.
-    """
-    order = np.lexsort(matrix.T[::-1])
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    for a in range(1, order.size, _MERGE_BLOCK):
-        s = matrix[order[a - 1 : a + _MERGE_BLOCK]]
-        np.any(s[1:] != s[:-1], axis=1, out=first[a : a + _MERGE_BLOCK])
-    uniq = matrix[order[first]]
-    group = np.cumsum(first, dtype=order.dtype)
-    group -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = group
-    return uniq, np.bincount(inverse).astype(np.float64), inverse
 
 
 def check_tolerance(tol: float) -> float:

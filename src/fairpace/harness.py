@@ -333,20 +333,28 @@ def _nan_mean(vals: Sequence[float]) -> float:
 _TRAJECTORY_HEADER = ["tau", "variant", "agent", "value"]
 
 
+@dataclass(frozen=True)
+class _Repetition:
+    """What one repetition leaves for the aggregate report: its agent names,
+    the checkpoints, the hindsight solver's facts, and per variant label
+    the trajectory points and the report dict; ``files`` are the names it
+    wrote under ``reps/``, in order."""
+
+    agents: Tuple[str, ...]
+    checkpoints: Tuple[int, ...]
+    solver: dict
+    points: Dict[str, list]
+    reports: Dict[str, dict]
+    files: Tuple[str, ...]
+
+
 def _run_repetition(
-    config: ExperimentConfig,
-    rep: int,
-    cps: Optional[Tuple[int, ...]],
-    reps_dir: str,
-    traj: Dict[str, List[list]],
-    finals: Dict[str, List[dict]],
-    solver: List[dict],
-    rep_names: List[str],
-) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
-    """Run repetition ``rep`` and append its results to ``traj``, ``finals``,
-    ``solver`` and ``rep_names``; returns its agent names and the checkpoints,
-    read off this instance when ``cps`` is None.  Its instance, prefixes and
-    traces are released on return, before the next instance is built."""
+    config: ExperimentConfig, rep: int, cps: Optional[Tuple[int, ...]], reps_dir: str
+) -> _Repetition:
+    """Run repetition ``rep`` and write its files into ``reps_dir``; the
+    checkpoints are read off this instance when ``cps`` is None.  Its
+    instance, prefixes and traces are released on return, before the next
+    instance is built."""
     values = _load_instance(config, rep)
     if cps is None:
         cps = parse_checkpoints(config.checkpoints, values.t)
@@ -354,56 +362,49 @@ def _run_repetition(
         raise InstanceError(
             f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
         )
+    files: List[str] = []
     if config.save_instances:
-        rep_names.append(f"instance_{rep:03d}.csv")
-        save_csv(os.path.join(reps_dir, rep_names[-1]), values)
+        files.append(f"instance_{rep:03d}.csv")
+        save_csv(os.path.join(reps_dir, files[-1]), values)
     try:
         prefixes = hindsight_prefix(values, config.weights, cps, config.tolerance)
     except Exception as exc:
         raise RuntimeError(f"repetition {rep}: hindsight benchmark failed: {exc}") from exc
-    solver.append({"iterations": [p.iterations for p in prefixes], "gap": [p.gap for p in prefixes]})
     hindsight_final = prefixes[-1].avg_utilities * values.t
+    points: Dict[str, list] = {}
+    reports: Dict[str, dict] = {}
     for variant in config.variants:
         label = variant.label
         try:
             trace = run(values, config.weights, variant, cps)
-            points = relative_regret_trajectory(trace, prefixes)
-            report = build_report(trace, values, config.weights, hindsight_final)
+            points[label] = relative_regret_trajectory(trace, prefixes)
+            reports[label] = build_report(trace, values, config.weights, hindsight_final).to_json_dict()
         except Exception as exc:
             raise RuntimeError(f"repetition {rep}, variant {label}: {exc}") from exc
-        traj[label].append(points)
-        finals[label].append(report.to_json_dict())
-        rep_names.append(f"rep{rep:03d}_{_safe_name(label)}.csv")
-        trace.to_csv(os.path.join(reps_dir, rep_names[-1]))
-    return values.agents, cps
+        files.append(f"rep{rep:03d}_{_safe_name(label)}.csv")
+        trace.to_csv(os.path.join(reps_dir, files[-1]))
+    solver = {"iterations": [p.iterations for p in prefixes], "gap": [p.gap for p in prefixes]}
+    return _Repetition(values.agents, cps, solver, points, reports, tuple(files))
 
 
 def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
     """Write every report file into ``out_dir``; the names of the files
     written under ``reps/``, in order."""
     labels = [v.label for v in config.variants]
-    agent_names: Optional[Tuple[str, ...]] = None
-    cps: Optional[Tuple[int, ...]] = None
-    # traj[variant][rep] -> list of TrajectoryPoint
-    traj: Dict[str, List[list]] = {lab: [] for lab in labels}
-    finals: Dict[str, List[dict]] = {lab: [] for lab in labels}
-    rep_names: List[str] = []
-    solver: List[dict] = []
     reps_dir = os.path.join(out_dir, "reps")
     os.mkdir(reps_dir)
-
+    records: List[_Repetition] = []
+    cps: Optional[Tuple[int, ...]] = None
     for rep in range(config.repetitions):
-        names, cps = _run_repetition(config, rep, cps, reps_dir, traj, finals, solver, rep_names)
-        if agent_names is None:
-            agent_names = names
+        records.append(_run_repetition(config, rep, cps, reps_dir))
+        cps = records[-1].checkpoints
+    agent_names = records[0].agents
 
     # aggregate trajectories over repetitions
-    reps = config.repetitions
     rows: List[Tuple[int, str, str, float]] = []
     for label in labels:
-        per_rep = traj[label]
         for k, tau in enumerate(cps):
-            points = [per_rep[r][k] for r in range(reps)]
+            points = [rec.points[label][k] for rec in records]
             for i, name in enumerate(agent_names):
                 rows.append((tau, label, name, float(_nan_mean([p.per_agent[i] for p in points]))))
             rows.append((tau, label, "max", float(_nan_mean([p.max_value for p in points]))))
@@ -415,15 +416,15 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
 
     # summary
     summary = {
-        "repetitions": reps,
+        "repetitions": config.repetitions,
         "checkpoints": list(cps),
         "agents": list(agent_names),
         "weights": [float(x) for x in config.weights.array],
         "variants": {},
-        "hindsight_solver": solver,
+        "hindsight_solver": [rec.solver for rec in records],
     }
     for label in labels:
-        per_rep = finals[label]
+        per_rep = [rec.reports[label] for rec in records]
         keys = ["competitive_ratio", "utility_ratio", "nash_welfare_alg", "nash_welfare_hindsight"]
         means = {}
         for key in keys:
@@ -438,7 +439,7 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
         fh.write("\n")
 
     _write_regret_chart(os.path.join(out_dir, "relative_regret.svg"), rows)
-    return rep_names
+    return [name for rec in records for name in rec.files]
 
 
 def _write_regret_chart(path: str, rows: Sequence[Tuple[int, str, str, float]]) -> None:

@@ -30,6 +30,12 @@ per-round uniforms, and the two nonstationary models, ``Block`` and
 ``Corrupted``, list their ``segments`` (rounds and distribution) for the
 declared budget.  ``MODELS`` maps each config ``type`` to its class.
 
+The value vectors themselves belong to ``model``: ``FiniteDistribution``
+is defined there (and importable from here), every support, pool and
+chain state goes through ``model.value_matrix``, the check an instance
+gets, and the declared budget merges repeated support points with the
+solver's row merge ``model._compress``.
+
 Adversarial constructions
 -------------------------
 ``adv_envy_worstcase``      a two-agent phased instance driving the
@@ -52,63 +58,8 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .dynamics import _CHUNK, Variant
-from .model import AgentWeights, InstanceError, Spec, ValueSequence, integral, real
-
-
-# --------------------------------------------------------------------------
-# finite distributions over value vectors
-
-
-@dataclass(frozen=True)
-class FiniteDistribution(Spec):
-    """Probability distribution over finitely many value vectors; uniform
-    over the support when ``probs`` is None."""
-
-    support: np.ndarray  # (m, n) nonnegative
-    probs: Optional[np.ndarray] = None  # (m,) summing to one
-
-    def __post_init__(self):
-        sup = np.asarray(self.support, dtype=np.float64)
-        if sup.ndim != 2 or sup.shape[0] < 1:
-            raise InstanceError("support must be a nonempty matrix of value vectors")
-        if self.probs is None:
-            pr = np.full(sup.shape[0], 1.0 / sup.shape[0])
-        else:
-            pr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if sup.shape[0] != pr.size:
-            raise InstanceError("support and probs shapes do not match")
-        if not np.all(np.isfinite(sup)) or np.any(sup < 0):
-            raise InstanceError("support vectors must be nonnegative and finite")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
-            raise InstanceError("probs must be nonnegative and sum to one")
-        if np.any(pr @ sup <= 0):
-            i = int(np.argmax(pr @ sup <= 0))
-            raise InstanceError(f"agent {i + 1} has zero expected value")
-        sup = np.ascontiguousarray(sup)
-        sup.setflags(write=False)
-        pr = np.ascontiguousarray(pr)
-        pr.setflags(write=False)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "probs", pr)
-
-    @classmethod
-    def uniform(cls, support) -> "FiniteDistribution":
-        return cls(support)
-
-    @classmethod
-    def of(cls, d) -> "FiniteDistribution":
-        """``d`` itself if it is a distribution, else read from its mapping."""
-        return d if isinstance(d, cls) else cls.from_dict(d)
-
-    @property
-    def n(self) -> int:
-        return int(self.support.shape[1])
-
-    def sample(self, uniforms: np.ndarray) -> np.ndarray:
-        """The support vectors that inverse-CDF sampling picks for ``uniforms``."""
-        idx = np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
-        np.minimum(idx, self.probs.size - 1, out=idx)
-        return self.support[idx]
+from .model import (AgentWeights, FiniteDistribution, InstanceError, Spec, ValueSequence, _compress, _frozen_array,
+                    integral, real, value_matrix)
 
 
 # --------------------------------------------------------------------------
@@ -147,16 +98,13 @@ class Periodic(Spec):
     name: ClassVar[str] = "periodic"
 
     def __post_init__(self):
-        pools = tuple(np.ascontiguousarray(p, dtype=np.float64) for p in self.pools)
+        pools = tuple(np.asarray(p, dtype=np.float64) for p in self.pools)
         if not pools:
             raise InstanceError("need at least one pool")
         for p in pools:  # the first pool's rank is checked before its width is read
             if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != pools[0].shape[1]:
                 raise InstanceError("pools must be nonempty and share the agent count")
-            if not np.all(np.isfinite(p)) or np.any(p < 0):
-                raise InstanceError("pool vectors must be nonnegative and finite")
-            p.setflags(write=False)
-        object.__setattr__(self, "pools", pools)
+        object.__setattr__(self, "pools", tuple(value_matrix(p) for p in pools))
 
     @property
     def period(self) -> int:
@@ -226,21 +174,18 @@ class Ergodic(Spec):
     name: ClassVar[str] = "ergodic"
 
     def __post_init__(self):
-        st = np.ascontiguousarray(self.states, dtype=np.float64)
-        tr = np.ascontiguousarray(self.transitions, dtype=np.float64)
+        st = np.asarray(self.states, dtype=np.float64)
+        tr = np.asarray(self.transitions, dtype=np.float64)
         if st.ndim != 2 or tr.shape != (st.shape[0], st.shape[0]):
             raise InstanceError("states and transition matrix shapes do not match")
-        if not np.all(np.isfinite(st)) or np.any(st < 0):
-            raise InstanceError("state vectors must be nonnegative and finite")
+        st = value_matrix(st)
         if np.any(tr < 0) or np.any(np.abs(tr.sum(axis=1) - 1.0) > 1e-12):
             raise InstanceError("transition rows must be distributions")
         start = integral(self.start)
         if not (0 <= start < st.shape[0]):
             raise InstanceError("start state out of range")
-        st.setflags(write=False)
-        tr.setflags(write=False)
         object.__setattr__(self, "states", st)
-        object.__setattr__(self, "transitions", tr)
+        object.__setattr__(self, "transitions", _frozen_array(tr))
         object.__setattr__(self, "start", start)
 
     def rows(self, u: np.ndarray) -> np.ndarray:
@@ -352,19 +297,6 @@ def gen(spec: InputModelSpec, repetition: int = 0) -> ValueSequence:
 # declared nonstationarity
 
 
-def _tv(p: Dict[tuple, float], q: Dict[tuple, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def _as_pmf(dist: FiniteDistribution) -> Dict[tuple, float]:
-    pmf: Dict[tuple, float] = {}
-    for vec, pr in zip(dist.support, dist.probs):
-        key = tuple(float(x) for x in vec)
-        pmf[key] = pmf.get(key, 0.0) + float(pr)
-    return pmf
-
-
 def empirical_tv_delta(spec: InputModelSpec) -> float:
     """Exact average TV distance of per-round/per-block distributions
     from their mixture, computed from the declared spec (not samples).
@@ -375,13 +307,17 @@ def empirical_tv_delta(spec: InputModelSpec) -> float:
     if not hasattr(spec.model, "segments"):
         raise InstanceError("nonstationarity budget is defined for block and corrupted models")
     t = spec.t
-    parts = [(rounds, _as_pmf(d)) for rounds, d in spec.model.segments(t)]
-    mixture: Dict[tuple, float] = {}
-    for rounds, pmf in parts:
-        wgt = rounds / t
-        for k, v in pmf.items():
-            mixture[k] = mixture.get(k, 0.0) + wgt * v
-    return sum(rounds * _tv(pmf, mixture) for rounds, pmf in parts) / t
+    segments = spec.model.segments(t)
+    merged, _, point = _compress(np.concatenate([d.support for _, d in segments]))
+    ends = np.cumsum([d.probs.size for _, d in segments])
+
+    def pmfs():
+        """Each segment's rounds and its pmf over the merged support points."""
+        for (rounds, d), end in zip(segments, ends):
+            yield rounds, np.bincount(point[end - d.probs.size : end], weights=d.probs, minlength=len(merged))
+
+    mixture = sum(rounds / t * pmf for rounds, pmf in pmfs())
+    return float(sum(rounds * (0.5 * np.abs(pmf - mixture).sum()) for rounds, pmf in pmfs()) / t)
 
 
 def ergodic_deviation(model: Ergodic, iota: int, t: int) -> float:
@@ -437,31 +373,33 @@ def adv_envy_worstcase(extremity: float, growth: float, base_length: int) -> Env
     if base_length < 1:
         raise InstanceError("base_length must be positive")
     r = int(base_length)
-    if extremity == 1.0:
-        k = 0
-        a = growth
-    else:
-        if not (growth > 1):
-            raise InstanceError("growth must exceed 1")
-        k = max(1, round(math.log(1 / extremity) / math.log(growth)))
-        a = (1 / extremity) ** (1 / k)
-    blocks: List[np.ndarray] = [
-        np.tile([0.0, 1.0], (r, 1)),
-        np.tile([extremity, 1.0], (r, 1)),
-    ]
-    lengths = [r, r]
-    if k > 0:
-        len_b = math.ceil((1 - 1 / a) * r)
-        len_c = math.ceil((1 - 1 / a) * r / extremity)
-        levels = [extremity * a**j for j in range(1, k + 1)]
+    if extremity != 1.0 and not (growth > 1):
+        raise InstanceError("growth must exceed 1")
+    try:
+        k = 0 if extremity == 1.0 else max(1, round(math.log(1 / extremity) / math.log(growth)))
+        a = (1 / extremity) ** (1 / k) if k else growth
+        len_b = math.ceil((1 - 1 / a) * r) if k else 0
+        len_c = math.ceil((1 - 1 / a) * r / extremity) if k else 0
+    except OverflowError:  # 1 / extremity or a phase length is infinite
+        raise InstanceError(f"extremity {extremity!r} needs more items than a float can count") from None
+    total = 2 * r + k * (len_b + len_c)
+    try:
+        matrix = np.empty((total, 2))
+    except (ValueError, MemoryError):
+        raise InstanceError(f"cannot allocate the instance's {total} items") from None
+    # phase one (agent 1 values nothing), phase two (agent 1 at extremity),
+    # then k climbing levels at length len_b and k at length len_c
+    matrix[:r] = (0.0, 1.0)
+    matrix[r : 2 * r] = (extremity, 1.0)
+    levels = [extremity * a**j for j in range(1, k + 1)]
+    if k:
         levels[-1] = 1.0  # exact top keeps the extremity of the instance exact
+    start = 2 * r
+    for length, v2 in ((len_b, 1.0), (len_c, extremity)):
         for v1 in levels:
-            blocks.append(np.tile([v1, 1.0], (len_b, 1)))
-            lengths.append(len_b)
-        for v1 in levels:
-            blocks.append(np.tile([v1, extremity], (len_c, 1)))
-            lengths.append(len_c)
-    matrix = np.concatenate(blocks, axis=0)
+            matrix[start : start + length] = (v1, v2)
+            start += length
+    lengths = [r, r] + [len_b] * k + [len_c] * k
     w2 = float(matrix[:, 1].sum())
     predicted = (w2 - r) / r
     return EnvyWorstCase(
@@ -549,8 +487,8 @@ def adv_constrained_failure(upper_bound_2: float, value_cap: float, t: int) -> V
     """Constant two-agent instance that starves agent 2 under projected
     pacing with upper bounds ``r_1 >= r_2 = upper_bound_2``: both agents
     value every item at ``min(1/r_2, value_cap)``."""
-    if not (upper_bound_2 > 0) or not (value_cap > 0):
-        raise InstanceError("bounds must be positive")
+    if not (0 < upper_bound_2 < math.inf) or not (value_cap > 0):
+        raise InstanceError("bounds must be positive and the upper bound finite")
     if t < 1:
         raise InstanceError("t must be positive")
     c = min(1.0 / upper_bound_2, value_cap)

@@ -5,6 +5,12 @@ order, one column per agent) together with a vector of positive agent
 weights.  Everything downstream — the allocation dynamics, the
 equilibrium benchmark, the metrics — consumes these two objects.
 
+This module is the one value layer and imports no other package module:
+what a valid value vector is (:func:`value_matrix`, which instances,
+distribution supports, periodic pools and chain states all go through)
+and when two vectors are the same point (the row merge ``_compress``)
+are decided here, and :class:`FiniteDistribution` lives here.
+
 All values are stored as float64.  Types are immutable after
 construction and safe to share across threads.
 """
@@ -20,8 +26,9 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 
-# data rows that load_csv holds as Python floats before making them an array
-_CSV_BLOCK = 1024
+# rows held at a time by load_csv (as Python floats) and by _compress (as
+# sorted neighbours), so neither makes a copy of the whole matrix
+_ROW_BLOCK = 1024
 
 
 class InstanceError(ValueError):
@@ -104,6 +111,53 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def value_matrix(a) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float64 matrix of item values.
+
+    Refused unless it is 2-D with at least one item (row) and one agent
+    (column); the first non-finite, then the first negative entry
+    (row-major) is refused naming its item and agent.  A C-contiguous
+    float64 array is kept as is, without a copy, and marked read-only;
+    any other input is copied into one such array.  Instances, supports,
+    pools and chain states all go through this one check.
+    """
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise InstanceError(f"value matrix must be 2-D, got {m.ndim}-D")
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise InstanceError("value matrix needs at least one item and one agent")
+    lo, hi = m.min(), m.max()  # NaN propagates to both; no temporary of the matrix size
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        tau, i = np.argwhere(~np.isfinite(m))[0]
+        raise InstanceError(f"non-finite value at item {tau + 1}, agent {i + 1}")
+    if lo < 0:
+        tau, i = np.argwhere(m < 0)[0]
+        raise InstanceError(f"negative value at item {tau + 1}, agent {i + 1}")
+    return _frozen_array(m)
+
+
+def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge identical rows; returns (unique rows, counts, inverse map).
+
+    Row-wise ``np.unique`` results, order included, from a stable lexsort:
+    each unique row is its group's first arrival, and ``-0.0`` merges
+    with ``0.0``.  Neighbouring sorted rows are compared ``_ROW_BLOCK`` at
+    a time, so no sorted copy of the matrix is made.
+    """
+    order = np.lexsort(matrix.T[::-1])
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    for a in range(1, order.size, _ROW_BLOCK):
+        s = matrix[order[a - 1 : a + _ROW_BLOCK]]
+        np.any(s[1:] != s[:-1], axis=1, out=first[a : a + _ROW_BLOCK])
+    uniq = matrix[order[first]]
+    group = np.cumsum(first, dtype=order.dtype)
+    group -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    return uniq, np.bincount(inverse).astype(np.float64), inverse
+
+
 @dataclass(frozen=True)
 class AgentWeights:
     """Positive, finite agent weights (budgets in the market reading)."""
@@ -149,9 +203,10 @@ class ValueSequence:
 
     Row ``tau`` holds every agent's value for the item arriving at step
     ``tau`` (rows are 0-indexed in code, 1-based in messages).  ``agents``
-    carries the column names from the CSV header, if any.  The first
-    non-finite, then the first negative entry (row-major) is refused at
-    construction, naming its item and agent; all-zero columns are kept.
+    carries the column names from the CSV header, if any.  The matrix is
+    checked by :func:`value_matrix`, which refuses the first non-finite,
+    then the first negative entry, naming its item and agent; all-zero
+    columns are kept.
 
     A C-contiguous float64 array is kept as is, without a copy, and is
     marked read-only: ``ValueSequence(m).matrix is m`` and
@@ -163,19 +218,8 @@ class ValueSequence:
     agents: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise InstanceError(f"value matrix must be 2-D, got {m.ndim}-D")
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise InstanceError("value matrix needs at least one item and one agent")
-        lo, hi = m.min(), m.max()  # NaN propagates to both; no temporary of the matrix size
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            tau, i = np.argwhere(~np.isfinite(m))[0]
-            raise InstanceError(f"non-finite value at item {tau + 1}, agent {i + 1}")
-        if lo < 0:
-            tau, i = np.argwhere(m < 0)[0]
-            raise InstanceError(f"negative value at item {tau + 1}, agent {i + 1}")
-        object.__setattr__(self, "matrix", _frozen_array(m))
+        m = value_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
         names = tuple(self.agents) or _default_agent_names(m.shape[1])
         if len(names) != m.shape[1]:
             raise InstanceError(
@@ -200,6 +244,54 @@ class ValueSequence:
         """The agents whose values are all zero; read once per sequence, so
         every run on it checks them without a pass over the matrix."""
         return tuple(np.flatnonzero(self.matrix.max(axis=0) == 0).tolist())  # values are nonnegative
+
+
+@dataclass(frozen=True)
+class FiniteDistribution(Spec):
+    """Probability distribution over finitely many value vectors; uniform
+    over the support when ``probs`` is None.  The support is checked by
+    :func:`value_matrix`, as an instance's values are."""
+
+    support: np.ndarray  # (m, n) nonnegative
+    probs: Optional[np.ndarray] = None  # (m,) summing to one
+
+    def __post_init__(self):
+        sup = np.asarray(self.support, dtype=np.float64)
+        if sup.ndim != 2 or sup.shape[0] < 1:
+            raise InstanceError("support must be a nonempty matrix of value vectors")
+        sup = value_matrix(sup)
+        if self.probs is None:
+            pr = np.full(sup.shape[0], 1.0 / sup.shape[0])
+        else:
+            pr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        if sup.shape[0] != pr.size:
+            raise InstanceError("support and probs shapes do not match")
+        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
+            raise InstanceError("probs must be nonnegative and sum to one")
+        if np.any(pr @ sup <= 0):
+            i = int(np.argmax(pr @ sup <= 0))
+            raise InstanceError(f"agent {i + 1} has zero expected value")
+        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "probs", _frozen_array(pr))
+
+    @classmethod
+    def uniform(cls, support) -> "FiniteDistribution":
+        return cls(support)
+
+    @classmethod
+    def of(cls, d) -> "FiniteDistribution":
+        """``d`` itself if it is a distribution, else read from its mapping."""
+        return d if isinstance(d, cls) else cls.from_dict(d)
+
+    @property
+    def n(self) -> int:
+        return int(self.support.shape[1])
+
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """The support vectors that inverse-CDF sampling picks for ``uniforms``."""
+        idx = np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
+        np.minimum(idx, self.probs.size - 1, out=idx)
+        return self.support[idx]
 
 
 @dataclass(frozen=True)
@@ -234,7 +326,7 @@ def load_csv(path) -> ValueSequence:
 
     Raises :class:`InstanceError` naming the offending line for ragged
     rows, malformed numbers, or an empty data section.  At most
-    ``_CSV_BLOCK`` rows are held as Python floats at a time: each block
+    ``_ROW_BLOCK`` rows are held as Python floats at a time: each block
     becomes a float64 array, and the arrays are joined once.
     """
     with open(path, "r", newline="") as fh:
@@ -259,7 +351,7 @@ def load_csv(path) -> ValueSequence:
                 rows.append([float(s) for s in rec])
             except ValueError:
                 raise InstanceError(f"line {lineno}: malformed number") from None
-            if len(rows) == _CSV_BLOCK:
+            if len(rows) == _ROW_BLOCK:
                 blocks.append(np.array(rows, dtype=np.float64))
                 rows = []
         if rows:

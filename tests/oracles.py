@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,3 +281,30 @@ def pace_reference_trace(
                 lower, upper = interval[0][i], interval[1][i]
                 beta[i] = min(max(b[i] / avg, lower), upper) if avg > 0 else upper
     return winners, u
+
+
+def _as_pmf(support, probs) -> Dict[tuple, float]:
+    """A distribution as a dict from value tuples to probabilities; repeated
+    points add up, and ``-0.0`` and ``0.0`` are one key."""
+    pmf: Dict[tuple, float] = {}
+    for vec, pr in zip(support, probs):
+        key = tuple(float(x) for x in vec)
+        pmf[key] = pmf.get(key, 0.0) + float(pr)
+    return pmf
+
+
+def _tv(p: Dict[tuple, float], q: Dict[tuple, float]) -> float:
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def tv_delta_oracle(segments: Sequence[Tuple[int, object]], t: int) -> float:
+    """Average TV distance of ``(rounds, distribution)`` segments from their
+    round-weighted mixture, over pmfs keyed by value tuples."""
+    parts = [(rounds, _as_pmf(d.support, d.probs)) for rounds, d in segments]
+    mixture: Dict[tuple, float] = {}
+    for rounds, pmf in parts:
+        wgt = rounds / t
+        for k, v in pmf.items():
+            mixture[k] = mixture.get(k, 0.0) + wgt * v
+    return sum(rounds * _tv(pmf, mixture) for rounds, pmf in parts) / t

@@ -161,10 +161,15 @@ def test_solve_underlying_refuses_weights_for_another_agent_count():
 
 
 @pytest.mark.parametrize(
-    "support", [[[1.0, -1.0], [1.0, 3.0]], [[1.0, math.inf], [1.0, 1.0]]], ids=["negative", "infinite"]
+    "support, message",
+    [
+        ([[1.0, -1.0], [1.0, 3.0]], "^negative value at item 1, agent 2$"),
+        ([[1.0, math.inf], [1.0, 1.0]], "^non-finite value at item 1, agent 2$"),
+    ],
+    ids=["negative", "infinite"],
 )
-def test_solve_underlying_refuses_a_negative_or_infinite_support_vector(support):
-    with pytest.raises(InstanceError, match="support vectors must be nonnegative and finite"):
+def test_solve_underlying_refuses_a_negative_or_infinite_support_vector(support, message):
+    with pytest.raises(InstanceError, match=message):
         solve_underlying(support, [0.5, 0.5], W2, 1e-9)
 
 

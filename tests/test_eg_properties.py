@@ -10,9 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import eg_threshold_oracle, nnls_enum
 
-from fairpace import eg
+from fairpace import model
 from fairpace.eg import (
-    _compress,
     _nnls,
     check_equilibrium,
     dual_objective,
@@ -22,7 +21,7 @@ from fairpace.eg import (
     solve_underlying,
 )
 from fairpace.harness import parse_checkpoints
-from fairpace.model import AgentWeights, ValueSequence
+from fairpace.model import AgentWeights, ValueSequence, _compress
 
 EPS = np.finfo(np.float64).eps
 
@@ -52,10 +51,10 @@ def _signed_zero_twins(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_signed_zero_twins(), st.sampled_from([1, 2, 3, eg._MERGE_BLOCK]))
+@given(_signed_zero_twins(), st.sampled_from([1, 2, 3, model._ROW_BLOCK]))
 def test_compress_matches_np_unique(matrix, block):
     # blocks of 1, 2 and 3 rows put group starts on every block edge
-    with mock.patch.object(eg, "_MERGE_BLOCK", block):
+    with mock.patch.object(model, "_ROW_BLOCK", block):
         uniq, counts, inverse = _compress(matrix)
     ref_uniq, ref_inverse, ref_counts = np.unique(
         matrix, axis=0, return_inverse=True, return_counts=True

@@ -748,12 +748,16 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 2.5\n"}, "error: model spec 't' must be a number with an integer value, not 2.5"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nseed: [1]\n"}, "error: model spec 'seed' must be a number with an integer value, not [1]"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\n"}, "error: model spec needs a horizon t"),
+        (["attack", "--construction", "envy-worstcase", "--eps", "1e-300", "--base-length", "3", "--out", "x.csv"], {}, "error: cannot allocate the instance's 2071291283308354172914"),
+        (["attack", "--construction", "envy-worstcase", "--eps", "1e-20", "--base-length", "3", "--out", "x.csv"], {}, "error: cannot allocate the instance's 13808608595320952857281 items"),
+        (["attack", "--construction", "constrained-failure", "--upper2", "inf", "--t", "3", "--out", "x.csv"], {}, "error: bounds must be positive and the upper bound finite"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
          "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "solve-tol-inf",
          "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "eval-nan", "gen-periodic-vector-pool",
-         "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t"],
+         "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t", "attack-envy-eps-1e-300",
+         "attack-envy-eps-1e-20", "attack-constrained-upper2-inf"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import tv_delta_oracle
 
 from fairpace.dynamics import Constrained, Proportional, Unconstrained, run
 from fairpace.harness import model_from_dict
@@ -295,6 +299,39 @@ def test_tv_delta_budget_enforced_at_generation():
         gen(InputModelSpec(model, t=10, seed=0))
 
 
+@st.composite
+def _twin_heavy_dist(draw, n):
+    """A distribution whose support repeats a few points, some with the
+    sign of every zero flipped, so repeats and ``-0.0``/``0.0`` twins merge."""
+    pool = draw(st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), min_size=1, max_size=6))
+    support = np.array([[-x if flip and x == 0 else x for x in pool[j]] for j, flip in picks])
+    assume(np.all(support.max(axis=0) > 0))
+    weights = np.array(draw(st.lists(st.integers(1, 7), min_size=len(picks), max_size=len(picks))), dtype=float)
+    return FiniteDistribution(support, weights / weights.sum())
+
+
+@st.composite
+def _nonstationary_spec(draw):
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        dists = [draw(_twin_heavy_dist(n)) for _ in lengths]
+        return InputModelSpec(Block(lengths, dists), t=sum(lengths), seed=0)
+    t = draw(st.integers(1, 12))
+    rounds = draw(st.sets(st.integers(1, t + 2), max_size=5))  # a round past t is ignored
+    model = Corrupted(draw(_twin_heavy_dist(n)), {r: draw(_twin_heavy_dist(n)) for r in rounds})
+    return InputModelSpec(model, t=t, seed=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonstationary_spec())
+def test_tv_delta_matches_the_tuple_keyed_oracle(spec):
+    expected = tv_delta_oracle(spec.model.segments(spec.t), spec.t)
+    assert abs(empirical_tv_delta(spec) - expected) <= 1e-15
+
+
 def test_tv_delta_undefined_for_iid():
     spec = InputModelSpec(IID(_dist([[1.0, 1.0]])), t=5, seed=0)
     with pytest.raises(InstanceError):
@@ -309,6 +346,13 @@ def test_envy_worstcase_trivial_extremity_one():
     assert res.levels == 0
     assert res.values.t == 20
     assert res.predicted_envy == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("eps, base_length", [(1e-310, 3), (1e-300, 10**12)], ids=["subnormal-eps", "long-base"])
+def test_envy_worstcase_refuses_a_phase_length_no_float_can_count(eps, base_length):
+    # 1 / eps, or the climb's phase length, overflows to inf
+    with pytest.raises(InstanceError, match=f"^extremity {eps!r} needs more items than a float can count$"):
+        adv_envy_worstcase(eps, 1.001, base_length)
 
 
 def test_envy_worstcase_extremity_is_exact():

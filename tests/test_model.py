@@ -1,9 +1,11 @@
 """Domain types, CSV ingestion, normalization, extremity."""
 
+import ast
 import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 from tracing import traced_peak
 
 from fairpace import model
+from fairpace.inputs import Block, Corrupted, Ergodic, Periodic
 from fairpace.model import (
+    FiniteDistribution,
     AgentWeights,
     InstanceError,
     ValueSequence,
@@ -73,6 +77,55 @@ def test_value_sequence_refuses_one_bad_entry_naming_its_place(t, n, bad, data):
         ValueSequence(m)
 
 
+# every matrix of value vectors, however it enters, is checked as an instance is
+_VALUE_HOLDERS = {
+    "instance": ValueSequence,
+    "support": FiniteDistribution,
+    "pool": lambda m: Periodic((m, m)),
+    "states": lambda m: Ergodic(m, np.eye(m.shape[0])),
+    "block": lambda m: Block((2,), ({"support": m},)),
+    "corruption": lambda m: Corrupted({"support": [[1.0] * m.shape[1]] * 2}, {1: {"support": m}}),
+}
+
+
+@pytest.mark.parametrize("holder", list(_VALUE_HOLDERS))
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 1.0], [math.nan, 1.0]], "non-finite value at item 2, agent 1"),
+        ([[1.0, math.inf], [1.0, 1.0]], "non-finite value at item 1, agent 2"),
+        ([[1.0, 1.0], [1.0, -1.0]], "negative value at item 2, agent 2"),
+        (np.zeros((2, 0)), "value matrix needs at least one item and one agent"),
+    ],
+    ids=["nan", "inf", "negative", "zero-agents"],
+)
+def test_every_value_matrix_is_refused_with_the_instance_message(holder, matrix, message):
+    with pytest.raises(InstanceError) as exc_info:
+        _VALUE_HOLDERS[holder](np.array(matrix, dtype=np.float64))
+    assert str(exc_info.value) == message
+
+
+def _package_imports(module: str):
+    """The package modules that ``src/fairpace/<module>.py`` imports."""
+    path = Path(model.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fairpace":
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "fairpace")
+    return found
+
+
+def test_the_value_layer_imports_no_generator_or_dynamics():
+    # the hindsight benchmark reads values only through model, and model
+    # reads no other package module
+    assert _package_imports("eg") == {".model"}
+    assert _package_imports("model") == set()
+
+
 def test_real_reads_numbers_and_refuses_booleans_and_strings():
     assert real(2) == 2.0 and real(np.float32(0.5)) == 0.5
     for x in (True, False, "1", "nan"):
@@ -123,19 +176,19 @@ def _csv_lines(rows):
 )
 def test_load_csv_errors_after_the_first_block_name_their_line(tmp_path, bad, message):
     # blank lines after the first block are skipped but still counted
-    good = _csv_lines((i, 1) for i in range(model._CSV_BLOCK + 3))
+    good = _csv_lines((i, 1) for i in range(model._ROW_BLOCK + 3))
     path = tmp_path / "inst.csv"
     path.write_text(good + "\n\n" + "2,2\n" + bad + "3,3\n")
-    lineno = 1 + (model._CSV_BLOCK + 3) + 2 + 1 + 1
+    lineno = 1 + (model._ROW_BLOCK + 3) + 2 + 1 + 1
     with pytest.raises(InstanceError, match=f"^line {lineno}: {re.escape(message)}$"):
         load_csv(path)
 
 
 def test_load_csv_skips_blank_lines_across_blocks(tmp_path):
-    rows = [(i, i % 3) for i in range(2 * model._CSV_BLOCK + 5)]
-    text = _csv_lines(rows[: model._CSV_BLOCK])
-    text += "\n" + _csv_lines(rows[model._CSV_BLOCK : 2 * model._CSV_BLOCK]).split("\n", 1)[1]
-    text += "\n\n" + _csv_lines(rows[2 * model._CSV_BLOCK :]).split("\n", 1)[1] + "\n"
+    rows = [(i, i % 3) for i in range(2 * model._ROW_BLOCK + 5)]
+    text = _csv_lines(rows[: model._ROW_BLOCK])
+    text += "\n" + _csv_lines(rows[model._ROW_BLOCK : 2 * model._ROW_BLOCK]).split("\n", 1)[1]
+    text += "\n\n" + _csv_lines(rows[2 * model._ROW_BLOCK :]).split("\n", 1)[1] + "\n"
     path = tmp_path / "inst.csv"
     path.write_text(text)
     vs = load_csv(path)
