@@ -561,9 +561,10 @@ class Seeded(_Variant):
     _kernel = _SeededKernel
 
     def __post_init__(self):
-        if not (real(self.seed_utility) > 0):
-            raise InstanceError("seed_utility must be positive")
-        object.__setattr__(self, "seed_utility", real(self.seed_utility))
+        xi = real(self.seed_utility)
+        if not (xi > 0 and math.isfinite(xi)):
+            raise InstanceError("seed_utility must be positive and finite")
+        object.__setattr__(self, "seed_utility", xi)
 
     @property
     def label(self) -> str:

@@ -140,9 +140,23 @@ def primal_objective(utilities: np.ndarray, weights: AgentWeights) -> float:
     return float(np.dot(weights.array, np.log(u)))
 
 
+def _prices(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``max_i beta_i v_i`` for each row ``v`` of ``matrix``, the maximum
+    taken column by column, without the ``t x n`` temporary of
+    ``(matrix * beta).max(axis=1)``.  A maximum is exact, so a positive
+    price is that reduction's bit for bit.  A zero price is ``+0.0``, as
+    the row merge counts ``-0.0`` as ``0.0``; the sign the reduction gives
+    a row of mixed zeros depends on its order."""
+    prices = matrix[:, 0] * beta[0]
+    for i in range(1, matrix.shape[1]):
+        np.maximum(prices, matrix[:, i] * beta[i], out=prices)
+    prices += 0.0
+    return prices
+
+
 def _dual_value(beta: np.ndarray, matrix: np.ndarray, weights: AgentWeights) -> float:
     b = weights.array
-    prices = (matrix * beta).max(axis=1)
+    prices = _prices(matrix, beta)
     const = float(np.dot(b, np.log(b)) - b.sum())
     return float(prices.sum() - np.dot(b, np.log(beta)) + const)
 
@@ -485,7 +499,7 @@ def solve_eg(
         uniq, counts, weights, tol * weights.total, max_iters
     )
     allocation = x_u[inverse] if include_allocation else None
-    prices = (matrix * beta).max(axis=1)
+    prices = _prices(matrix, beta)
     return MarketEquilibrium(
         allocation=allocation,
         utilities=utilities,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import RunTrace, Seeded
-from .eg import PrefixSolution
+from .eg import PrefixSolution, _prices
 from .model import AgentWeights, InstanceError, ValueSequence
 
 AllocationLike = Union[np.ndarray, RunTrace]
@@ -115,17 +115,6 @@ def competitive_ratio(utilities_alg, utilities_hindsight, weights: AgentWeights)
     return float(np.exp(np.dot(share, np.log(uh / ua))))
 
 
-def _best_item_sum(values: ValueSequence, coeff: np.ndarray) -> float:
-    """``sum_tau max_i coeff_i v_i^tau``, the maximum taken column by column:
-    it is exact, so the sum is that of ``(matrix * coeff).max(axis=1)``,
-    without the ``t x n`` temporary."""
-    m = values.matrix
-    best = m[:, 0] * coeff[0]
-    for i in range(1, values.n):
-        np.maximum(best, m[:, i] * coeff[i], out=best)
-    return float(best.sum())
-
-
 def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -> float:
     """Best weighted sum of utility ratios over all feasible allocations.
 
@@ -136,7 +125,7 @@ def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -
     u = np.asarray(utilities_alg, dtype=np.float64)
     if np.any(u <= 0):
         raise InstanceError("utility ratio needs positive algorithm utilities")
-    return _best_item_sum(values, weights.array / (weights.total * u))
+    return float(_prices(values.matrix, weights.array / (weights.total * u)).sum())
 
 
 def seeded_utility_ratio(
@@ -149,7 +138,7 @@ def seeded_utility_ratio(
     u = np.asarray(utilities_alg, dtype=np.float64)
     b = weights.array
     denom = u + seed_utility
-    return float(np.dot(b, seed_utility / denom)) + _best_item_sum(values, b / denom)
+    return float(np.dot(b, seed_utility / denom)) + float(_prices(values.matrix, b / denom).sum())
 
 
 @dataclass(frozen=True)

@@ -743,6 +743,7 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["eval", "tr.json", "--instance", "inst.csv", "--tol", "inf"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]"}, "tolerance must be positive and finite, not inf"),
         (["run", "c.yaml"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\ntolerance: .inf\n"}, "tolerance must be positive and finite, not inf"),
         (["run", "c.yaml", "--tol", "nan"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n"}, "tolerance must be positive and finite, not nan"),
+        (["run", "c.yaml"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['seeded,seed_utility=inf']\n"}, "seed_utility must be positive and finite"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]", "inst.csv": "a,b\n1,0\nnan,1\n"}, "non-finite value at item 2, agent 1"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: periodic\npools: [[1, 0]]\nt: 3\n"}, "error: periodic model: pools must be nonempty and share the agent count"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 2.5\n"}, "error: model spec 't' must be a number with an integer value, not 2.5"),
@@ -755,7 +756,7 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
          "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "solve-tol-inf",
-         "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "eval-nan", "gen-periodic-vector-pool",
+         "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "run-seeded-inf", "eval-nan", "gen-periodic-vector-pool",
          "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t", "attack-envy-eps-1e-300",
          "attack-envy-eps-1e-20", "attack-constrained-upper2-inf"],
 )

@@ -2,16 +2,21 @@
 
 import dataclasses
 import hashlib
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import tv_delta_oracle
+from tracing import traced_peak
 
-from fairpace.dynamics import Constrained, Proportional, Unconstrained, run
+from fairpace.cli import main
+from fairpace.dynamics import _CHUNK, Constrained, Proportional, Unconstrained, run
 from fairpace.harness import model_from_dict
 from fairpace.inputs import (
     Block,
@@ -21,6 +26,7 @@ from fairpace.inputs import (
     IID,
     InputModelSpec,
     Periodic,
+    _round_uniforms,
     adv_constrained_failure,
     adv_cr_killer,
     adv_envy_worstcase,
@@ -116,6 +122,97 @@ def test_gen_output_is_pinned(kind):
     for rep in (0, 5):
         matrix = np.ascontiguousarray(gen(spec, rep).matrix, dtype="<f8")
         assert hashlib.sha256(matrix.tobytes()).hexdigest() == _GEN_SHA256[kind, rep]
+
+
+_KEY_WORD = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_KEY_WORD,
+    repetition=_KEY_WORD,
+    count=st.one_of(st.integers(0, 20), st.integers(4 * _CHUNK - 6, 4 * _CHUNK + 6)),
+)
+@example(seed=2**64 - 1, repetition=2**63, count=100_003)
+def test_round_uniforms_are_numpy_philox_bit_for_bit(seed, repetition, count):
+    expected = np.random.Generator(np.random.Philox(key=(seed << 64) + repetition)).random(count)
+    assert _round_uniforms(seed, repetition, count).tobytes() == expected.tobytes()
+
+
+def test_round_uniforms_memory_is_about_the_output():
+    # the stream is computed _CHUNK counters at a time into the output
+    peak = traced_peak(_round_uniforms, 7, 3, 10**6)
+    # 1.08 when set; 5.5 with the whole stream in one block
+    assert peak <= 1.25 * 8 * 10**6, peak / (8 * 10**6)
+
+
+_ONE_DIST = "{support: [[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], probs: [0.2, 0.5, 0.3]}"
+_TWO_DIST = "{support: [[0.9, 0.1], [0.1, 0.9]]}"
+# one gen --spec per model type, over 4 * _CHUNK + 3 rounds so that the
+# stream crosses a block of counters, and the SHA-256 of its CSV
+_CLI_SPECS = {
+    "iid": (
+        "type: iid\nsupport: [[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]]\nprobs: [0.2, 0.5, 0.3]\n",
+        "622b737270e3973b6d4eb0d6d137f74469a477d4f7484f2e55f7b6ed00dd5d5f",
+    ),
+    "periodic": (
+        "type: periodic\npools: [[[1.0, 0.1], [0.5, 0.1]], [[0.1, 1.0]], [[0.4, 0.4], [0.2, 0.9], [0.7, 0.3]]]\n",
+        "5f05b7a99297c9166c59b93cf0a0957a21881be445d62127889b8e867822d3bc",
+    ),
+    "block": (
+        f"type: block\nlengths: [8000, 387, 8000]\ndists: [{_ONE_DIST}, {_TWO_DIST}, {_ONE_DIST}]\nmax_delta: 0.9\n",
+        "2d5981e4db49983b2ecfedee3975be44fa90d496e00d0b04009d7c080bf7b526",
+    ),
+    "ergodic": (
+        "type: ergodic\nstates: [[1.0, 0.1], [0.1, 1.0], [0.6, 0.6]]\n"
+        "transitions: [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]\nstart: 2\n",
+        "c54b87b41ab39b732d16f7f0f1ba1fcf02c841e59682266379b9182dac27c010",
+    ),
+    "corrupted": (
+        f"type: corrupted\nbase: {_ONE_DIST}\ncorruptions: {{3: {_TWO_DIST}, 16385: {_TWO_DIST}}}\nmax_delta: 0.5\n",
+        "4c9f0233a1f2669110cb3480d841dc9bf52062410387f87f3724952848471e68",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CLI_SPECS))
+def test_gen_cli_output_is_pinned(tmp_path, kind):
+    body, digest = _CLI_SPECS[kind]
+    (tmp_path / "s.yaml").write_text(body + f"t: {4 * _CHUNK + 3}\nseed: 2024\n")
+    assert main(["gen", "--spec", str(tmp_path / "s.yaml"), "--out", str(tmp_path / "x.csv")]) == 0
+    assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == digest
+
+
+# runs each CLI command line given as a JSON list in one process, and
+# prints whether numpy's random package was loaded before and after each
+_LOADS_NUMPY_RANDOM = """
+import json, sys
+import numpy
+from fairpace.cli import main
+loaded = ["numpy.random" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_generated_runs_do_not_load_numpy_random(tmp_path):
+    (tmp_path / "s.yaml").write_text(_CLI_SPECS["periodic"][0] + "t: 5000\nseed: 3\n")
+    (tmp_path / "c.yaml").write_text(
+        "instance:\n  model: {type: iid, support: [[1, 0.2], [0.3, 1]]}\n  t: 5000\n  seed: 1\n"
+        "weights: {equal: 2}\nvariants: [pace, proportional]\nrepetitions: 2\n"
+    )
+    commands = [["gen", "--spec", "s.yaml", "--out", "x.csv"], ["run", "c.yaml", "--out", "out"]]
+    r = subprocess.run(
+        [sys.executable, "-c", _LOADS_NUMPY_RANDOM, json.dumps(commands)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout.strip().splitlines()[-1])
+    if loaded[0]:
+        pytest.skip("this numpy loads its random package on import")
+    assert loaded == [False, False, False]
 
 
 def test_model_names_are_class_constants():
