@@ -81,6 +81,8 @@ speculate.
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint, and only one block at a time is held as
 Python floats, so a run needs memory on the order of its input.  A
+generated instance's block is gathered from its points
+(``ValueSequence.rows``), so its matrix is never built.  A
 kernel advances a whole block: the auctions step it row by row;
 proportional, whose update ignores the state, adds the block's weight
 shares as running column sums in one ``np.cumsum``, which rounds
@@ -851,8 +853,8 @@ def run(
     ``checkpoints`` (sorted round numbers) select where cumulative
     utilities, multipliers, and expenditures are snapshotted; the final
     round is always captured in the ``final_*`` fields.  The rows are
-    read in segments that end at every checkpoint, at every multiple of
-    ``_CHUNK`` and at the horizon.
+    read (gathered, in point form) in segments that end at every
+    checkpoint, at every multiple of ``_CHUNK`` and at the horizon.
     """
     report = validate_instance(values, weights)
     if not report.ok:
@@ -867,7 +869,7 @@ def run(
 
     start = cp_iter = 0
     for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
-        winners[start:end] = kernel.advance(values.matrix[start:end])
+        winners[start:end] = kernel.advance(values.rows(start, end))
         if cp_iter < len(cps) and cps[cp_iter] == end:
             cp[:, cp_iter] = kernel.u, kernel.beta(), kernel.spend
             cp_iter += 1

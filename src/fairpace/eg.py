@@ -33,6 +33,8 @@ Items with identical value vectors are merged internally (supplies add
 up); the expanded allocation splits each duplicate identically, which
 preserves utilities, prices, and the gap exactly.  The prefix benchmarks
 merge once per sequence and read each prefix's supplies off the merge.
+An instance in point form is merged, and priced, per point, so neither
+the benchmark nor ``solve_eg`` gathers its matrix.
 
 The value layer is ``model``, the only package module this one imports:
 instances and underlying supports are checked there (``ValueSequence``,
@@ -493,13 +495,12 @@ def solve_eg(
     tol = check_tolerance(tol)
     if weights.n != values.n:
         raise InstanceError("weights length does not match agent count")
-    matrix = values.matrix
-    uniq, counts, inverse = _compress(matrix)
+    uniq, counts, inverse = _compress(values.points, values.index)
     x_u, utilities, beta, gap, iters = _solve_dual(
         uniq, counts, weights, tol * weights.total, max_iters
     )
     allocation = x_u[inverse] if include_allocation else None
-    prices = _prices(matrix, beta)
+    prices = values.per_round(_prices(values.points, beta))
     return MarketEquilibrium(
         allocation=allocation,
         utilities=utilities,
@@ -656,7 +657,7 @@ def hindsight_prefix(
     cps = _normalize_checkpoints(checkpoints, values.t)
     if not cps:
         return []
-    uniq, _, inverse = _compress(values.matrix)
+    uniq, _, inverse = _compress(values.points, values.index)
     out: List[PrefixSolution] = []
     for tau in cps:
         counts = np.bincount(inverse[:tau], minlength=uniq.shape[0])

@@ -33,10 +33,14 @@ fields are its config keys, read by the shared ``model.Spec`` reader
 (``IID`` reads its distribution's keys) and converted and checked by its
 own ``__post_init__``, so the constructor and the config refuse the same
 values.  A distribution field takes a ``FiniteDistribution`` or its
-``{support, probs}`` mapping.  ``rows`` draws a model's rows from the
-per-round uniforms, and the two nonstationary models, ``Block`` and
-``Corrupted``, list their ``segments`` (rounds and distribution) for the
-declared budget.  ``MODELS`` maps each config ``type`` to its class.
+``{support, probs}`` mapping.  ``draw`` turns the per-round uniforms
+into the instance's point form: the value vectors the model can emit
+(the support, the stacked pools or supports, the chain's states) and
+the id of the one that arrives in each round, so ``gen`` never builds
+the ``t x n`` matrix (see ``model.ValueSequence``).  The two
+nonstationary models, ``Block`` and ``Corrupted``, list their
+``segments`` (rounds and distribution) for the declared budget.
+``MODELS`` maps each config ``type`` to its class.
 
 The value vectors themselves belong to ``model``: ``FiniteDistribution``
 is defined there (and importable from here), every support, pool and
@@ -60,6 +64,7 @@ Adversarial constructions
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -94,8 +99,8 @@ class IID(Spec):
         """The distribution's own keys, ``{support, probs}``."""
         return cls(FiniteDistribution.from_dict(d))
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        return self.dist.sample(u)
+    def draw(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.dist.support, self.dist.draw(u)
 
 
 @dataclass(frozen=True)
@@ -118,14 +123,16 @@ class Periodic(Spec):
     def period(self) -> int:
         return len(self.pools)
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        pos = np.arange(u.size) % self.period
-        rows = np.empty((u.size, self.pools[0].shape[1]))
+    def draw(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked pools, and for round ``tau`` a uniform pick from pool
+        ``tau mod period``."""
+        idx = np.empty(u.size, dtype=np.intp)
+        offset = 0
         for j, pool in enumerate(self.pools):
-            mask = pos == j
             size = pool.shape[0]
-            rows[mask] = pool[np.minimum((u[mask] * size).astype(np.int64), size - 1)]
-        return rows
+            idx[j :: self.period] = offset + np.minimum((u[j :: self.period] * size).astype(np.intp), size - 1)
+            offset += size
+        return np.concatenate(self.pools), idx
 
 
 @dataclass(frozen=True)
@@ -160,16 +167,18 @@ class Block(Spec):
             raise InstanceError(f"block lengths sum to {sum(self.lengths)}, not t={t}")
         return list(zip(self.lengths, self.dists))
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        parts = []
-        start = 0
+    def draw(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked supports, and per block its multiset in the order of
+        the block's uniforms."""
+        idx = np.empty(u.size, dtype=np.intp)
+        start = offset = 0
         for length, dist in self.segments(u.size):
             counts = _largest_remainder_counts(length, dist.probs)
-            multiset = np.repeat(np.arange(dist.probs.size), counts)
-            order = np.argsort(u[start : start + length], kind="stable")
-            parts.append(dist.support[multiset[order]])
+            multiset = np.repeat(np.arange(offset, offset + dist.probs.size), counts)
+            idx[start : start + length] = multiset[np.argsort(u[start : start + length], kind="stable")]
             start += length
-        return np.concatenate(parts, axis=0)
+            offset += dist.probs.size
+        return np.concatenate([d.support for d in self.dists]), idx
 
 
 @dataclass(frozen=True)
@@ -196,15 +205,21 @@ class Ergodic(Spec):
         object.__setattr__(self, "transitions", _frozen_array(tr))
         object.__setattr__(self, "start", start)
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.transitions, axis=1)
-        m = self.states.shape[0]
-        idx = np.empty(u.size, dtype=np.int64)
+    def draw(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The states, and the chain's state in each round: the next state is
+        where the round's uniform falls in the current state's cumulative
+        transition row, searched in Python lists ``_CHUNK`` rounds at a time."""
+        cum = np.cumsum(self.transitions, axis=1).tolist()
+        last = self.states.shape[0] - 1
+        idx = np.empty(u.size, dtype=np.intp)
         s = self.start
-        for tau in range(u.size):
-            idx[tau] = s
-            s = min(int(np.searchsorted(cum[s], u[tau], side="right")), m - 1)
-        return self.states[idx]
+        for start in range(0, u.size, _CHUNK):
+            block = []
+            for x in u[start : start + _CHUNK].tolist():
+                block.append(s)
+                s = min(bisect_right(cum[s], x), last)
+            idx[start : start + len(block)] = block
+        return self.states, idx
 
 
 @dataclass(frozen=True)
@@ -238,12 +253,18 @@ class Corrupted(Spec):
         hits = [(1, d) for r, d in self.corruptions.items() if r <= t]
         return [(t - len(hits), self.base)] + hits
 
-    def rows(self, u: np.ndarray) -> np.ndarray:
-        rows = self.base.sample(u)
+    def draw(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The base support stacked with the corrupted rounds' supports, and
+        per round a draw from its own distribution."""
+        idx = self.base.draw(u)
+        supports = [self.base.support]
+        offset = self.base.probs.size
         for r, dist in sorted(self.corruptions.items()):
             if r <= u.size:
-                rows[r - 1] = dist.sample(u[r - 1 : r])[0]
-        return rows
+                idx[r - 1] = offset + dist.draw(u[r - 1 : r])[0]
+                supports.append(dist.support)
+                offset += dist.probs.size
+        return np.concatenate(supports), idx
 
 
 ModelVariant = Union[IID, Periodic, Block, Ergodic, Corrupted]
@@ -341,7 +362,8 @@ def gen(spec: InputModelSpec, repetition: int = 0) -> ValueSequence:
             raise InstanceError(
                 f"declared {spec.model.name} nonstationarity {delta:.6g} exceeds budget {budget:.6g}"
             )
-    return ValueSequence(spec.model.rows(u))
+    points, index = spec.model.draw(u)
+    return ValueSequence(points, index=index)
 
 
 # --------------------------------------------------------------------------

@@ -36,8 +36,9 @@ def regret(avg_utilities, hindsight_avg_utilities) -> np.ndarray:
 
 def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.ndarray:
     """Time-averaged swap utilities: entry (i, k) is agent i's average
-    utility if handed agent k's allocation."""
-    m = values.matrix
+    utility if handed agent k's allocation.  A trace's sums are read by
+    :meth:`ValueSequence.column_sums`, so a generated instance's matrix is
+    not built; an allocation matrix is multiplied by the value matrix."""
     t, n = values.t, values.n
     if isinstance(allocation, RunTrace):
         trace = allocation
@@ -48,13 +49,13 @@ def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.nda
         for k in range(n):
             mask = trace.winners == k
             if mask.any():
-                won[:, k] = m[mask].sum(axis=0)
+                won[:, k] = values.column_sums(mask)
         # every agent holds its base share of every item, the winner ``top`` more
-        return (np.outer(m.sum(axis=0), kernel.base) + kernel.top * won) / t
+        return (np.outer(values.monopolistic_utilities(), kernel.base) + kernel.top * won) / t
     x = np.asarray(allocation, dtype=np.float64)
     if x.shape != (t, n):
         raise InstanceError("allocation shape does not match the instance")
-    return (m.T @ x) / t
+    return (values.matrix.T @ x) / t
 
 
 def additive_envy(values: ValueSequence, allocation: AllocationLike, weights: AgentWeights) -> np.ndarray:
@@ -125,7 +126,7 @@ def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -
     u = np.asarray(utilities_alg, dtype=np.float64)
     if np.any(u <= 0):
         raise InstanceError("utility ratio needs positive algorithm utilities")
-    return float(_prices(values.matrix, weights.array / (weights.total * u)).sum())
+    return float(values.per_round(_prices(values.points, weights.array / (weights.total * u))).sum())
 
 
 def seeded_utility_ratio(
@@ -133,12 +134,13 @@ def seeded_utility_ratio(
 ) -> float:
     """Seeded variant of the utility ratio, with unnormalized weights:
     ``sum_i B_i xi/(U_i+xi) + sum_tau max_i B_i v_i^tau/(U_i+xi)``."""
-    if not (seed_utility > 0):
-        raise InstanceError("seed_utility must be positive")
+    if not (0 < seed_utility < math.inf):
+        raise InstanceError("seed_utility must be positive and finite")
     u = np.asarray(utilities_alg, dtype=np.float64)
     b = weights.array
     denom = u + seed_utility
-    return float(np.dot(b, seed_utility / denom)) + float(_prices(values.matrix, b / denom).sum())
+    prices = values.per_round(_prices(values.points, b / denom))
+    return float(np.dot(b, seed_utility / denom)) + float(prices.sum())
 
 
 @dataclass(frozen=True)

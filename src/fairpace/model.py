@@ -1,9 +1,17 @@
 """Core domain types for online fair-allocation instances.
 
-An instance is a matrix of item values (one row per item, in arrival
+An instance is a sequence of item values (one row per item, in arrival
 order, one column per agent) together with a vector of positive agent
 weights.  Everything downstream — the allocation dynamics, the
 equilibrium benchmark, the metrics — consumes these two objects.
+
+A value sequence is held in point form: a matrix of value vectors (its
+points) and, per round, the id of the point that arrived.  A generated
+instance draws every item from a finite set of points, so its ``t x n``
+matrix is never built: the dynamics gather one block of rows at a time,
+the row merge and the prices work per point, and column sums are taken
+block by block in round order.  A CSV, or any matrix given directly,
+is its own points with no index, and is stored as it was given.
 
 This module is the one value layer and imports no other package module:
 what a valid value vector is (:func:`value_matrix`, which instances,
@@ -26,8 +34,9 @@ from typing import List, Mapping, Optional, Tuple
 import numpy as np
 
 
-# rows held at a time by load_csv (as Python floats) and by _compress (as
-# sorted neighbours), so neither makes a copy of the whole matrix
+# rows held at a time by load_csv (as Python floats), by _compress (as
+# sorted neighbours) and by the point form's column sums and save_csv (as
+# gathered rows), so none makes a copy of the whole matrix
 _ROW_BLOCK = 1024
 
 
@@ -136,14 +145,31 @@ def value_matrix(a) -> np.ndarray:
     return _frozen_array(m)
 
 
-def _compress(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _compress(
+    matrix: np.ndarray, index: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge identical rows; returns (unique rows, counts, inverse map).
 
     Row-wise ``np.unique`` results, order included, from a stable lexsort:
     each unique row is its group's first arrival, and ``-0.0`` merges
     with ``0.0``.  Neighbouring sorted rows are compared ``_ROW_BLOCK`` at
     a time, so no sorted copy of the matrix is made.
+
+    With an ``index``, the rows are ``matrix[index]`` (``matrix`` holds
+    the points and ``index`` the point of each round), and the result is
+    that of the gathered rows bit for bit without gathering them: the
+    points that arrive are merged in the order of their first arrival,
+    so each group keeps its first arrival's zero signs.
     """
+    if index is not None:
+        arrival = np.full(matrix.shape[0], index.size)  # each point's first round
+        np.minimum.at(arrival, index, np.arange(index.size))
+        seen = np.argsort(arrival, kind="stable")[: np.count_nonzero(arrival < index.size)]
+        uniq, _, merged = _compress(matrix[seen])
+        group = np.empty(matrix.shape[0], dtype=merged.dtype)
+        group[seen] = merged
+        inverse = group[index]
+        return uniq, np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64), inverse
     order = np.lexsort(matrix.T[::-1])
     first = np.empty(order.size, dtype=bool)
     first[0] = True
@@ -199,27 +225,46 @@ def _default_agent_names(n: int) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ValueSequence:
-    """A ``t x n`` matrix of finite, nonnegative item values in arrival order.
+    """A sequence of ``t`` items' finite, nonnegative values, ``n`` agents each.
 
-    Row ``tau`` holds every agent's value for the item arriving at step
-    ``tau`` (rows are 0-indexed in code, 1-based in messages).  ``agents``
-    carries the column names from the CSV header, if any.  The matrix is
-    checked by :func:`value_matrix`, which refuses the first non-finite,
-    then the first negative entry, naming its item and agent; all-zero
-    columns are kept.
+    The values are held in point form: ``points`` is a ``q x n`` matrix of
+    value vectors and ``index`` gives, for each round, the id of the point
+    that arrived (``t`` ids, stored as ``np.intp``).  With no ``index``,
+    row ``tau`` of ``points`` is the item of round ``tau``: a CSV, or any
+    matrix given directly, is its own points.  ``matrix`` is the ``t x n``
+    matrix of the rounds' values (rows are 0-indexed in code, 1-based in
+    messages); ``agents`` carries the column names from the CSV header,
+    if any.  The points are checked by :func:`value_matrix`, which
+    refuses the first non-finite, then the first negative entry, naming
+    its row and agent; all-zero columns are kept.  An index must be a
+    nonempty vector of integer ids of points.
 
     A C-contiguous float64 array is kept as is, without a copy, and is
     marked read-only: ``ValueSequence(m).matrix is m`` and
     ``m.flags.writeable`` becomes False.  Any other input is copied into
-    one such array.  So an instance costs one matrix, not two.
+    one such array.  So an instance given as a matrix costs one matrix,
+    not two.  With an index, ``matrix`` gathers the points into a new
+    array each time it is read; the run path reads only the point form
+    (:meth:`rows`, :meth:`per_round`, :meth:`column_sums`), so a
+    generated instance costs its points and its index.
     """
 
-    matrix: np.ndarray
+    points: np.ndarray
     agents: Tuple[str, ...] = ()
+    index: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        m = value_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = value_matrix(self.points)
+        object.__setattr__(self, "points", m)
+        if self.index is not None:
+            idx = np.asarray(self.index)
+            if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
+                raise InstanceError("index must be a nonempty vector of point ids")
+            if idx.min() < 0 or idx.max() >= m.shape[0]:
+                raise InstanceError(f"point ids must lie in [0, {m.shape[0]})")
+            idx = np.ascontiguousarray(idx, dtype=np.intp)
+            idx.setflags(write=False)
+            object.__setattr__(self, "index", idx)
         names = tuple(self.agents) or _default_agent_names(m.shape[1])
         if len(names) != m.shape[1]:
             raise InstanceError(
@@ -229,21 +274,63 @@ class ValueSequence:
 
     @property
     def t(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.points.shape[0] if self.index is None else self.index.size)
 
     @property
     def n(self) -> int:
-        return int(self.matrix.shape[1])
+        return int(self.points.shape[1])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``t x n`` matrix of item values in arrival order."""
+        return self.per_round(self.points)
+
+    def per_round(self, per_point: np.ndarray) -> np.ndarray:
+        """``per_point`` (one entry per point, along its first axis) as one
+        entry per round."""
+        return per_point if self.index is None else per_point[self.index]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop`` of :attr:`matrix`, gathered for those rounds alone."""
+        return self.points[start:stop] if self.index is None else self.points[self.index[start:stop]]
+
+    def column_sums(self, rounds=None) -> np.ndarray:
+        """``matrix[rounds].sum(axis=0)`` bit for bit; every round when
+        ``rounds`` (a mask or ids of rounds) is None.
+
+        numpy adds the rows of a matrix of two or more columns one after
+        another, so in point form the rows are gathered ``_ROW_BLOCK`` at a
+        time and each block is summed after the sum of the blocks before
+        it.  A single column is summed pairwise, so it is gathered whole.
+        """
+        if self.index is None:
+            return (self.points if rounds is None else self.points[rounds]).sum(axis=0)
+        index = self.index if rounds is None else self.index[rounds]
+        if self.n == 1:
+            return self.points[index].sum(axis=0)
+        total = self.points[index[:_ROW_BLOCK]].sum(axis=0)
+        for a in range(_ROW_BLOCK, index.size, _ROW_BLOCK):
+            total = np.vstack((total, self.points[index[a : a + _ROW_BLOCK]])).sum(axis=0)
+        return total
 
     def monopolistic_utilities(self) -> np.ndarray:
         """Per-agent total value of the whole sequence (column sums)."""
-        return self.matrix.sum(axis=0)
+        return self._totals.copy()
+
+    @cached_property
+    def _totals(self) -> np.ndarray:
+        """The column sums, read once per sequence: set-aside's resolution and
+        every report on the sequence read them."""
+        return self.column_sums()
 
     @cached_property
     def zero_agents(self) -> Tuple[int, ...]:
         """The agents whose values are all zero; read once per sequence, so
         every run on it checks them without a pass over the matrix."""
-        return tuple(np.flatnonzero(self.matrix.max(axis=0) == 0).tolist())  # values are nonnegative
+        arrived = self.points
+        if self.index is not None:  # a point that never arrives does not count
+            arrived = arrived[np.bincount(self.index, minlength=len(arrived)) > 0]
+        return tuple(np.flatnonzero(arrived.max(axis=0) == 0).tolist())  # values are nonnegative
 
 
 @dataclass(frozen=True)
@@ -287,11 +374,11 @@ class FiniteDistribution(Spec):
     def n(self) -> int:
         return int(self.support.shape[1])
 
-    def sample(self, uniforms: np.ndarray) -> np.ndarray:
-        """The support vectors that inverse-CDF sampling picks for ``uniforms``."""
+    def draw(self, uniforms: np.ndarray) -> np.ndarray:
+        """The ids of the support vectors that inverse-CDF sampling picks for ``uniforms``."""
         idx = np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
         np.minimum(idx, self.probs.size - 1, out=idx)
-        return self.support[idx]
+        return idx
 
 
 @dataclass(frozen=True)
@@ -365,26 +452,36 @@ def save_csv(path, values: ValueSequence) -> None:
     """Write an instance CSV that :func:`load_csv` reads back bit-exactly.
 
     Floats are rendered with ``repr``, which emits the shortest decimal
-    string that round-trips the exact float64.
+    string that round-trips the exact float64.  The rows are written
+    ``_ROW_BLOCK`` at a time, gathered from the point form, so the matrix
+    is never built.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(values.agents)
-        for row in values.matrix:
-            writer.writerow([repr(float(x)) for x in row])
+        for a in range(0, values.t, _ROW_BLOCK):
+            writer.writerows([repr(x) for x in row] for row in values.rows(a, a + _ROW_BLOCK).tolist())
 
 
 def normalize_values(values: ValueSequence) -> ValueSequence:
     """Rescale each agent's column so its values average to one per item.
 
     Column ``i`` is multiplied by ``t / sum_tau v[tau][i]``; afterwards each
-    column sums to ``t``.  Errors on agents whose values are all zero.
+    column sums to ``t``.  Errors on agents whose values are all zero.  In
+    point form the points that arrive are rescaled, so the result keeps the
+    point form; a point that never arrives is kept as it is, since scaling
+    it could overflow (an item's value cannot: it is at most its column's
+    sum).
     """
-    sums = values.matrix.sum(axis=0)
+    sums = values.column_sums()
     for i in np.nonzero(sums <= 0)[0]:
         raise InstanceError(f"agent {i + 1} has all-zero values, cannot normalize")
-    scaled = values.matrix * (values.t / sums)
-    return ValueSequence(scaled, values.agents)
+    scale = values.t / sums
+    if values.index is None:
+        return ValueSequence(values.matrix * scale, values.agents)
+    arrived = np.bincount(values.index, minlength=len(values.points)) > 0
+    points = np.multiply(values.points, scale, out=values.points.copy(), where=arrived[:, None])
+    return ValueSequence(points, values.agents, values.index)
 
 
 def extremity(values: ValueSequence) -> float:

@@ -69,6 +69,22 @@ def test_compress_matches_np_unique(matrix, block):
     assert np.array_equal(uniq.view(np.uint64), matrix[first_arrival].view(np.uint64))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_signed_zero_twins(), st.data(), st.sampled_from([1, 2, model._ROW_BLOCK]))
+def test_compress_of_points_and_index_is_that_of_the_gathered_rows_bit_for_bit(points, data, block):
+    # repeated points and signed-zero twins arrive in any order, some never:
+    # each merged row keeps its first arrival's signs
+    q = points.shape[0]
+    index = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=120), label="index"),
+                     dtype=np.intp)
+    with mock.patch.object(model, "_ROW_BLOCK", block):
+        got = _compress(points, index)
+        expected = _compress(points[index])
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def _cold_prefix(values, weights, tau, tol):
     """A cold ``solve_eg`` of the first ``tau`` items and the agents present."""
     prefix = values.matrix[:tau]

@@ -10,6 +10,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from test_eg import EIGHT_POINT_SUPPORT
 from tracing import traced_peak
 
 from fairpace.harness import (
@@ -198,6 +199,67 @@ def test_a_repetition_releases_its_instance_before_the_next_is_built(tmp_path, s
     one, two = peak(instance, 1, "one"), peak(instance, 2, "two")
     matrix_bytes = spec.t * 10 * 8
     assert two - one <= 0.25 * matrix_bytes, (one / matrix_bytes, two / matrix_bytes)
+
+
+def test_a_generated_run_peaks_well_below_its_matrix(tmp_path):
+    # wide-stream's eight-point support at ten agents: the instance is its
+    # points and an arrival index, so no step of the run builds the matrix
+    spec = {"type": "iid", "support": EIGHT_POINT_SUPPORT}
+    body = "instance: {model: %s, t: %d, seed: 1}\nweights: {equal: 10}\nvariants: [pace, proportional]\n"
+    body += "output_dir: %s\n"
+
+    def peak(t, out):
+        path = _write_config(tmp_path / f"{out}.yaml", body % (spec, t, out))
+        return traced_peak(run_experiment, ExperimentConfig.from_yaml(path))
+
+    peak(100, "warm")  # first-use allocations stay out of the comparison
+    t = 40_000
+    matrix_bytes = t * 10 * 8
+    big = peak(t, "big")
+    # 0.52 when set; 1.32 with the matrix built by the generator
+    assert big <= 0.75 * matrix_bytes, big / matrix_bytes
+
+
+# one generated config per model type, with repeated points and zeros of
+# either sign among them; ergodic is normalized
+_GENERATED = {
+    "iid": "{model: {type: iid, support: [[1, 0.2, 0.0], [0.3, 1, 0.5], [1, 0.2, -0.0]]}, t: 3000, seed: 2}",
+    "periodic": "{model: {type: periodic, pools: [[[1, 0.2], [0.3, 1]], [[0.5, 0.5]], [[0.1, 0.0], [1, 0.2]]]},"
+    " t: 3000, seed: 5}",
+    "block": "{model: {type: block, lengths: [1000, 1500, 500], dists: [{support: [[1, 0.1], [0.1, 1], [1, 0.1]],"
+    " probs: [0.3, 0.5, 0.2]}, {support: [[0.5, 0.5], [-0.0, 1], [1, 0.1]]}, {support: [[0.0, 1], [2, 2]]}]},"
+    " t: 3000, seed: 3}",
+    "ergodic": "{model: {type: ergodic, states: [[1, 0.1, 0.3], [0.2, 1, 0.0], [0.5, 0.5, 1]],"
+    " transitions: [[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]], start: 2}, t: 3000, seed: 9,"
+    " normalize: true}",
+    "corrupted": "{model: {type: corrupted, base: {support: [[1, 0.1], [0.1, 1], [0.0, 0.7]]},"
+    " corruptions: {3: {support: [[5, 0.1]]}, 17: {support: [[-0.0, 0.7], [9, 9]]}, 9999: {support: [[3, 3]]}}},"
+    " t: 3000, seed: 3}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATED))
+def test_a_generated_instance_runs_as_its_csv_does(tmp_path, kind):
+    # the point form reaches every layer; written out as a CSV and read back
+    # as a matrix, the same instance writes the same bytes
+    instance = _GENERATED[kind]
+    n = 3 if kind in ("iid", "ergodic") else 2
+    body = (
+        "instance: %s\nweights: {equal: %d}\nsave_instances: true\noutput_dir: %s\nvariants: [pace,"
+        " 'constrained,slack=0.5', 'seeded,seed_utility=0.5', setaside, greedy, proportional]\n"
+    )
+    spec = ExperimentConfig.from_yaml(_write_config(tmp_path / "gen.yaml", body % (instance, n, "gen")))
+    values = gen(spec.model_spec)
+    assert values.index is not None
+    save_csv(tmp_path / "inst.csv", values)
+    csv_instance = "{csv: inst.csv, normalize: true}" if "normalize" in instance else "{csv: inst.csv}"
+    from_csv = ExperimentConfig.from_yaml(_write_config(tmp_path / "csv.yaml", body % (csv_instance, n, "csv")))
+    assert load_csv(tmp_path / "inst.csv").index is None
+    a, b = run_experiment(spec).output_dir, run_experiment(from_csv).output_dir
+    files = sorted(p.relative_to(a) for p in Path(a).rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in Path(b).rglob("*") if p.is_file())
+    for f in files:
+        assert (Path(a) / f).read_bytes() == (Path(b) / f).read_bytes(), f
 
 
 def test_failure_removes_partial_outputs(tmp_path):

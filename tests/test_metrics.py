@@ -145,6 +145,14 @@ def test_seeded_ratio_examples():
     assert r_big == pytest.approx(W2.total, rel=1e-9)
 
 
+@pytest.mark.parametrize("seed_utility", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_seeded_ratio_refuses_a_seed_that_is_not_positive_and_finite(seed_utility):
+    # an infinite seed once gave nan with a RuntimeWarning
+    vs = ValueSequence(np.eye(2))
+    with pytest.raises(InstanceError, match="seed_utility must be positive and finite"):
+        seeded_utility_ratio(vs, np.ones(2), W2, seed_utility)
+
+
 def test_scale_behavior_of_metrics():
     rng = np.random.default_rng(203)
     vs = ValueSequence(rng.random((12, 3)) + 1e-3)

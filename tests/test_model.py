@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,6 +217,91 @@ def test_value_sequence_keeps_a_c_contiguous_float64_matrix_without_a_copy():
     for other in (m.tolist(), np.asfortranarray(m), m.astype(np.float32)):
         assert ValueSequence(other).matrix is not other
         assert not ValueSequence(other).matrix.flags.writeable
+
+
+def _point_form(n, t, seed, q=9):
+    """Points of spread-out magnitudes, so that the order of a sum shows in
+    its bits, with some zeros of either sign; and ``t`` drawn point ids."""
+    rng = np.random.default_rng(seed)
+    points = rng.random((q, n)) * 10.0 ** rng.integers(-8, 9, size=(q, 1))
+    points[rng.random((q, n)) < 0.2] = 0.0
+    points[rng.random((q, n)) < 0.1] = -0.0
+    return ValueSequence(points, index=rng.integers(0, q, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 10]),
+    t=st.integers(1, 3000),
+    block=st.sampled_from([1, 7, model._ROW_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, t=3000, block=7, seed=0)  # pairwise, not in sequence: one column is gathered whole
+@example(n=2, t=3000, block=7, seed=0)
+def test_column_sums_of_the_point_form_are_the_matrix_sums_bit_for_bit(n, t, block, seed):
+    vs = _point_form(n, t, seed)
+    rounds = np.random.default_rng(seed + 1).random(t) < 0.5
+    with mock.patch.object(model, "_ROW_BLOCK", block):
+        assert vs.column_sums().tobytes() == vs.matrix.sum(axis=0).tobytes()
+        assert vs.column_sums(rounds).tobytes() == vs.matrix[rounds].sum(axis=0).tobytes()
+        assert vs.monopolistic_utilities().tobytes() == vs.matrix.sum(axis=0).tobytes()
+    m = ValueSequence(vs.matrix)  # the matrix form sums as numpy does
+    assert m.column_sums(rounds).tobytes() == vs.matrix[rounds].sum(axis=0).tobytes()
+
+
+def test_point_form_reads_as_its_gathered_matrix(tmp_path):
+    vs = _point_form(3, 2500, 5)
+    m = vs.points[vs.index]
+    assert (vs.t, vs.n) == (2500, 3)
+    assert vs.matrix.tobytes() == m.tobytes()
+    assert vs.rows(1000, 2100).tobytes() == m[1000:2100].tobytes()
+    assert vs.per_round(np.arange(9.0)).tolist() == vs.index.tolist()
+    assert not vs.index.flags.writeable
+    # normalizing rescales the points and keeps the index
+    out = normalize_values(vs)
+    assert out.index is vs.index
+    assert out.matrix.tobytes() == normalize_values(ValueSequence(m)).matrix.tobytes()
+    # an instance is written and read back as its matrix
+    save_csv(tmp_path / "points.csv", vs)
+    assert load_csv(tmp_path / "points.csv").matrix.tobytes() == m.tobytes()
+
+
+def test_normalizing_the_point_form_scales_only_the_points_that_arrive():
+    # the first point never arrives, and would overflow if it were scaled
+    points = [[1e308, 1e308], [0.5, 0.5], [0.25, 0.5]]
+    vs = ValueSequence(points, index=[1, 2, 1, 1])
+    out = normalize_values(vs)
+    assert out.matrix.tobytes() == normalize_values(ValueSequence(vs.matrix)).matrix.tobytes()
+
+
+def test_zero_agents_count_only_the_points_that_arrive():
+    vs = ValueSequence([[1.0, 0.0], [0.0, 1.0], [1.0, 0.5]], index=[0, 2, 0])
+    assert vs.zero_agents == ()
+    vs = ValueSequence([[1.0, 0.0], [0.0, 1.0], [1.0, 0.5]], index=[0, 0])
+    assert vs.zero_agents == (1,)
+    assert validate_instance(vs, AgentWeights([1, 1])).failures == ("agent 2 has all-zero values",)
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ([], "index must be a nonempty vector of point ids"),
+        ([[0, 1]], "index must be a nonempty vector of point ids"),
+        ([0.0, 1.0], "index must be a nonempty vector of point ids"),
+        ([0, 2], r"point ids must lie in \[0, 2\)"),
+        ([-1, 0], r"point ids must lie in \[0, 2\)"),
+    ],
+)
+def test_an_index_is_refused_unless_it_names_points(index, message):
+    with pytest.raises(InstanceError, match=message):
+        ValueSequence([[1.0, 0.0], [0.0, 1.0]], index=np.array(index))
+
+
+def test_save_csv_writes_the_point_form_without_its_matrix(tmp_path):
+    # rows are gathered and written one block at a time
+    vs = _point_form(10, 40_000, 8)
+    peak = traced_peak(save_csv, tmp_path / "points.csv", vs)
+    assert peak <= 0.25 * vs.matrix.nbytes, peak / vs.matrix.nbytes
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
