@@ -16,6 +16,7 @@ code 2; runtime failures exit with code 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -279,5 +280,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def program() -> None:
+    """Run :func:`main` on the command line and exit with its code.
+
+    The heap that importing numpy, PyYAML and fairpace built lives until
+    the process exits, so it is frozen first: no collection during the
+    run, nor the interpreter's teardown, walks it again.  ``main`` does
+    not freeze, so in-process callers keep their collector as it was.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    program()

@@ -909,8 +909,9 @@ def restrict_instance(
     if agents[0] < 0 or agents[-1] >= values.n:
         raise InstanceError("agent subset out of range")
     keep_rows = np.isin(trace.winners, agents)
-    matrix = values.matrix[keep_rows][:, agents]
-    if matrix.shape[0] == 0:
+    if not keep_rows.any():
         raise InstanceError("restriction removed every item")
     names = tuple(values.agents[i] for i in agents)
-    return ValueSequence(matrix, names)
+    if values.index is None:
+        return ValueSequence(values.points[keep_rows][:, agents], names)
+    return ValueSequence(values.points[:, agents], names, values.index[keep_rows])

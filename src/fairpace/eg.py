@@ -156,9 +156,8 @@ def _prices(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return prices
 
 
-def _dual_value(beta: np.ndarray, matrix: np.ndarray, weights: AgentWeights) -> float:
+def _dual_value(beta: np.ndarray, prices: np.ndarray, weights: AgentWeights) -> float:
     b = weights.array
-    prices = _prices(matrix, beta)
     const = float(np.dot(b, np.log(b)) - b.sum())
     return float(prices.sum() - np.dot(b, np.log(beta)) + const)
 
@@ -174,7 +173,7 @@ def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
         raise InstanceError("beta length does not match agent count")
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise InstanceError("beta entries must be positive and finite")
-    return _dual_value(arr, values.matrix, weights)
+    return _dual_value(arr, values.per_round(_prices(values.points, arr)), weights)
 
 
 def check_tolerance(tol: float) -> float:
@@ -435,7 +434,8 @@ def _solve_dual(
         u = (scaled * x).sum(axis=0)
         if np.any(u <= 0):
             return u, math.inf
-        return u, max(_dual_value(b / u, scaled, weights) - float(b @ np.log(u)), 0.0)
+        beta = b / u
+        return u, max(_dual_value(beta, _prices(scaled, beta), weights) - float(b @ np.log(u)), 0.0)
 
     logv_t = np.ascontiguousarray(np.log(v).T)
     y = np.log(b / agent_totals)

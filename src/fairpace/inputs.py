@@ -285,7 +285,10 @@ class InputModelSpec:
         if t < 1:
             raise InstanceError("t must be positive")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "seed", integral(self.seed) & 0xFFFFFFFFFFFFFFFF)
+        seed = integral(self.seed)
+        if not 0 <= seed <= _U64:  # a seed is one key word of the stream
+            raise InstanceError(f"seed must lie in [0, 2**64), not {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def _round_uniforms(seed: int, repetition: int, count: int) -> np.ndarray:
     time into the one output array.
     """
     # the ten rounds' keys, in Python ints so that no numpy scalar overflows
-    k0, k1 = int(repetition) & _U64, int(seed) & _U64
+    k0, k1 = int(repetition), int(seed)
     keys = [(np.uint64((k0 + r * _PHILOX_W0) & _U64), np.uint64((k1 + r * _PHILOX_W1) & _U64)) for r in range(10)]
     out = np.empty(count)
     for start in range(0, count, 4 * _CHUNK):
@@ -354,6 +357,8 @@ def _largest_remainder_counts(length: int, probs: np.ndarray) -> np.ndarray:
 
 def gen(spec: InputModelSpec, repetition: int = 0) -> ValueSequence:
     """Generate the value sequence for one repetition of a spec."""
+    if not 0 <= repetition <= _U64:  # the other key word of the stream
+        raise InstanceError(f"repetition must lie in [0, 2**64), not {repetition}")
     u = _round_uniforms(spec.seed, repetition, spec.t)
     budget = getattr(spec.model, "max_delta", None)
     if budget is not None:

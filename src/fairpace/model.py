@@ -55,8 +55,9 @@ def known_keys(d: Mapping, *keys: str) -> Mapping:
 
 
 def integral(x) -> int:
-    """``x`` as an int; only a number with an integer value such as ``3.0`` is read."""
-    if isinstance(x, (bool, str)) or not float(x).is_integer():
+    """``x`` as an int; only a number with an integer value such as ``3.0`` is
+    read.  A Python int is read exactly, however large."""
+    if isinstance(x, (bool, str)) or not (isinstance(x, int) or float(x).is_integer()):
         raise InstanceError(f"{x!r} is not an integer")
     return int(x)
 
@@ -327,10 +328,14 @@ class ValueSequence:
     def zero_agents(self) -> Tuple[int, ...]:
         """The agents whose values are all zero; read once per sequence, so
         every run on it checks them without a pass over the matrix."""
-        arrived = self.points
-        if self.index is not None:  # a point that never arrives does not count
-            arrived = arrived[np.bincount(self.index, minlength=len(arrived)) > 0]
-        return tuple(np.flatnonzero(arrived.max(axis=0) == 0).tolist())  # values are nonnegative
+        return tuple(np.flatnonzero(self._arrived().max(axis=0) == 0).tolist())  # values are nonnegative
+
+    def _arrived(self) -> np.ndarray:
+        """The points that arrive in some round: a point that never arrives
+        is not a value of the sequence."""
+        if self.index is None:
+            return self.points
+        return self.points[np.bincount(self.index, minlength=len(self.points)) > 0]
 
 
 @dataclass(frozen=True)
@@ -488,9 +493,10 @@ def extremity(values: ValueSequence) -> float:
     """Smallest ratio, over agents, of minimum nonzero value to maximum value.
 
     The result lies in (0, 1]; instances score 1 when each agent's nonzero
-    values are all equal.  Errors on agents with no positive value.
+    values are all equal.  Errors on agents with no positive value.  Only
+    the points that arrive are read: a minimum and a maximum are exact.
     """
-    m = values.matrix
+    m = values._arrived()
     eps = math.inf
     for i in range(values.n):
         col = m[:, i]

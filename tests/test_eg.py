@@ -354,6 +354,18 @@ def test_newton_steps_over_the_pow2_prefixes_of_an_eight_point_support_at_ten_ag
     assert sum(s.iterations for s in sols) <= 670  # 335 when set
 
 
+def test_dual_objective_of_a_point_form_prices_each_point():
+    # prices are taken per point and mapped to the rounds: the matrix's
+    # sum bit for bit, without the matrix
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 40_000, 1))
+    w = AgentWeights(np.linspace(0.5, 2.0, 10))
+    for beta in (np.ones(10), np.linspace(0.1, 3.0, 10), np.geomspace(1e-3, 1e3, 10)):
+        assert dual_objective(beta, vs, w) == dual_objective(beta, ValueSequence(vs.matrix), w)
+    peak = traced_peak(dual_objective, np.linspace(0.5, 1.5, 10), vs, w)
+    # 0.10 when set; 1.20 with the matrix gathered
+    assert peak <= 0.25 * vs.matrix.nbytes, peak / vs.matrix.nbytes
+
+
 def test_hindsight_prefix_memory_is_a_fraction_of_the_matrix():
     # merging identical items sorts an index, not the rows: the sorted rows
     # are compared one block at a time and only the unique rows are copied

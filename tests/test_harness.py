@@ -720,6 +720,12 @@ def _run_cli(tmp_path, variants, *extra):
     return subprocess.run(CLI + ["run", cfg, *extra], capture_output=True, text=True, cwd=tmp_path)
 
 
+# a small generated instance, written to out/
+_SMALL_RUN = (
+    "instance: {model: {type: iid, support: [[1, 0.2], [0.3, 1]]}, t: 64, seed: 3}\n"
+    "weights: {equal: 2}\nvariants: [pace, proportional]\n"
+)
+
 # the fields eval reads of a pace trace on _TWO_AGENTS; %s is the winners
 _PACE_TRACE = '{"variant_spec": {"type": "pace"}, "weights": [1, 1], "checkpoints": [], "winners": %s}'
 
@@ -814,13 +820,19 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["attack", "--construction", "envy-worstcase", "--eps", "1e-300", "--base-length", "3", "--out", "x.csv"], {}, "error: cannot allocate the instance's 2071291283308354172914"),
         (["attack", "--construction", "envy-worstcase", "--eps", "1e-20", "--base-length", "3", "--out", "x.csv"], {}, "error: cannot allocate the instance's 13808608595320952857281 items"),
         (["attack", "--construction", "constrained-failure", "--upper2", "inf", "--t", "3", "--out", "x.csv"], {}, "error: bounds must be positive and the upper bound finite"),
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--t", "3", "--seed", "-1", "--out", "x.csv"], {}, "error: seed must lie in [0, 2**64), not -1"),
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--t", "3", "--seed", str(2**64), "--out", "x.csv"], {}, f"error: seed must lie in [0, 2**64), not {2**64}"),
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--t", "3", "--rep", "-1", "--out", "x.csv"], {}, "error: repetition must lie in [0, 2**64), not -1"),
+        (["run", "c.yaml"], {"c.yaml": _SMALL_RUN.replace("seed: 3", "seed: -1")}, "error: seed must lie in [0, 2**64), not -1"),
+        (["run", "c.yaml", "--seed", str(2**70)], {"c.yaml": _SMALL_RUN}, f"error: seed must lie in [0, 2**64), not {2**70}"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
          "eval-checkpoints-number", "solve-inf", "solve-nan", "solve-negative", "solve-overflow", "solve-tol-inf",
          "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "run-seeded-inf", "eval-nan", "gen-periodic-vector-pool",
          "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t", "attack-envy-eps-1e-300",
-         "attack-envy-eps-1e-20", "attack-constrained-upper2-inf"],
+         "attack-envy-eps-1e-20", "attack-constrained-upper2-inf", "gen-seed-negative", "gen-seed-2-64",
+         "gen-rep-negative", "run-seed-negative", "run-seed-2-70"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
@@ -831,6 +843,60 @@ def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expe
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
+
+
+# the installed script's form: the program entry, called with the arguments after -c
+_PROGRAM = "from fairpace.cli import program; program()"
+
+
+def test_the_program_freezes_its_import_time_heap(tmp_path):
+    code = "import atexit, gc\natexit.register(lambda: print('frozen', gc.get_freeze_count()))\n" + _PROGRAM
+    cfg = _write_config(tmp_path / "c.yaml", _SMALL_RUN)
+    r = subprocess.run([sys.executable, "-c", code, "run", cfg], capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    *wrote, frozen = r.stdout.splitlines()
+    assert wrote and all(line.startswith("wrote ") for line in wrote)
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+@pytest.mark.parametrize(
+    "command, files, code",
+    [
+        (["run", "c.yaml"], {"c.yaml": _SMALL_RUN}, 0),
+        (["solve", "v.csv"], {"v.csv": "a,b\n1,inf\n0,1\n"}, 1),
+        (["run", "c.yaml", "--checkpoints", "1,zz"], {"c.yaml": _SMALL_RUN}, 2),
+    ],
+    ids=["run", "solve-inf", "run-checkpoints-text"],
+)
+def test_the_program_exits_as_main_returns(tmp_path, monkeypatch, capsys, command, files, code):
+    # the same files in two directories: the program runs in one as a
+    # child, main in the other in-process, where it leaves the collector
+    # as it was
+    import gc
+
+    from fairpace.cli import main
+
+    for side in ("program", "main"):
+        (tmp_path / side).mkdir()
+        for name, body in files.items():
+            (tmp_path / side / name).write_text(body)
+    r = subprocess.run([sys.executable, "-c", _PROGRAM, *command], capture_output=True, text=True, cwd=tmp_path / "program")
+    monkeypatch.chdir(tmp_path / "main")
+    frozen = gc.get_freeze_count()
+    try:
+        returned = main(command)
+    except SystemExit as exc:  # a usage error
+        returned = exc.code
+    out, err = capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    assert r.returncode == returned == code
+    moved = str(tmp_path / "program"), str(tmp_path / "main")  # printed paths name the directory
+    assert (r.stdout.replace(*moved), r.stderr.replace(*moved)) == (out, err)
+    if code == 0:
+        assert out.splitlines() and all(line.startswith("wrote ") for line in out.splitlines())
+        assert _files(tmp_path / "program" / "out") == _files(tmp_path / "main" / "out")
+    elif code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_eval_re_runs_the_trace_instead_of_reading_its_arrays(tmp_path):

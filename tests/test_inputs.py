@@ -139,6 +139,21 @@ def test_round_uniforms_are_numpy_philox_bit_for_bit(seed, repetition, count):
     assert _round_uniforms(seed, repetition, count).tobytes() == expected.tobytes()
 
 
+def test_seeds_and_repetitions_outside_the_key_word_are_refused():
+    # a seed or a repetition is one 64-bit key word: masked, -1 would draw
+    # the instance of 2**64 - 1, and 2**64 that of 0
+    model = IID(FiniteDistribution.uniform([[1.0, 0.0], [0.0, 1.0]]))
+    assert InputModelSpec(model, t=3, seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-1, 2**64, 2**70, 10**400):
+        with pytest.raises(InstanceError, match=rf"^seed must lie in \[0, 2\*\*64\), not {seed}$"):
+            InputModelSpec(model, t=3, seed=seed)
+    spec = InputModelSpec(model, t=3, seed=0)
+    assert gen(spec, 2**64 - 1).t == 3
+    for rep in (-1, 2**64):
+        with pytest.raises(InstanceError, match=rf"^repetition must lie in \[0, 2\*\*64\), not {rep}$"):
+            gen(spec, rep)
+
+
 def test_round_uniforms_memory_is_about_the_output():
     # the stream is computed _CHUNK counters at a time into the output
     peak = traced_peak(_round_uniforms, 7, 3, 10**6)

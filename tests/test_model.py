@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from test_eg import EIGHT_POINT_SUPPORT
 from tracing import traced_peak
 
 from fairpace import model
-from fairpace.inputs import Block, Corrupted, Ergodic, Periodic
+from fairpace.inputs import IID, Block, Corrupted, Ergodic, InputModelSpec, Periodic, gen
 from fairpace.model import (
     FiniteDistribution,
     AgentWeights,
@@ -376,6 +377,23 @@ def test_extremity_examples():
 def test_extremity_all_zero_error():
     with pytest.raises(InstanceError, match="agent 1"):
         extremity(ValueSequence([[0.0, 1.0]]))
+
+
+def test_extremity_of_a_point_form_reads_the_points_that_arrive():
+    # point 2 never arrives, so its small value is not the instance's
+    points = [[0.5, 0.2], [1.0, 0.0], [0.5, 1.0], [1e-9, 3.0]]
+    vs = ValueSequence(points, index=np.array([2, 0, 1, 2, 0]))
+    assert extremity(vs) == extremity(ValueSequence(vs.matrix)) == 0.2
+    assert extremity(ValueSequence(points)) == 1e-9
+    with pytest.raises(InstanceError, match="agent 2 has all-zero values"):
+        extremity(ValueSequence(points, index=np.array([1, 1])))
+
+
+def test_extremity_memory_is_a_fraction_of_the_matrix():
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 40_000, 1))
+    peak = traced_peak(extremity, vs)
+    # 0.10 when set; 1.21 with the matrix gathered
+    assert peak <= 0.25 * vs.matrix.nbytes, peak / vs.matrix.nbytes
 
 
 def test_extremity_scale_free_under_normalization():
