@@ -275,8 +275,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InstanceError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InstanceError, MemoryError, OSError, RuntimeError, ValueError) as exc:
+        # numpy's MemoryError names the size it could not allocate; Python's names nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -40,20 +40,23 @@ tracked averages and item split) is written in the kernel that ``variant.kernel(
 metrics all read.  The kernel is also the running dynamic: it holds one
 run's state and advances it; a ``PaceState`` is that state as arrays,
 and ``_resume`` builds a kernel from one.  An auction kernel's round is
-one loop (its ``_rounds``), with no call per row.  Pace, constrained,
-seeded and set-aside share one loop: plain pacing is seeded pacing at
-seed zero whose round one is the unserved state rather than unit
-multipliers, and whose multipliers are projected to ``[0, inf]`` where
-constrained's are projected to its intervals.  The loop projects each
-multiplier from the utilities as it bids, so it stores no multipliers.
-It takes a block in windows of ``_WINDOW`` rows and scores in each row
-only its candidates: two ``_bids`` passes per window bound every agent's
-score from above (the window's starting state) and below (the agent
-credited every earlier row of the window), and an agent whose upper
-bound is below the row's largest lower bound cannot win it.  Rounding is
-monotonic, so the bounds hold bit for bit and pruning changes no winner.
-An average that underflows to zero, or a multiplier that overflows to
-``inf``, is the unserved state.
+one loop (``_rounds``), with no call per row, and the five auctions
+share it: it takes a block in windows of ``_WINDOW`` rows and scores in
+each row only its candidates, by the kernel's ``_scan``.  Two ``_bids``
+passes per window bound every agent's score from above (the window's
+starting state) and below (the agent credited every earlier row of the
+window), and an agent whose upper bound is below the row's largest lower
+bound cannot win it.  Rounding is monotonic and every score is
+nonincreasing in the accumulator, so for pacing the bounds hold bit for
+bit and pruning changes no winner; greedy's bounds are widened by its
+``_margin`` (below).  Pace, constrained, seeded and set-aside share one
+``_scan`` too: plain pacing is seeded pacing at seed zero whose round one
+is the unserved state rather than unit multipliers, and whose
+multipliers are projected to ``[0, inf]`` where constrained's are
+projected to its intervals.  The loop projects each multiplier from the
+utilities as it bids, so it stores no multipliers.  An average that
+underflows to zero, or a multiplier that overflows to ``inf``, is the
+unserved state.
 
 Every auction block is speculated first: a kernel guesses a window of
 winners from the state at the window's start, builds the state before
@@ -62,19 +65,23 @@ with ``_bids`` and keeps the rows up to the first guess that was wrong,
 whose argmax is exact because the state before it is.  The loop takes
 the rest of the block after a wrong guess, so speculation changes no
 winner and no bit of the state; it only pays when the winners repeat,
-as they do once stationary input has settled the multipliers.  For pace,
-constrained, seeded and set-aside, ``_bids`` computes the loop's scores
-by the same IEEE operations (one method serves all four, as every
-multiplier lies in ``[0, inf]``), so a window keeps at least one row:
-round one is always scored by ``_bids`` and their loops never start
-before it.  Greedy's ``_bids`` takes ``np.log1p`` where its loop takes
-``math.log1p``, and the two can differ by an ulp; so greedy keeps a row
-only where ``_certain`` shows the loop's argmax is numpy's (the top
-score leads by far more than an ulp, or is the one infinite score, or
-every score is zero), and the loop takes the first uncertain row and the rest of the
-block.  ``pace_step`` resumes a kernel from its state, advances it by
-one row and reads the scores of that vector pass; ``pace_bid`` returns
-them.  Greedy's single step runs its loop, so it reports the
+as they do once stationary input has settled the multipliers.  A kernel's
+``_margin`` says how far, relative to a score, its ``_bids`` may round
+from its ``_scan``.  For pace, constrained, seeded and set-aside it is
+zero: ``_bids`` computes the loop's scores by the same IEEE operations
+(one method serves all four, as every multiplier lies in ``[0, inf]``),
+so a window keeps at least one row: round one is always scored by
+``_bids`` and their loops never start before it.  Greedy's ``_bids``
+takes ``np.log1p`` where its loop takes ``math.log1p``, and the two can
+differ by an ulp; its margin is ``2**-40``.  So greedy keeps a
+speculated row only where the top score leads by more than the margin
+(or is the one infinite score, or every score is zero), and the loop
+takes the first row it does not and the rest of the block; and
+``_candidates`` lowers each row's largest lower bound by twice the
+margin, so the loop's winner stays a candidate.  ``pace_step`` resumes a
+kernel from its state, advances it by one row and reads the scores of
+that vector pass; ``pace_bid`` returns them.  Greedy's single step scans
+every agent of its row in its ``_scan``, so it reports the
 ``math.log1p`` scores.  Proportional's cumulative sum does not
 speculate.
 
@@ -133,13 +140,13 @@ class _PaceKernel:
     and credits the winner ``top`` times its value in ``acc``.  ``_bids``
     scores many rows at once by the same operations, for ``_speculate``
     and ``_candidates``; ``_speculate`` takes at least a block's first
-    row where ``_certain`` is ``None``: so the pacing loop never starts
-    at ``tau == 0``, and round one is scored by ``_bids`` alone.
+    row where ``_margin`` is zero: so the pacing loop never starts at
+    ``tau == 0``, and round one is scored by ``_bids`` alone.
     """
 
     top = 1.0
     pays = True
-    _certain = None  # the rows of ``_bids`` whose argmax is the loop's; ``None`` for all
+    _margin = 0.0  # how far ``_bids`` may round from ``_scan``, relative to a score; zero where exact
     xi = 0.0  # the seed utility in every tracked average
     beta0 = INF  # the multipliers before round one
 
@@ -234,14 +241,18 @@ class _PaceKernel:
         those credits (``lo``).  IEEE rounding is monotonic and a score is
         nonincreasing in ``acc``, which lies between the two, so
         ``lo <= score <= hi`` bit for bit and only agents with
-        ``hi >= max(lo)`` can reach the row's maximum; ties stay in."""
+        ``hi >= max(lo)`` can reach the row's maximum; ties stay in.
+        ``max(lo)`` is first lowered by twice ``_margin``."""
         tau = np.arange(self.tau, self.tau + len(v), dtype=np.float64)[:, None]
         steps = np.empty((len(v) + 1, self.n))
         steps[0] = self.acc
         np.multiply(self.top, v, out=steps[1:])
+        m = self._margin
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lo = self._bids(np.cumsum(steps, axis=0, out=steps)[:-1], tau, v).max(axis=1, keepdims=True)
-            rows, cols = np.nonzero(self._bids(np.array([self.acc]), tau, v) >= lo)
+            # bit for bit ``lo`` at ``m = 0``; an infinite ``lo`` stays infinite, and
+            # only the unserved, whose numpy and ``math`` scores are both ``inf``, can win there
+            rows, cols = np.nonzero(self._bids(np.array([self.acc]), tau, v) >= lo * (1 - 2 * m) - m * 2**-1000)
         return cols, v[rows, cols], np.append(rows[1:] != rows[:-1], True)
 
     def _bids(self, acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -268,13 +279,12 @@ class _PaceKernel:
         comes from one ``np.cumsum`` over the guessed credits, and ``_bids``
         scores all rows.  Every row up to the first whose argmax is not the
         guess is kept, that row too: the state before it is exact, so its
-        argmax is.  A kernel whose ``_bids`` may round otherwise than its
-        loop keeps no row from the first that ``_certain`` does not vouch
-        for.  A window is twice the rows the last one kept, within the
-        block; after a wrong guess or an uncertain row the loop takes the
-        rest of the block.
+        argmax is.  A kernel with a ``_margin`` keeps no row from the first
+        whose top score leads by no more than it.  A window is twice the
+        rows the last one kept, within the block; after a wrong guess or an
+        uncertain row the loop takes the rest of the block.
         """
-        n, top, acc, spend, flagged = self.n, self.top, self.acc, self.spend, self.infinite_spend_round
+        n, top, acc, spend, flagged, m = self.n, self.top, self.acc, self.spend, self.infinite_spend_round, self._margin
         winners, done = [], 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while done < len(block):
@@ -291,8 +301,12 @@ class _PaceKernel:
                 won = scores.argmax(axis=1)
                 wrong = np.flatnonzero(won != guess)
                 kept = int(wrong[0]) + 1 if wrong.size else size
-                if self._certain:  # keep no row from the first uncertain one, argmin's first False
-                    kept = int(np.argmin(np.append(self._certain(scores[:kept]), False)))
+                if m:  # keep no row from the first uncertain one, argmin's first False: certain
+                    # is a runner-up below ``1 - m`` of the top by more than a subnormal's error,
+                    # an infinite top counting as ``2**1000``, far from overflow; or every score zero
+                    first, second = np.sort(scores[:kept], axis=1)[:, :-3:-1].T if n > 1 else (scores[:kept, 0], -1.0)
+                    certain = (second < np.minimum(first, 2.0**1000) * (1 - m) - 2**-1000) | (first == 0.0)
+                    kept = int(np.argmin(np.append(certain, False)))
                 won, rows = won[:kept], rows[:kept]
                 if out is not None:
                     out.extend(scores[:kept].ravel().tolist())
@@ -404,38 +418,40 @@ class _SetAsideKernel(_SeededKernel):
 
 class _GreedyKernel(_PaceKernel):
     """Scores are exact log-welfare increments, not money: nothing is spent.
-    ``np.log1p`` and ``math.log1p`` can round an increment differently, by
-    an ulp, so a speculated row is kept only where ``_certain`` shows that
-    the loop's argmax is numpy's; a single step reports the loop's scores."""
+    ``_bids``' ``np.log1p`` and the loop's ``math.log1p`` can differ by an
+    ulp, which ``_margin`` covers; a single step reports the loop's scores."""
 
     pays = False
+    _margin = 2.0**-40
 
     def _speculate(self, block, out):
-        # a single step is not speculated: it reports the loop's scores
-        return super()._speculate(block, out) if out is None else self._rounds(block, out)
+        # a single step is not speculated: it scores every agent of its one row in the loop
+        if out is None:
+            return super()._speculate(block, out)
+        return self._scan(list(range(self.n)), block[0].tolist(), [False] * (self.n - 1) + [True], out)
 
-    def _rounds(self, block, out=None):
+    def _scan(self, agents, values, last, out=None):
         """The increment ``B log(1 + v/U)`` is infinite only for ``U == 0``:
         where ``v/U`` overflows, ``log(v) - log(U)`` is that logarithm."""
         b, u, log, log1p = self.b, self.u, math.log, math.log1p
-        winners = []
-        for row in block.tolist():
-            best, w = -1.0, 0
-            for i, v in enumerate(row):
-                if v <= 0.0:
-                    s = 0.0
-                elif (ui := u[i]) == 0.0:
-                    s = INF
-                elif (x := v / ui) < INF:
-                    s = b[i] * log1p(x)
-                else:
-                    s = b[i] * (log(v) - log(ui))
-                if out is not None:
-                    out.append(s)
-                if s > best:
-                    best, w = s, i
-            u[w] += row[w]
-            winners.append(w)
+        best, winners = -1.0, []
+        for i, v, closes in zip(agents, values, last):
+            if v <= 0.0:
+                s = 0.0
+            elif (ui := u[i]) == 0.0:
+                s = INF
+            elif (x := v / ui) < INF:
+                s = b[i] * log1p(x)
+            else:
+                s = b[i] * (log(v) - log(ui))
+            if out is not None:  # a single step's scores
+                out.append(s)
+            if s > best:
+                best, w, won = s, i, v
+            if closes:
+                u[w] += won
+                winners.append(w)
+                best = -1.0
         self.tau += len(winners)
         return winners
 
@@ -449,16 +465,6 @@ class _GreedyKernel(_PaceKernel):
             over &= acc > 0.0
             s[over] = np.log(v[over]) - np.log(np.broadcast_to(acc, v.shape)[over])
         return np.where(v > 0.0, self.b_vec * s, 0.0)
-
-    def _certain(self, scores):
-        """Rows whose argmax ``math.log1p`` cannot change.  The top score
-        beats the runner-up by far more than an ulp of either (``2**-40`` of
-        the top, and more than a subnormal's error), where an infinite top
-        (``U == 0``) counts as ``2**1000``, so a finite runner-up is far from
-        overflow; or every score is zero."""
-        ranked = np.sort(scores, axis=1)
-        top, second = ranked[:, -1], (ranked[:, -2] if self.n > 1 else -1.0)
-        return (second < np.minimum(top, 2.0**1000) * (1 - 2**-40) - 2**-1000) | (top == 0.0)
 
 
 class _ProportionalKernel(_PaceKernel):

@@ -762,8 +762,8 @@ _GREEDY_MATRICES = st.one_of(
 )
 
 
-def _loop_only(self, scores):
-    return np.zeros(len(scores), dtype=bool)
+def _no_row(self, block, out):
+    return np.empty(0, dtype=np.intp)
 
 
 @example(matrix=np.array([[1.0, 0.0], [0.0, 1.0], list(_ULP_APART)]), weights=[1.0] * 4, chunk=dynamics._CHUNK)
@@ -771,17 +771,59 @@ def _loop_only(self, scores):
 @given(matrix=_GREEDY_MATRICES, weights=_WEIGHTS, chunk=st.sampled_from([3, 100, dynamics._CHUNK]))
 def test_speculated_greedy_is_the_loop(matrix, weights, chunk):
     # a row's winner is kept from numpy's scores only where math.log1p cannot
-    # rank it otherwise; a run whose rows all go to the loop is the reference
+    # rank it otherwise, and the loop scans the agents that numpy's bounds,
+    # widened by the margin, leave in; the reference speculates no row and,
+    # at a margin of 1 (every lower bound below zero), scans every agent
     vs, w = _instance(matrix, weights)
     cps = parse_checkpoints("pow2", vs.t)
     with mock.patch.object(dynamics, "_CHUNK", chunk):
         trace = run(vs, w, OneStepGreedy(), cps)
     assert trace.winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
-    with mock.patch.object(dynamics._GreedyKernel, "_certain", _loop_only):
-        loop = run(vs, w, OneStepGreedy(), cps)
+    with mock.patch.object(dynamics._GreedyKernel, "_speculate", _no_row):
+        with mock.patch.object(dynamics._GreedyKernel, "_margin", 1.0):
+            loop = run(vs, w, OneStepGreedy(), cps)
     assert trace.winners.tolist() == loop.winners.tolist()
     assert trace.checkpoint_utilities.tolist() == loop.checkpoint_utilities.tolist()
     assert trace.final_utilities.tolist() == loop.final_utilities.tolist()
+
+
+def test_greedy_near_ties_keep_the_loops_winner():
+    # n identity rows serve every agent at utility 1; then each row offers one
+    # pair of agents the _ULP_APART values, which math.log1p ties and np.log1p
+    # ranks second first.  No row is speculated past the first pair, whose lead
+    # is an ulp; a pair's values are new to its window, so numpy's lower bound
+    # on the second is its exact score, above the first's upper bound: only
+    # the margin keeps the first a candidate, and the loop gives it the tie
+    a, b = _ULP_APART
+    assert math.log1p(a) == math.log1p(b) < float(np.log1p(b))  # x86-64 numpy 2.x
+    n = 10
+    pairs = np.zeros((n // 2, n))
+    pairs[np.arange(n // 2), np.arange(0, n, 2)], pairs[np.arange(n // 2), np.arange(1, n, 2)] = a, b
+    vs, w = ValueSequence(np.vstack((np.eye(n), pairs))), AgentWeights.equal(n)
+    for window in (1, dynamics._WINDOW):
+        with mock.patch.object(dynamics, "_WINDOW", window):
+            trace = run(vs, w, OneStepGreedy())
+        assert trace.winners.tolist() == [*range(n), *range(0, n, 2)]
+        assert trace.winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
+
+
+# more rows than a window, where items split between the ten agents: the loop
+# takes most rows of greedy's run, scanning each row's candidates, while the
+# fold scores every agent of every row in a single step
+@pytest.mark.parametrize("values", ["non-repeating", "eight-point"])
+def test_greedy_in_the_pruned_loop_is_a_fold_of_pace_step(values):
+    if values == "eight-point":
+        vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 1200, 3))
+    else:
+        vs = ValueSequence(np.random.default_rng(33).random((1200, 10)))
+    w = AgentWeights([0.5, 1.0, 2.0] * 3 + [1.0])
+    scanned = []
+    scan = dynamics._GreedyKernel._scan
+    with mock.patch.object(dynamics._GreedyKernel, "_scan", lambda k, *a: scanned.append(sum(a[2])) or scan(k, *a)):
+        trace = run(vs, w, OneStepGreedy(), parse_checkpoints("pow2", vs.t))
+    assert sum(scanned) > vs.t // 2  # rows the loop took
+    _assert_run_is_fold(vs, w, trace.variant, trace)
+    assert trace.winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
 
 
 @pytest.mark.parametrize(

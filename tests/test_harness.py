@@ -825,6 +825,11 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["gen", "--model", "iid", "--support", "1,0;0,1", "--t", "3", "--rep", "-1", "--out", "x.csv"], {}, "error: repetition must lie in [0, 2**64), not -1"),
         (["run", "c.yaml"], {"c.yaml": _SMALL_RUN.replace("seed: 3", "seed: -1")}, "error: seed must lie in [0, 2**64), not -1"),
         (["run", "c.yaml", "--seed", str(2**70)], {"c.yaml": _SMALL_RUN}, f"error: seed must lie in [0, 2**64), not {2**70}"),
+        # sizes above the 128 TiB x86-64 address space, which no overcommit setting grants
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--t", str(10**15), "--out", "x.csv"], {}, "error: Unable to allocate 7.11 PiB"),
+        (["attack", "--construction", "constrained-failure", "--upper2", "1", "--t", str(10**15), "--out", "x.csv"], {}, "error: Unable to allocate 14.2 PiB"),
+        (["attack", "--construction", "cr-killer", "--n", "2", "--phases", f"1,{10**15}", "--out", "x.csv"], {}, "error: Unable to allocate 14.2 PiB"),
+        (["run", "c.yaml"], {"c.yaml": _SMALL_RUN.replace("t: 64", f"t: {10**15}")}, "error: Unable to allocate 7.11 PiB"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
@@ -832,7 +837,8 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
          "solve-tol-nan", "eval-tol-inf", "run-tolerance-inf", "run-tol-nan", "run-seeded-inf", "eval-nan", "gen-periodic-vector-pool",
          "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t", "attack-envy-eps-1e-300",
          "attack-envy-eps-1e-20", "attack-constrained-upper2-inf", "gen-seed-negative", "gen-seed-2-64",
-         "gen-rep-negative", "run-seed-negative", "run-seed-2-70"],
+         "gen-rep-negative", "run-seed-negative", "run-seed-2-70", "gen-t-1e15", "attack-constrained-t-1e15",
+         "attack-cr-killer-phase-1e15", "run-t-1e15"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
@@ -843,6 +849,88 @@ def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expe
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"inst.csv", *files})  # no output, partial or whole
+
+
+def _wrote(*paths):
+    return "".join(f"wrote {p}\n" for p in paths)
+
+
+def _run_wrote(out):
+    return _wrote(f"{out}/trajectories.csv", f"{out}/summary.json", f"{out}/relative_regret.svg")
+
+
+def _csv(*rows):
+    return "".join(f"{row}\n" for row in rows)
+
+
+def _assert_fields(shown, expected, what):
+    """The named fields of a JSON mapping: strings equal, numbers and
+    arrays of them of the same shape and within 1e-12."""
+    for key, value in expected.items():
+        if isinstance(value, str):
+            assert shown[key] == value, (what, key)
+        else:
+            assert np.shape(shown[key]) == np.shape(value), (what, key, shown[key])
+            assert np.allclose(shown[key], value, rtol=1e-12, atol=1e-12), (what, key, shown[key])
+
+
+# each input below is accepted: a row pins main's exit code, its stdout (the
+# text, or the named fields of the JSON it prints), its stderr, and the files
+# it writes (a file's text, the named fields of a JSON file, or None for a
+# file that must exist)
+@pytest.mark.parametrize(
+    "command, files, code, out, err, written",
+    [
+        (["run", "c.yaml", "--out", "w"], {"c.yaml": "instance: {csv: inst.csv}\nweights: [1.0, 2.0]\nvariants: [pace]\n"},
+         0, _run_wrote("w"), "", {"w/summary.json": {"weights": [1.0, 2.0], "repetitions": 1}, "w/reps/rep000_pace.csv": None}),
+        (["run", "c.yaml", "--reps", "2", "--out", "r"], {"c.yaml": _SMALL_RUN}, 0, _run_wrote("r"), "",
+         {"r/summary.json": {"repetitions": 2}, "r/reps/rep001_proportional.csv": None}),
+        (["run", "c.yaml", "--checkpoints", "8,64", "--out", "k"], {"c.yaml": _SMALL_RUN}, 0, _run_wrote("k"), "",
+         {"k/summary.json": {"checkpoints": [8, 64]}}),
+        (["solve", "inst.csv", "--weights", "1,2"], {}, 0, {"utilities": [4 / 3, 8 / 3], "beta": [0.75, 0.75]}, "", {}),
+        (["solve", "inst.csv", "--include-allocation"], {}, 0,
+         {"utilities": [2.0, 2.0], "allocation": [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]}, "", {}),
+        (["solve", "inst.csv", "--out", "eq.json"], {}, 0, _wrote("eq.json"), "",
+         {"eq.json": {"utilities": [2.0, 2.0], "prices": [0.5] * 4}}),
+        (["eval", "tr.json", "--instance", "inst.csv", "--out", "m.json"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]"}, 0,
+         _wrote("m.json"), "", {"m.json": {"variant": "pace", "competitive_ratio": 1.0, "multiplicative_envy": [0.25, 0.5]}}),
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--probs", "0.25,0.75", "--t", "12", "--seed", "5", "--out", "p.csv"],
+         {}, 0, _wrote("12 items x 2 agents to p.csv"), "",
+         {"p.csv": _csv("a1,a2", *["0.0,1.0"] * 3, "1.0,0.0", *["0.0,1.0"] * 2, "1.0,0.0", *["0.0,1.0"] * 5)}),
+        (["gen", "--model", "periodic", "--pools", "1,0.2|0.2,1;0.5,0.5", "--t", "6", "--seed", "2", "--out", "q.csv"],
+         {}, 0, _wrote("6 items x 2 agents to q.csv"), "",
+         {"q.csv": _csv("a1,a2", "1.0,0.2", "0.2,1.0", "1.0,0.2", "0.5,0.5", "1.0,0.2", "0.5,0.5")}),
+        (["attack", "--construction", "constrained-failure", "--upper2", "2", "--cap", "0.5", "--t", "4", "--out", "f.csv"],
+         {}, 0, '{"construction": "constrained-failure", "t": 4, "value": 0.5}\n', "", {"f.csv": _csv("a1,a2", *["0.5,0.5"] * 4)}),
+        (["solve", "z.csv"], {"z.csv": "a,b,c\n1,0,0.2\n0.3,0,0.4\n"}, 1, "", "error: agent 2 has all-zero values\n", {}),
+        (["solve", "z.csv"], {"z.csv": "a,b\n0,0\n0,0\n"}, 1, "", "error: no item has a positive value\n", {}),
+    ],
+    ids=["run-weights-list", "run-reps", "run-checkpoints", "solve-weights", "solve-include-allocation", "solve-out",
+         "eval-out", "gen-probs", "gen-periodic-pools", "attack-cap", "solve-all-zero-agent", "solve-nothing-valued"],
+)
+def test_cli_accepted_inputs_are_pinned(tmp_path, monkeypatch, capsys, command, files, code, out, err, written):
+    from fairpace.cli import main
+
+    (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == code
+    printed = capsys.readouterr()
+    if isinstance(out, dict):
+        _assert_fields(json.loads(printed.out), out, "stdout")
+    else:
+        assert printed.out == out
+    assert printed.err == err
+    for name, expected in written.items():
+        path = tmp_path / name
+        if isinstance(expected, dict):
+            _assert_fields(json.loads(path.read_text()), expected, name)
+        elif expected is None:
+            assert path.is_file(), name
+        else:
+            assert path.read_text() == expected, name
 
 
 # the installed script's form: the program entry, called with the arguments after -c
