@@ -69,11 +69,15 @@ def _parse_rounds(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"malformed round list {text!r}") from None
 
 
-def _variant_arg(text: str):
+def _variant_arg(text: str) -> str:
+    """``text``, checked as a variant against one unit weight: the attack
+    reads it again against its own equal weights, and the slack form is
+    the only one that reads them."""
     try:
-        return parse_variant(text)
+        parse_variant(text, AgentWeights.equal(1))
     except (InstanceError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _checkpoints_arg(text: str) -> str:
@@ -206,7 +210,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_solve(args) -> int:
     values = load_csv(args.instance)
-    weights = AgentWeights(np.asarray(args.weights)) if args.weights else AgentWeights.equal(values.n)
+    weights = AgentWeights(args.weights) if args.weights else AgentWeights.equal(values.n)
     eq = solve_eg(values, weights, args.tol, include_allocation=args.include_allocation)
     text = json.dumps(eq.to_json_dict(), sort_keys=True, indent=1)
     _emit(text, args.out)
@@ -235,10 +239,11 @@ def _cmd_attack(args) -> int:
     elif args.construction == "cr-killer":
         if args.n is None or args.phases is None:
             raise InstanceError("cr-killer needs --n and --phases")
-        res = adv_cr_killer(args.n, args.phases, args.variant)
+        variant = parse_variant(args.variant, AgentWeights.equal(args.n))
+        res = adv_cr_killer(args.n, args.phases, variant)
         values = res.values
         facts = {
-            "policy": args.variant.label,
+            "policy": variant.label,
             "bound": res.bound,
             "kill_order": list(res.kill_order),
             "witness_utilities": list(res.witness_utilities),

@@ -107,7 +107,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .model import (AgentWeights, InstanceError, Spec, ValueSequence, _normalize_checkpoints, known_keys, real,
-                    spec_from_dict, validate_instance)
+                    reals, spec_from_dict, validate_instance)
 
 INF = math.inf
 
@@ -528,8 +528,7 @@ class Constrained(_Variant):
     _kernel = _ConstrainedKernel
 
     def __post_init__(self):
-        lows = tuple(real(x) for x in self.lower)
-        highs = tuple(real(x) for x in self.upper)
+        lows, highs = tuple(reals(self.lower).tolist()), tuple(reals(self.upper).tolist())
         if len(lows) != len(highs):
             raise InstanceError("interval bounds differ in length")
         for i, (lo, hi) in enumerate(zip(lows, highs)):
@@ -595,7 +594,7 @@ class SetAside(_Variant):
     def __post_init__(self):
         w = self.monopoly_utilities
         if w is not None:
-            w = tuple(real(x) for x in w)
+            w = tuple(reals(w).tolist())
             if any(not (x > 0 and math.isfinite(x)) for x in w):
                 raise InstanceError("monopoly utilities must be positive and finite")
             object.__setattr__(self, "monopoly_utilities", w)
@@ -829,7 +828,7 @@ class RunTrace:
             raise InstanceError(f"trace JSON is missing the {exc.args[0]!r} field") from None
         try:
             weights = AgentWeights(weights)
-        except (TypeError, ValueError) as exc:  # InstanceError included
+        except (TypeError, ValueError, OverflowError) as exc:  # InstanceError included
             raise InstanceError(f"trace JSON 'weights': {exc}") from None
         if not isinstance(winners, list):
             raise InstanceError(f"trace JSON 'winners' must be a list, not {winners!r}")

@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -128,8 +129,8 @@ def _generated(model: dict, d: dict, what: str) -> InputModelSpec:
     one is refused as a field of ``what``."""
     if d.get("t") is None:
         raise InstanceError(f"{what} needs a horizon t")
-    t = _number(d, "t", None, integral, what)
-    seed = _number(d, "seed", 0, integral, what) if d.get("seed") is not None else 0
+    t = integral(d["t"], f"{what} 't'")
+    seed = integral(d["seed"], f"{what} 'seed'") if d.get("seed") is not None else 0
     return InputModelSpec(model=spec_from_dict(MODELS, model, "model"), t=t, seed=seed)
 
 
@@ -178,11 +179,11 @@ class ExperimentConfig:
         known_keys(inst, "csv", "model", "t", "seed", "normalize")
         w = d.get("weights")
         if isinstance(w, dict):
-            weights = AgentWeights.equal(_number(known_keys(w, "equal"), "equal", None, integral))
+            weights = AgentWeights.equal(integral(known_keys(w, "equal").get("equal"), "config 'equal'"))
         elif w is not None:
             try:
                 listed = [real(x) for x in w]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise InstanceError(f"config 'weights' must be {{equal: n}} or a list of numbers, not {w!r}") from None
             weights = AgentWeights(listed)
         else:
@@ -214,9 +215,9 @@ class ExperimentConfig:
             output_dir=_path(d.get("output_dir", "out"), "output_dir", base_dir),
             csv_path=csv_path,
             model_spec=spec,
-            repetitions=_number(d, "repetitions", 1, integral),
+            repetitions=integral(d.get("repetitions", 1), "config 'repetitions'"),
             checkpoints=d.get("checkpoints", "pow2"),
-            tolerance=_number(d, "tolerance", 1e-6, real),
+            tolerance=real(d.get("tolerance", 1e-6), "config 'tolerance'"),
             normalize=_flag(inst, "normalize", False),
             save_instances=_flag(d, "save_instances", False),
         )
@@ -227,12 +228,26 @@ class ExperimentConfig:
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which reads YAML 1.1, where ``1e-9`` is a
+    string.  YAML 1.2's core-schema float pattern is tried after PyYAML's
+    own resolvers, so integers, dotted floats and booleans resolve as
+    before, and only the forms 1.1 leaves as strings (``1e-9``, ``1.0e5``,
+    ``-.5``) become floats."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"), list("-+.0123456789")
+)
+
+
 def read_yaml_mapping(path, what: str) -> dict:
-    """The mapping a YAML file holds; a syntax error or a file holding
-    anything else raises one :class:`InstanceError` line naming ``what``."""
+    """The mapping a YAML file holds, numbers read as YAML 1.2 reads them; a
+    syntax error or a file holding anything else raises one
+    :class:`InstanceError` line naming ``what``."""
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             # the parser's message spans several lines; the CLI prints one
             raise InstanceError(f"{what} is not valid YAML: {' '.join(str(exc).split())}") from None
@@ -246,16 +261,6 @@ def _path(value, key: str, base_dir: str) -> str:
     if not isinstance(value, str):
         raise InstanceError(f"config {key!r} must be a path, not {value!r}")
     return value if os.path.isabs(value) else os.path.join(base_dir, value)
-
-
-def _number(d: dict, key: str, default, kind, what: str = "config"):
-    """``kind(d[key])``, or ``default`` when absent, refused in one line
-    that names ``key`` as a field of ``what``."""
-    try:
-        return kind(d.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        whole = " with an integer value" if kind is integral else ""
-        raise InstanceError(f"{what} {key!r} must be a number{whole}, not {d.get(key)!r}") from None
 
 
 def _flag(d: dict, key: str, default: bool) -> bool:

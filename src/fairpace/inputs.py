@@ -72,21 +72,11 @@ import numpy as np
 
 from .dynamics import _CHUNK, Variant
 from .model import (AgentWeights, FiniteDistribution, InstanceError, Spec, ValueSequence, _compress, _frozen_array,
-                    integral, real, value_matrix)
+                    integral, real, reals, value_matrix)
 
 
 # --------------------------------------------------------------------------
 # model specs
-
-
-def _budget(max_delta) -> Optional[float]:
-    """A declared ``max_delta`` as a float; None stays None."""
-    if max_delta is None:
-        return None
-    try:
-        return real(max_delta)
-    except (TypeError, ValueError):
-        raise InstanceError(f"max_delta must be a number, not {max_delta!r}") from None
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class Periodic(Spec):
     name: ClassVar[str] = "periodic"
 
     def __post_init__(self):
-        pools = tuple(np.asarray(p, dtype=np.float64) for p in self.pools)
+        pools = tuple(reals(p) for p in self.pools)
         if not pools:
             raise InstanceError("need at least one pool")
         for p in pools:  # the first pool's rank is checked before its width is read
@@ -160,7 +150,7 @@ class Block(Spec):
             raise InstanceError("block distributions must share the agent count")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "dists", dists)
-        object.__setattr__(self, "max_delta", _budget(self.max_delta))
+        object.__setattr__(self, "max_delta", None if self.max_delta is None else real(self.max_delta, "max_delta"))
 
     def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
         if sum(self.lengths) != t:
@@ -191,12 +181,12 @@ class Ergodic(Spec):
     name: ClassVar[str] = "ergodic"
 
     def __post_init__(self):
-        st = np.asarray(self.states, dtype=np.float64)
-        tr = np.asarray(self.transitions, dtype=np.float64)
+        st, tr = reals(self.states), reals(self.transitions)
         if st.ndim != 2 or tr.shape != (st.shape[0], st.shape[0]):
             raise InstanceError("states and transition matrix shapes do not match")
         st = value_matrix(st)
-        if np.any(tr < 0) or np.any(np.abs(tr.sum(axis=1) - 1.0) > 1e-12):
+        # as for probs: an entry above 1 + 1e-12 is refused before a row sum it could overflow
+        if not (np.all((tr >= 0) & (tr <= 1 + 1e-12)) and np.all(np.abs(tr.sum(axis=1) - 1.0) <= 1e-12)):
             raise InstanceError("transition rows must be distributions")
         start = integral(self.start)
         if not (0 <= start < st.shape[0]):
@@ -247,7 +237,7 @@ class Corrupted(Spec):
                 raise InstanceError("corruption distributions must share the agent count")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "corruptions", corr)
-        object.__setattr__(self, "max_delta", _budget(self.max_delta))
+        object.__setattr__(self, "max_delta", None if self.max_delta is None else real(self.max_delta, "max_delta"))
 
     def segments(self, t: int) -> List[Tuple[int, FiniteDistribution]]:
         hits = [(1, d) for r, d in self.corruptions.items() if r <= t]

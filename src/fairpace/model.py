@@ -14,7 +14,9 @@ block by block in round order.  A CSV, or any matrix given directly,
 is its own points with no index, and is stored as it was given.
 
 This module is the one value layer and imports no other package module:
-what a valid value vector is (:func:`value_matrix`, which instances,
+what a number is (:func:`real` and :func:`integral` for a field,
+:func:`reals` for an array, each refusing a boolean or a string), what a
+valid value vector is (:func:`value_matrix`, which instances,
 distribution supports, periodic pools and chain states all go through)
 and when two vectors are the same point (the row merge ``_compress``)
 are decided here, and :class:`FiniteDistribution` lives here.
@@ -54,12 +56,52 @@ def known_keys(d: Mapping, *keys: str) -> Mapping:
     return d
 
 
-def integral(x) -> int:
+def _scalar(x, name: Optional[str], integer: bool):
+    """``x`` read as :func:`integral` or :func:`real` reads it."""
+    try:
+        if isinstance(x, (bool, np.bool_, str)) or integer and not (isinstance(x, int) or float(x).is_integer()):
+            raise InstanceError(f"{x!r} is not {'an integer' if integer else 'a number'}")
+        return int(x) if integer else float(x)
+    except (TypeError, ValueError, OverflowError):
+        if name is None:
+            raise
+        raise InstanceError(f"{name} must be a number{' with an integer value' if integer else ''}, not {x!r}") from None
+
+
+def integral(x, name: Optional[str] = None) -> int:
     """``x`` as an int; only a number with an integer value such as ``3.0`` is
-    read.  A Python int is read exactly, however large."""
-    if isinstance(x, (bool, str)) or not (isinstance(x, int) or float(x).is_integer()):
-        raise InstanceError(f"{x!r} is not an integer")
-    return int(x)
+    read, and a boolean or a string is refused.  A Python int is read
+    exactly, however large.  With a ``name``, any refusal is one
+    :class:`InstanceError` that names the field."""
+    return _scalar(x, name, True)
+
+
+def real(x, name: Optional[str] = None) -> float:
+    """``x`` as a float; a boolean or a string is refused, not read.  With a
+    ``name``, any refusal is one :class:`InstanceError` that names the field."""
+    return _scalar(x, name, False)
+
+
+def reals(x) -> np.ndarray:
+    """Nested numbers ``x`` as a float64 array, each entry read as
+    :func:`real` reads a scalar, so a boolean or a string at any depth is
+    refused.  A float or integer array is not read entry by entry, and a
+    float64 one is returned as it is, without a copy."""
+    _entries(x)
+    return np.asarray(x, dtype=np.float64)
+
+
+def _entries(x) -> None:
+    """Read every entry of nested lists, tuples and arrays ``x`` as
+    :func:`real` does; a float or integer array is read whole."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "fiu":
+            _entries(x.tolist())
+    elif isinstance(x, (list, tuple)):
+        for e in x:
+            _entries(e)
+    else:
+        real(x)
 
 
 class Spec:
@@ -90,7 +132,7 @@ def spec_from_dict(registry: Mapping[str, type], d, what: str, *context) -> Spec
         raise InstanceError(f"unknown {what} type {kind!r}")
     try:
         return cls.from_dict({k: v for k, v in d.items() if k != "type"}, *context)
-    except (TypeError, ValueError, IndexError) as exc:  # InstanceError included
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:  # InstanceError included
         raise InstanceError(f"{kind} {what}: {exc}") from None
 
 
@@ -108,13 +150,6 @@ def _normalize_checkpoints(checkpoints, t: int) -> Tuple[int, ...]:
     return tuple(cps)
 
 
-def real(x) -> float:
-    """``x`` as a float; a boolean or a string is refused, not read."""
-    if isinstance(x, (bool, str)):
-        raise ValueError(f"{x!r} is not a number")
-    return float(x)
-
-
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
     out.setflags(write=False)
@@ -128,10 +163,11 @@ def value_matrix(a) -> np.ndarray:
     (column); the first non-finite, then the first negative entry
     (row-major) is refused naming its item and agent.  A C-contiguous
     float64 array is kept as is, without a copy, and marked read-only;
-    any other input is copied into one such array.  Instances, supports,
-    pools and chain states all go through this one check.
+    any other input is read by :func:`reals`, which refuses a boolean or a
+    string, into one such array.  Instances, supports, pools and chain
+    states all go through this one check.
     """
-    m = np.asarray(a, dtype=np.float64)
+    m = reals(a)
     if m.ndim != 2:
         raise InstanceError(f"value matrix must be 2-D, got {m.ndim}-D")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -187,16 +223,19 @@ def _compress(
 
 @dataclass(frozen=True)
 class AgentWeights:
-    """Positive, finite agent weights (budgets in the market reading)."""
+    """Positive, finite agent weights (budgets in the market reading) with a
+    finite total."""
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.array, dtype=np.float64).reshape(-1)
+        arr = reals(self.array).reshape(-1)
         if arr.size < 1:
             raise InstanceError("need at least one agent weight")
-        if not np.all(np.isfinite(arr)):
-            raise InstanceError("agent weights must be finite")
+        with np.errstate(over="ignore"):  # a total past the largest float is refused below
+            total = arr.sum()
+        if not np.isfinite(total):
+            raise InstanceError("agent weights and their total must be finite")
         if np.any(arr <= 0):
             i = int(np.argmax(arr <= 0))
             raise InstanceError(f"nonpositive weight at agent {i + 1}")
@@ -204,8 +243,8 @@ class AgentWeights:
 
     @classmethod
     def equal(cls, n: int) -> "AgentWeights":
-        """Unit weight for each of ``n`` agents."""
-        return cls(np.ones(n))
+        """Unit weight for each of ``n`` agents; refused unless ``n`` is positive."""
+        return cls(np.ones(max(n, 0)))
 
     @property
     def n(self) -> int:
@@ -215,9 +254,6 @@ class AgentWeights:
     def total(self) -> float:
         """L1 norm of the weights."""
         return float(self.array.sum())
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def _default_agent_names(n: int) -> Tuple[str, ...]:
@@ -348,17 +384,18 @@ class FiniteDistribution(Spec):
     probs: Optional[np.ndarray] = None  # (m,) summing to one
 
     def __post_init__(self):
-        sup = np.asarray(self.support, dtype=np.float64)
+        sup = reals(self.support)
         if sup.ndim != 2 or sup.shape[0] < 1:
             raise InstanceError("support must be a nonempty matrix of value vectors")
         sup = value_matrix(sup)
         if self.probs is None:
             pr = np.full(sup.shape[0], 1.0 / sup.shape[0])
         else:
-            pr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+            pr = reals(self.probs).reshape(-1)
         if sup.shape[0] != pr.size:
             raise InstanceError("support and probs shapes do not match")
-        if np.any(pr < 0) or abs(pr.sum() - 1.0) > 1e-12:
+        # an entry above 1 + 1e-12 cannot sum to one, and is refused before a sum it could overflow
+        if not (np.all((pr >= 0) & (pr <= 1 + 1e-12)) and abs(pr.sum() - 1.0) <= 1e-12):
             raise InstanceError("probs must be nonnegative and sum to one")
         if np.any(pr @ sup <= 0):
             i = int(np.argmax(pr @ sup <= 0))

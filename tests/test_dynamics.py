@@ -421,7 +421,7 @@ def test_run_is_a_fold_of_pace_step(matrix, weights, which, chunk, cps):
 @pytest.mark.parametrize(
     "row, fault",
     [([1.0], "length"), ([math.nan, 1.0], "non-finite"), ([1.0, math.inf], "non-finite"),
-     ([-1.0, 2.0], "negative")],
+     ([-1.0, 2.0], "negative"), ([True, 1.0], "True is not a number")],
 )
 @pytest.mark.parametrize("call", [pace_bid, pace_step])
 def test_single_step_api_rejects_rows_run_rejects(call, row, fault):

@@ -21,8 +21,8 @@ from fairpace.harness import (
     plot_trajectories,
     run_experiment,
 )
-from fairpace.dynamics import Seeded, Unconstrained
-from fairpace.inputs import IID, FiniteDistribution, InputModelSpec, gen
+from fairpace.dynamics import Constrained, Seeded, Unconstrained
+from fairpace.inputs import IID, FiniteDistribution, InputModelSpec, adv_cr_killer, gen
 from fairpace.model import AgentWeights, InstanceError, load_csv, save_csv
 
 CLI = [sys.executable, "-m", "fairpace.cli"]
@@ -600,6 +600,24 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
     assert "monopoly utilities" in lines[0]
 
 
+def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_path):
+    # the construction runs at equal weights, so the slack form's bounds
+    # come from them, as the Python API's do
+    out = tmp_path / "k.csv"
+    r = subprocess.run(
+        CLI + ["attack", "--construction", "cr-killer", "--n", "2", "--phases", "10,20",
+               "--variant", "constrained,slack=0.5", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    res = adv_cr_killer(2, [10, 20], Constrained.from_slack(AgentWeights.equal(2), 0.5))
+    info = json.loads(r.stdout)
+    assert info["policy"] == "constrained" and info["kill_order"] == list(res.kill_order)
+    assert info["policy_utilities"] == res.policy_utilities.tolist()
+    assert load_csv(out).matrix.tolist() == res.values.matrix.tolist()
+
+
 @pytest.mark.parametrize(
     "body, expected",
     [
@@ -654,6 +672,17 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
         ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], t: 50}, t: 100}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 't'"),
         ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], seed: 3}, t: 100, seed: 9}\nweights: {equal: 2}\nvariants: [pace]\n", "iid model: unknown key 'seed'"),
         ("instance: {model: {type: iid, support: [[1, 0.5]]}}\nweights: {equal: 2}\nvariants: [pace]\n", "error: config 'instance' needs a horizon t"),
+        ("instance: {model: {type: iid, support: [[true, 1], [1, 0]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: iid model: True is not a number"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], probs: ['0.5', '0.5']}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: iid model: '0.5' is not a number"),
+        ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[true, false], [false, true]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: ergodic model: True is not a number"),
+        ("instance: {model: {type: periodic, pools: [[[1, 0]], [[0, 1], [1, '1e-3']]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: periodic model: '1e-3' is not a number"),
+        (f"instance: {{model: {{type: iid, support: [[{10**400}, 1]]}}, t: 4}}\nweights: {{equal: 2}}\nvariants: [pace]\n", "error: iid model: int too large to convert to float"),
+        ("instance: {csv: inst.csv}\nweights: [1e308, 1e308]\nvariants: [pace]\n", "error: agent weights and their total must be finite"),
+        ("instance: {csv: inst.csv}\nweights: {equal: -1}\nvariants: [pace]\n", "error: need at least one agent weight"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], probs: [.nan, 1]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: iid model: probs must be nonnegative and sum to one"),
+        ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], probs: [1e308, 1e308]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: iid model: probs must be nonnegative and sum to one"),
+        ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[.nan, 1], [0.5, 0.5]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: ergodic model: transition rows must be distributions"),
+        ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[1e308, 1e308], [0.5, 0.5]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: ergodic model: transition rows must be distributions"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -666,7 +695,10 @@ def test_cli_attack_refuses_setaside_without_monopoly_utilities(tmp_path):
          "weights-entry-mapping", "weights-entry-bool", "weights-entry-text", "weights-scalar", "tolerance-bool",
          "seeded-utility-bool", "constrained-slack-bool", "constrained-bounds-bool", "setaside-monopoly-bool",
          "block-max-delta-bool", "corrupted-max-delta-bool", "normalize-top-level", "csv-with-t-and-seed",
-         "model-with-t", "model-with-seed", "model-without-t"],
+         "model-with-t", "model-with-seed", "model-without-t", "iid-support-bool", "iid-probs-text",
+         "ergodic-transitions-bool", "periodic-pool-text", "iid-support-huge-int", "weights-total-overflow",
+         "weights-equal-negative", "iid-probs-nan", "iid-probs-overflow", "ergodic-transitions-nan",
+         "ergodic-transitions-overflow"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -678,6 +710,51 @@ def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected)
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
     assert expected in lines[0]
     assert not (tmp_path / "out").exists()  # nothing half-written is left
+
+
+# a config in exponent form, which YAML 1.1 reads as strings, and its
+# twin in the forms YAML 1.1 reads as numbers
+_EXPONENT_CONFIG = """
+instance:
+  model:
+    type: block
+    lengths: [1e2, 100]
+    dists: [{support: [[1e0, 2e-1], [3E-1, 1]]}, {support: [[1, 0.2], [0.3, 1]], probs: [5e-1, 0.5]}]
+    max_delta: 1e-2
+  t: 2e2
+  seed: 3
+weights: [1e0, 2]
+variants: [pace, {type: seeded, seed_utility: 1e-3}, {type: constrained, lower: [1e-1, 1e-1], upper: [2e0, 4]}]
+checkpoints: [1e1, 50]
+tolerance: 1e-9
+"""
+_DOTTED_CONFIG = """
+instance:
+  model:
+    type: block
+    lengths: [100, 100]
+    dists: [{support: [[1.0, 0.2], [0.3, 1]]}, {support: [[1, 0.2], [0.3, 1]], probs: [0.5, 0.5]}]
+    max_delta: 0.01
+  t: 200
+  seed: 3
+weights: [1.0, 2]
+variants: [pace, {type: seeded, seed_utility: 0.001}, {type: constrained, lower: [0.1, 0.1], upper: [2.0, 4]}]
+checkpoints: [10, 50]
+tolerance: 1.0e-9
+"""
+
+
+def test_exponent_form_numbers_give_the_dotted_forms_outputs(tmp_path):
+    for name, body in (("exp", _EXPONENT_CONFIG), ("dot", _DOTTED_CONFIG)):
+        config = ExperimentConfig.from_yaml(_write_config(tmp_path / f"{name}.yaml", body + f"output_dir: {name}\n"))
+        run_experiment(config)
+    assert config.tolerance == 1e-9 and config.model_spec.t == 200 and config.model_spec.model.max_delta == 0.01
+    assert _files(tmp_path / "exp") == _files(tmp_path / "dot")
+    for name, low, t in (("exp", "2e-1", "1e3"), ("dot", "0.2", "1000")):
+        spec = _write_config(tmp_path / f"{name}-spec.yaml", f"type: iid\nsupport: [[1, {low}], [{low}, 1]]\nt: {t}\nseed: 7\n")
+        r = subprocess.run(CLI + ["gen", "--spec", spec, "--out", str(tmp_path / f"{name}.csv")], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+    assert (tmp_path / "exp.csv").read_bytes() == (tmp_path / "dot.csv").read_bytes()
 
 
 def test_cli_run_accepts_a_prefix_that_no_agent_values(tmp_path):
@@ -830,6 +907,9 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["attack", "--construction", "constrained-failure", "--upper2", "1", "--t", str(10**15), "--out", "x.csv"], {}, "error: Unable to allocate 14.2 PiB"),
         (["attack", "--construction", "cr-killer", "--n", "2", "--phases", f"1,{10**15}", "--out", "x.csv"], {}, "error: Unable to allocate 14.2 PiB"),
         (["run", "c.yaml"], {"c.yaml": _SMALL_RUN.replace("t: 64", f"t: {10**15}")}, "error: Unable to allocate 7.11 PiB"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[true, 1]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': True is not a number"),
+        (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[1e308, 1e308]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': agent weights and their total must be finite"),
+        (["solve", "inst.csv", "--weights", "1e308,1e308"], {}, "error: agent weights and their total must be finite"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
@@ -838,7 +918,8 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
          "gen-spec-fractional-t", "gen-spec-seed-list", "gen-spec-without-t", "attack-envy-eps-1e-300",
          "attack-envy-eps-1e-20", "attack-constrained-upper2-inf", "gen-seed-negative", "gen-seed-2-64",
          "gen-rep-negative", "run-seed-negative", "run-seed-2-70", "gen-t-1e15", "attack-constrained-t-1e15",
-         "attack-cr-killer-phase-1e15", "run-t-1e15"],
+         "attack-cr-killer-phase-1e15", "run-t-1e15", "eval-weights-bool", "eval-weights-overflow",
+         "solve-weights-overflow"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -25,9 +26,11 @@ from fairpace.model import (
     InstanceError,
     ValueSequence,
     extremity,
+    integral,
     load_csv,
     normalize_values,
     real,
+    reals,
     save_csv,
     validate_instance,
 )
@@ -130,11 +133,74 @@ def test_the_value_layer_imports_no_generator_or_dynamics():
 
 def test_real_reads_numbers_and_refuses_booleans_and_strings():
     assert real(2) == 2.0 and real(np.float32(0.5)) == 0.5
-    for x in (True, False, "1", "nan"):
+    for x in (True, False, np.True_, "1", "nan"):
         with pytest.raises(ValueError, match="is not a number"):
             real(x)
     with pytest.raises(TypeError):
         real([1.0])
+
+
+@pytest.mark.parametrize(
+    "read, x, message",
+    [
+        (real, True, "tol must be a number, not True"),
+        (real, np.False_, f"tol must be a number, not {np.False_!r}"),
+        (real, "1e-9", "tol must be a number, not '1e-9'"),
+        (real, [1.0], "tol must be a number, not [1.0]"),
+        (real, 10**400, f"tol must be a number, not {10**400}"),
+        (integral, np.True_, f"tol must be a number with an integer value, not {np.True_!r}"),
+        (integral, 2.5, "tol must be a number with an integer value, not 2.5"),
+        (integral, math.inf, "tol must be a number with an integer value, not inf"),
+        (integral, None, "tol must be a number with an integer value, not None"),
+    ],
+)
+def test_a_named_scalar_is_refused_in_one_line_naming_its_field(read, x, message):
+    with pytest.raises(InstanceError) as exc_info:
+        read(x, "tol")
+    assert str(exc_info.value) == message
+
+
+def _nested(flat, shape):
+    """``flat`` as nested lists of ``shape``."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return [_nested(flat[k * step : (k + 1) * step], shape[1:]) for k in range(shape[0])]
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), max_size=3), data=st.data())
+def test_reals_reads_nested_numbers_as_numpy_does_and_refuses_booleans_and_strings(shape, data):
+    flat = data.draw(st.lists(_NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape)), label="flat")
+    x = _nested(flat, shape)
+    got, want = reals(x), np.asarray(x, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape and got.tobytes() == want.tobytes()
+    bad = data.draw(st.sampled_from([True, False, np.True_, "1", "1e-9", "nan"]), label="bad")
+    flat[data.draw(st.integers(0, len(flat) - 1), label="at")] = bad
+    with pytest.raises(InstanceError, match="is not a number"):
+        reals(_nested(flat, shape))
+    with pytest.raises(InstanceError, match="is not a number"):
+        reals(np.array(_nested(flat, shape), dtype=object))
+
+
+def test_reals_keeps_a_float64_array_and_refuses_a_boolean_or_text_array():
+    m = np.ones((3, 2))
+    assert reals(m) is m
+    assert reals(np.arange(3)).tolist() == [0.0, 1.0, 2.0]
+    for bad in (np.eye(2, dtype=bool), np.array(["1", "2"])):
+        with pytest.raises(InstanceError, match="is not a number"):
+            reals(bad)
+
+
+def test_weights_whose_total_overflows_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstanceError, match="^agent weights and their total must be finite$"):
+            AgentWeights([1e308, 1e308])
+        assert AgentWeights([1e308, 7e307]).total == 1e308 + 7e307
 
 
 def test_load_csv_basic(tmp_path):
