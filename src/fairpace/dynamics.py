@@ -29,7 +29,7 @@ Variants
 ``Proportional``    splits every item in proportion to the weights; no
                     auction takes place.
 
-Each variant is defined once.  Its class is a frozen dataclass whose
+Each variant is defined once.  Its class is a ``model.record`` whose
 fields are its config keys, read by the shared ``model.Spec`` reader
 (``Constrained`` adds its slack form) and checked by its own
 ``__post_init__``; it writes them back (``to_dict``) and gives its
@@ -101,13 +101,13 @@ single-step API advances a one-row block.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
 from .model import (AgentWeights, InstanceError, Spec, ValueSequence, _normalize_checkpoints, known_keys, real,
-                    reals, spec_from_dict, validate_instance)
+                    reals, record, spec_from_dict, validate_instance)
 
 INF = math.inf
 
@@ -492,7 +492,7 @@ class _ProportionalKernel(_PaceKernel):
 
 class _Variant(Spec):
     """A variant's spec (read by :class:`Spec`, written by ``to_dict``, and its
-    ``label``) and kernel; the six variants are frozen dataclasses whose
+    ``label``) and kernel; the six variants are records whose
     fields are their config keys."""
 
     name: ClassVar[str]
@@ -512,13 +512,13 @@ class _Variant(Spec):
         return {"type": self.name, **{k: list(v) if isinstance(v, tuple) else v for k, v in items}}
 
 
-@dataclass(frozen=True)
+@record
 class Unconstrained(_Variant):
     name: ClassVar[str] = "pace"
     _kernel = _PaceKernel
 
 
-@dataclass(frozen=True)
+@record
 class Constrained(_Variant):
     """Pacing with multipliers projected to ``[lower_i, upper_i]``."""
 
@@ -559,7 +559,7 @@ class Constrained(_Variant):
         return cls.from_slack(weights, real(known_keys(d, "slack")["slack"]))
 
 
-@dataclass(frozen=True)
+@record
 class Seeded(_Variant):
     """Pacing with a positive fictitious starting utility per agent."""
 
@@ -578,7 +578,7 @@ class Seeded(_Variant):
         return f"seeded(seed_utility={self.seed_utility:g})"
 
 
-@dataclass(frozen=True)
+@record
 class SetAside(_Variant):
     """Half-proportional, half-auctioned pacing.
 
@@ -600,13 +600,13 @@ class SetAside(_Variant):
             object.__setattr__(self, "monopoly_utilities", w)
 
 
-@dataclass(frozen=True)
+@record
 class OneStepGreedy(_Variant):
     name: ClassVar[str] = "greedy"
     _kernel = _GreedyKernel
 
 
-@dataclass(frozen=True)
+@record
 class Proportional(_Variant):
     name: ClassVar[str] = "proportional"
     _kernel = _ProportionalKernel
@@ -627,7 +627,7 @@ def resolve_variant(variant: Variant, values: ValueSequence) -> Variant:
     return variant
 
 
-@dataclass(frozen=True)
+@record
 class PaceState:
     """One dynamic's per-agent state after ``tau`` completed rounds.
 
@@ -685,7 +685,7 @@ def _resume(state: PaceState) -> _PaceKernel:
     return k
 
 
-@dataclass(frozen=True)
+@record
 class StepOutcome:
     """Everything one round produced.
 
@@ -738,7 +738,7 @@ def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, 
     return k.state(), StepOutcome(None if w < 0 else w, alloc, np.array(scores), exp, util)
 
 
-@dataclass(frozen=True)
+@record
 class RunTrace:
     """Full record of one dynamic's run.
 

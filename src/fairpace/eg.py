@@ -46,13 +46,12 @@ the online dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (AgentWeights, FiniteDistribution, InstanceError, ValueSequence, _compress,
-                    _normalize_checkpoints)
+                    _normalize_checkpoints, record)
 
 __all__ = [
     "MarketEquilibrium",
@@ -92,7 +91,7 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+@record
 class MarketEquilibrium:
     """Benchmark solution with a certified optimality gap.
 
@@ -123,7 +122,7 @@ class MarketEquilibrium:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class UnderlyingMarket:
     """Equilibrium of the market whose item supplies are probabilities."""
 
@@ -535,7 +534,7 @@ def solve_underlying(
     return UnderlyingMarket(support=dist.support, probs=dist.probs, utilities=utilities, beta=beta, gap=gap)
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumReport:
     """Named verification checks for a solved equilibrium."""
 
@@ -619,7 +618,7 @@ def check_equilibrium(
     )
 
 
-@dataclass(frozen=True)
+@record
 class PrefixSolution:
     """Hindsight solution for the first ``tau`` items.
 

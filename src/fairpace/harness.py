@@ -28,7 +28,6 @@ import math
 import os
 import re
 import shutil
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,6 +46,7 @@ from .model import (
     load_csv,
     normalize_values,
     real,
+    record,
     save_csv,
     spec_from_dict,
 )
@@ -138,7 +138,7 @@ def _generated(model: dict, d: dict, what: str) -> InputModelSpec:
 # experiment config
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Declarative description of one experiment."""
 
@@ -275,7 +275,7 @@ def _safe_name(label: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentResult:
     """Paths of everything :func:`run_experiment` wrote."""
 
@@ -338,7 +338,7 @@ def _nan_mean(vals: Sequence[float]) -> float:
 _TRAJECTORY_HEADER = ["tau", "variant", "agent", "value"]
 
 
-@dataclass(frozen=True)
+@record
 class _Repetition:
     """What one repetition leaves for the aggregate report: its agent names,
     the checkpoints, the hindsight solver's facts, and per variant label

@@ -28,7 +28,7 @@ Stochastic models
 ``Corrupted``  independent rounds from a base distribution, except listed
                rounds whose distribution is replaced outright.
 
-Each model is defined once, on its class: a frozen dataclass whose
+Each model is defined once, on its class: a ``model.record`` whose
 fields are its config keys, read by the shared ``model.Spec`` reader
 (``IID`` reads its distribution's keys) and converted and checked by its
 own ``__post_init__``, so the constructor and the config refuse the same
@@ -65,21 +65,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dynamics import _CHUNK, Variant
 from .model import (AgentWeights, FiniteDistribution, InstanceError, Spec, ValueSequence, _compress, _frozen_array,
-                    integral, real, reals, value_matrix)
+                    integral, real, reals, record, value_matrix)
 
 
 # --------------------------------------------------------------------------
 # model specs
 
 
-@dataclass(frozen=True)
+@record
 class IID(Spec):
     dist: FiniteDistribution
     name: ClassVar[str] = "iid"
@@ -93,7 +93,7 @@ class IID(Spec):
         return self.dist.support, self.dist.draw(u)
 
 
-@dataclass(frozen=True)
+@record
 class Periodic(Spec):
     """One pool of vectors per position within the period; uniform draws."""
 
@@ -125,7 +125,7 @@ class Periodic(Spec):
         return np.concatenate(self.pools), idx
 
 
-@dataclass(frozen=True)
+@record
 class Block(Spec):
     """Partition of the horizon with a distribution per block.
 
@@ -171,7 +171,7 @@ class Block(Spec):
         return np.concatenate([d.support for d in self.dists]), idx
 
 
-@dataclass(frozen=True)
+@record
 class Ergodic(Spec):
     """Finite Markov chain over value vectors; row one is the start state."""
 
@@ -212,7 +212,7 @@ class Ergodic(Spec):
         return self.states, idx
 
 
-@dataclass(frozen=True)
+@record
 class Corrupted(Spec):
     """IID base distribution with listed rounds replaced outright.
 
@@ -262,7 +262,7 @@ ModelVariant = Union[IID, Periodic, Block, Ergodic, Corrupted]
 MODELS: Dict[str, type] = {m.name: m for m in (IID, Periodic, Block, Ergodic, Corrupted)}
 
 
-@dataclass(frozen=True)
+@record
 class InputModelSpec:
     """A generator description plus horizon and 64-bit seed."""
 
@@ -410,7 +410,7 @@ def ergodic_deviation(model: Ergodic, iota: int, t: int) -> float:
 # adversarial constructions
 
 
-@dataclass(frozen=True)
+@record
 class EnvyWorstCase:
     """Phased two-agent instance plus its envy prediction.
 
@@ -479,7 +479,7 @@ def adv_envy_worstcase(extremity: float, growth: float, base_length: int) -> Env
     )
 
 
-@dataclass(frozen=True)
+@record
 class KillerResult:
     """Adaptive competitive-ratio attack against one policy.
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dynamics import RunTrace, Seeded
 from .eg import PrefixSolution, _prices
-from .model import AgentWeights, InstanceError, ValueSequence
+from .model import AgentWeights, InstanceError, ValueSequence, record
 
 AllocationLike = Union[np.ndarray, RunTrace]
 
@@ -36,9 +35,10 @@ def regret(avg_utilities, hindsight_avg_utilities) -> np.ndarray:
 
 def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.ndarray:
     """Time-averaged swap utilities: entry (i, k) is agent i's average
-    utility if handed agent k's allocation.  A trace's sums are read by
-    :meth:`ValueSequence.column_sums`, so a generated instance's matrix is
-    not built; an allocation matrix is multiplied by the value matrix."""
+    utility if handed agent k's allocation.  A trace's sums are taken one
+    agent's values at a time, by ``np.bincount`` over the winners, so a
+    generated instance's matrix is not built; an allocation matrix is
+    multiplied by the value matrix."""
     t, n = values.t, values.n
     if isinstance(allocation, RunTrace):
         trace = allocation
@@ -46,10 +46,12 @@ def cross_utilities(values: ValueSequence, allocation: AllocationLike) -> np.nda
             raise InstanceError("trace shape does not match the instance")
         kernel = trace.variant.kernel(trace.weights)
         won = np.zeros((n, n))  # won[i, k] = sum of v_i over items won by k
-        for k in range(n):
-            mask = trace.winners == k
-            if mask.any():
-                won[:, k] = values.column_sums(mask)
+        if n == 1 and kernel.top:  # agent 0 wins every item, and one column is summed pairwise
+            won[0, 0] = values.monopolistic_utilities()[0]
+        elif kernel.top:  # in round order, as the column sums of the items k won add them
+            winners = trace.winners.astype(np.intp)  # bincount would convert the int32 winners at every call
+            for i in range(n):
+                won[i] = np.bincount(winners, values.per_round(values.points[:, i]), n)
         # every agent holds its base share of every item, the winner ``top`` more
         return (np.outer(values.monopolistic_utilities(), kernel.base) + kernel.top * won) / t
     x = np.asarray(allocation, dtype=np.float64)
@@ -143,7 +145,7 @@ def seeded_utility_ratio(
     return float(np.dot(b, seed_utility / denom)) + float(prices.sum())
 
 
-@dataclass(frozen=True)
+@record
 class ExpenditureDeviation:
     """Squared distance of post-warm-up average spend from the weights.
 
@@ -179,7 +181,7 @@ def expenditure_deviation(trace: RunTrace, weights: AgentWeights, warmup: int) -
     return ExpenditureDeviation(value=value, flagged=bool(late), infinite_rounds_after_warmup=tuple(late))
 
 
-@dataclass(frozen=True)
+@record
 class TrajectoryPoint:
     """Relative time-averaged regret at one checkpoint.
 
@@ -230,7 +232,7 @@ def relative_regret_trajectory(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class MetricsReport:
     """Final metrics of one run against a hindsight benchmark."""
 

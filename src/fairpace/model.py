@@ -19,7 +19,8 @@ what a number is (:func:`real` and :func:`integral` for a field,
 valid value vector is (:func:`value_matrix`, which instances,
 distribution supports, periodic pools and chain states all go through)
 and when two vectors are the same point (the row merge ``_compress``)
-are decided here, and :class:`FiniteDistribution` lives here.
+are decided here, and :class:`FiniteDistribution` lives here.  So does
+:func:`record`, which every record type of the package is declared with.
 
 All values are stored as float64.  Types are immutable after
 construction and safe to share across threads.
@@ -28,8 +29,11 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
-from dataclasses import MISSING, dataclass, fields
+import reprlib
+# _FIELD_INITVAR marks an InitVar, and _HAS_DEFAULT_FACTORY is the default a signature shows for a factory
+from dataclasses import _FIELD_INITVAR, _HAS_DEFAULT_FACTORY, MISSING, FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from typing import List, Mapping, Optional, Tuple
 
@@ -104,8 +108,70 @@ def _entries(x) -> None:
         real(x)
 
 
+def record(cls: type) -> type:
+    """``cls`` as ``dataclass(frozen=True)`` makes it, without the code that
+    compiles: :func:`dataclasses.dataclass` reads its fields (so ``fields``,
+    ``replace``, ``asdict`` and ``is_dataclass`` work), and every record
+    shares one ``__init__``, ``__repr__``, ``__eq__``, ``__hash__``,
+    ``__setattr__`` and ``__delattr__``.  They do what the generated ones
+    do, except that ``==`` compares arrays, also inside tuples, by
+    ``np.array_equal`` instead of raising.  A field option they do not
+    implement (``init``, ``repr``, ``compare``, ``hash``, ``kw_only``,
+    ``InitVar``) is refused."""
+    doc = cls.__doc__
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    if any(f._field_type is _FIELD_INITVAR or f in fs and not (f.init and f.repr and f.compare and f.hash is None
+           and not f.kw_only) for f in cls.__dataclass_fields__.values()):
+        raise TypeError(f"{cls.__qualname__}: a record's fields take only a default or a default_factory")
+    cls._record = {f.name: (f.default, f.default_factory) for f in fs}, hasattr(cls, "__post_init__")
+    cls.__signature__ = inspect.Signature([inspect.Parameter(
+        f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type, default=_HAS_DEFAULT_FACTORY
+        if f.default_factory is not MISSING else inspect.Parameter.empty if f.default is MISSING else f.default)
+        for f in fs], return_annotation=None)
+    cls.__doc__ = doc or cls.__name__ + str(cls.__signature__).replace(" -> None", "")  # as dataclass writes one
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def _init(self, *args, **kwargs):
+    spec, post_init = type(self)._record
+    given = type(self).__signature__.bind(*args, **kwargs).arguments  # a TypeError as a call would raise
+    self.__dict__.update({k: given[k] if k in given else d if f is MISSING else f() for k, (d, f) in spec.items()})
+    if post_init:
+        self.__post_init__()
+
+
+@reprlib.recursive_repr()
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._record[0])})"
+
+
+def _eq(self, other):
+    same = other.__class__ is self.__class__
+    return all(_same(getattr(self, name), getattr(other, name)) for name in self._record[0]) if same else NotImplemented
+
+
+def _same(a, b) -> bool:
+    """``a == b`` as a tuple's ``==`` compares its entries, arrays compared whole."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or np.array_equal(a, b)
+    if type(a) is tuple and type(b) is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a is b or bool(a == b)
+
+
+def _hash(self) -> int:
+    return hash(tuple(getattr(self, name) for name in self._record[0]))
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Spec:
-    """A frozen dataclass read from its config mapping: its fields are its
+    """A :func:`record` read from its config mapping: its fields are its
     keys, and its own ``__post_init__`` converts and checks them, so the
     Python API and the config reach one reader."""
 
@@ -221,7 +287,7 @@ def _compress(
     return uniq, np.bincount(inverse).astype(np.float64), inverse
 
 
-@dataclass(frozen=True)
+@record
 class AgentWeights:
     """Positive, finite agent weights (budgets in the market reading) with a
     finite total."""
@@ -260,7 +326,7 @@ def _default_agent_names(n: int) -> Tuple[str, ...]:
     return tuple(f"a{i + 1}" for i in range(n))
 
 
-@dataclass(frozen=True)
+@record
 class ValueSequence:
     """A sequence of ``t`` items' finite, nonnegative values, ``n`` agents each.
 
@@ -374,7 +440,7 @@ class ValueSequence:
         return self.points[np.bincount(self.index, minlength=len(self.points)) > 0]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteDistribution(Spec):
     """Probability distribution over finitely many value vectors; uniform
     over the support when ``probs`` is None.  The support is checked by
@@ -423,7 +489,7 @@ class FiniteDistribution(Spec):
         return idx
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     """Outcome of :func:`validate_instance`; carries every failure found."""
 

@@ -183,6 +183,19 @@ def nnls_enum(a: np.ndarray, d: np.ndarray) -> float:
     return best
 
 
+def cross_utilities_by_column_sums(values, trace) -> np.ndarray:
+    """``metrics.cross_utilities`` of a run trace as it was first written:
+    each winner's items summed by ``ValueSequence.column_sums`` of a mask."""
+    n = values.n
+    kernel = trace.variant.kernel(trace.weights)
+    won = np.zeros((n, n))
+    for k in range(n):
+        mask = trace.winners == k
+        if mask.any():
+            won[:, k] = values.column_sums(mask)
+    return (np.outer(values.monopolistic_utilities(), kernel.base) + kernel.top * won) / values.t
+
+
 def utility_ratio_enum(matrix: np.ndarray, utilities: np.ndarray, weights: np.ndarray) -> float:
     """Best weighted utility-ratio sum over every integral allocation."""
     m = np.asarray(matrix, dtype=np.float64)

@@ -10,6 +10,8 @@ from tracing import traced_peak
 
 from fairpace.eg import (
     ConvergenceError,
+    _solve_normal,
+    _tie_split,
     check_equilibrium,
     dual_objective,
     hindsight_prefix,
@@ -384,3 +386,23 @@ def test_solve_memory_is_a_fraction_of_the_matrix():
     peak = traced_peak(solve_eg, vs, AgentWeights.equal(10), 1e-6, include_allocation=False)
     # 0.34 when set; 1.20 with the product
     assert peak <= 0.5 * vs.matrix.nbytes, peak / vs.matrix.nbytes
+
+
+def test_a_singular_normal_system_is_solved_by_least_squares():
+    ata, atd = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(ata, atd)
+    z = _solve_normal(ata, atd)
+    assert np.all(np.isfinite(z)) and np.allclose(ata @ z, atd) and np.allclose(z, [1.0, 1.0])
+
+
+def test_tie_split_gives_none_when_an_agent_has_nothing_to_spend_on():
+    beta, c, b = np.ones(2), np.ones(2), np.ones(2)
+    # agent 1 holds no item's top ratio and no tied edge, so its component spends nothing
+    v = np.array([[1.0, 0.5], [1.0, 0.25]])
+    ratio = v / v.max(axis=1, keepdims=True)
+    assert _tie_split(beta, v, c, b, ratio, ratio >= 1.0) is None
+    # tied on the first item, agent 1 spends its budget there
+    v = np.array([[1.0, 1.0], [1.0, 0.25]])
+    ratio = v / v.max(axis=1, keepdims=True)
+    assert np.array_equal(_tie_split(beta, v, c, b, ratio, ratio >= 1.0), [[0.0, 1.0], [1.0, 0.0]])
