@@ -289,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def program() -> None:
     """Run :func:`main` on the command line and exit with its code.
 
-    The heap that importing numpy, PyYAML and fairpace built lives until
+    The heap that importing numpy and fairpace built lives until
     the process exits, so it is frozen first: no collection during the
     run, nor the interpreter's teardown, walks it again.  ``main`` does
     not freeze, so in-process callers keep their collector as it was.

@@ -26,12 +26,10 @@ import csv
 import json
 import math
 import os
-import re
 import shutil
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import yaml
 
 from .dynamics import Variant, run, variant_from_dict
 from .eg import check_tolerance, hindsight_prefix
@@ -51,6 +49,7 @@ from .model import (
     spec_from_dict,
 )
 from .svgplot import write_line_svg
+from .yamlread import loads
 
 
 # --------------------------------------------------------------------------
@@ -228,29 +227,17 @@ class ExperimentConfig:
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, which reads YAML 1.1, where ``1e-9`` is a
-    string.  YAML 1.2's core-schema float pattern is tried after PyYAML's
-    own resolvers, so integers, dotted floats and booleans resolve as
-    before, and only the forms 1.1 leaves as strings (``1e-9``, ``1.0e5``,
-    ``-.5``) become floats."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"), list("-+.0123456789")
-)
-
-
 def read_yaml_mapping(path, what: str) -> dict:
-    """The mapping a YAML file holds, numbers read as YAML 1.2 reads them; a
-    syntax error or a file holding anything else raises one
+    """The mapping a YAML file holds, read by :func:`fairpace.yamlread.loads`:
+    YAML 1.2's numbers and booleans, no anchors, tags, block scalars or
+    duplicate keys, and no plain scalar that YAML 1.1 reads otherwise.  A
+    file it refuses, or one holding anything but a mapping, raises one
     :class:`InstanceError` line naming ``what``."""
-    with open(path) as fh:
-        try:
-            data = yaml.load(fh, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            # the parser's message spans several lines; the CLI prints one
-            raise InstanceError(f"{what} is not valid YAML: {' '.join(str(exc).split())}") from None
+    try:
+        with open(path) as fh:
+            data = loads(fh.read())
+    except ValueError as exc:  # the reader's refusals, which name their line, and undecodable bytes
+        raise InstanceError(f"{what} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError(f"{what} file must hold a mapping")
     return data

@@ -117,8 +117,10 @@ def record(cls: type) -> type:
     do, except that ``==`` compares arrays, also inside tuples, by
     ``np.array_equal`` instead of raising.  A field option they do not
     implement (``init``, ``repr``, ``compare``, ``hash``, ``kw_only``,
-    ``InitVar``) is refused."""
+    ``InitVar``) is refused.  An ``__eq__`` the class defines is kept, as
+    ``dataclass`` keeps it."""
     doc = cls.__doc__
+    cls.__doc__ = cls.__name__  # so dataclass() does not call inspect.signature, which compiles tokenize's pattern
     cls = dataclass(init=False, repr=False, eq=False)(cls)
     fs = fields(cls)
     if any(f._field_type is _FIELD_INITVAR or f in fs and not (f.init and f.repr and f.compare and f.hash is None
@@ -130,7 +132,8 @@ def record(cls: type) -> type:
         if f.default_factory is not MISSING else inspect.Parameter.empty if f.default is MISSING else f.default)
         for f in fs], return_annotation=None)
     cls.__doc__ = doc or cls.__name__ + str(cls.__signature__).replace(" -> None", "")  # as dataclass writes one
-    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = _init, _repr, _eq, _hash
+    cls.__init__, cls.__repr__, cls.__hash__ = _init, _repr, _hash
+    cls.__eq__ = vars(cls).get("__eq__", _eq)  # a class's own, as dataclass keeps it
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
@@ -374,6 +377,14 @@ class ValueSequence:
                 f"{len(names)} agent names for {m.shape[1]} value columns"
             )
         object.__setattr__(self, "agents", names)
+
+    def __eq__(self, other):
+        """Equal rounds: the same ``t``, ``n``, agent names and rows, whatever
+        the point forms; the rows are gathered ``_ROW_BLOCK`` at a time."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.n, self.agents) == (other.t, other.n, other.agents) and all(
+            np.array_equal(self.rows(a, a + _ROW_BLOCK), other.rows(a, a + _ROW_BLOCK)) for a in range(0, self.t, _ROW_BLOCK))
 
     @property
     def t(self) -> int:

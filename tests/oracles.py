@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import yaml
 
 
 def eg_grid_oracle(matrix: np.ndarray, weights: np.ndarray, grid: int = 1000) -> np.ndarray:
@@ -321,3 +323,99 @@ def tv_delta_oracle(segments: Sequence[Tuple[int, object]], t: int) -> float:
         for k, v in pmf.items():
             mixture[k] = mixture.get(k, 0.0) + wgt * v
     return sum(rounds * _tv(pmf, mixture) for rounds, pmf in parts) / t
+
+
+class YamlLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which reads YAML 1.1, where ``1e-9`` is a
+    string.  YAML 1.2's core-schema float pattern is tried after PyYAML's
+    own resolvers, so integers, dotted floats and booleans resolve as
+    before, and only the forms 1.1 leaves as strings (``1e-9``, ``1.0e5``,
+    ``-.5``) become floats.  It read fairpace's configs before
+    ``fairpace.yamlread``, and is that reader's reference."""
+
+
+YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"), list("-+.0123456789")
+)
+
+# YAML 1.2.2, section 10.3.2: how the core schema resolves a plain scalar
+_CORE_SCHEMA = [
+    ("null|Null|NULL|~|", lambda s: None),
+    ("true|True|TRUE", lambda s: True),
+    ("false|False|FALSE", lambda s: False),
+    ("[-+]?[0-9]+", int),
+    ("0o[0-7]+", lambda s: int(s[2:], 8)),
+    ("0x[0-9a-fA-F]+", lambda s: int(s[2:], 16)),
+    (r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?", float),
+    (r"[-+]?\.(inf|Inf|INF)", lambda s: -math.inf if s[0] == "-" else math.inf),
+    (r"\.nan|\.NaN|\.NAN", lambda s: math.nan),
+]
+
+
+def same_yaml(a, b) -> bool:
+    """``a == b`` with equal types all the way down and NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_yaml, a, b))
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(same_yaml(x, y) and same_yaml(a[x], b[y]) for x, y in zip(a, b))
+    return a == b
+
+
+def plain_scalar_differs(text: str) -> bool:
+    """Whether :class:`YamlLoader` reads the plain scalar ``text`` otherwise
+    than YAML 1.2's core schema does (a value 1.1 cannot construct counts)."""
+    core = next((read(text) for pattern, read in _CORE_SCHEMA if re.fullmatch(pattern, text)), text)
+    loader = YamlLoader("")
+    try:
+        node = yaml.ScalarNode(loader.resolve(yaml.ScalarNode, text, (True, False)), text)
+        return not same_yaml(loader.construct_object(node), core)
+    except (yaml.YAMLError, ValueError):
+        return True
+    finally:
+        loader.dispose()
+
+
+class _DuplicateKey(Exception):
+    pass
+
+
+class _StrictLoader(YamlLoader):
+    def construct_mapping(self, node, deep=False):
+        keys = [self.construct_object(key, deep=deep) for key, _ in node.value]
+        if any(key in keys[:i] for i, key in enumerate(keys)):
+            raise _DuplicateKey
+        return super().construct_mapping(node, deep)
+
+
+def yaml_refusal(text: str) -> Optional[str]:
+    """Why ``fairpace.yamlread`` must refuse ``text``, a document that
+    :class:`YamlLoader` reads: a line break other than ``\\n``, an anchor,
+    alias, tag, block scalar, complex key, scalar that spans lines or
+    document marker after the first, a plain
+    scalar that YAML 1.1 and 1.2 read differently, or a mapping that gives a
+    key twice; None when it must return what :class:`YamlLoader` returns."""
+    if re.search("[\r\x85\u2028\u2029]", text):
+        return "a line break other than \\n"
+    markers = 0
+    for token in yaml.scan(text, Loader=YamlLoader):
+        if isinstance(token, (yaml.AnchorToken, yaml.AliasToken, yaml.TagToken)):
+            return type(token).__name__
+        if isinstance(token, yaml.KeyToken) and text[token.start_mark.index] == "?":
+            return "complex key"
+        markers += isinstance(token, (yaml.DocumentStartToken, yaml.DocumentEndToken))
+        if markers > 1 or isinstance(token, yaml.DocumentEndToken):
+            return "document marker"
+        if isinstance(token, yaml.ScalarToken):
+            if token.style in ("|", ">") or token.start_mark.line != token.end_mark.line:
+                return "block or multi-line scalar"
+            if token.plain and plain_scalar_differs(token.value):
+                return f"plain scalar {token.value!r}"
+    try:
+        yaml.load(text, Loader=_StrictLoader)
+    except _DuplicateKey:
+        return "duplicate key"
+    return None

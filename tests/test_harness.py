@@ -2,8 +2,10 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -367,20 +369,49 @@ def test_cli_child_imports_same_package_from_any_cwd(tmp_path):
     assert Path(r.stdout.strip()).resolve() == Path(fairpace.__file__).resolve()
 
 
-def test_runtime_needs_neither_scipy_nor_hypothesis():
-    # both are installed beside the tests, but only numpy and PyYAML are dependencies
+def test_runtime_needs_neither_scipy_nor_hypothesis(tmp_path):
+    # all three are installed beside the tests, but only numpy is a dependency
+    cfg = _write_config(tmp_path / "c.yaml", _SMALL_RUN)
     code = (
         "import sys\n"
         "import fairpace.cli\n"
-        "from fairpace import AgentWeights, Unconstrained, ValueSequence, run, solve_eg\n"
+        "from fairpace import AgentWeights, ExperimentConfig, Unconstrained, ValueSequence, run, solve_eg\n"
         "vs, w = ValueSequence([[1.0, 0.5], [0.2, 1.0]]), AgentWeights.equal(2)\n"
         "run(vs, w, Unconstrained(), [1])\n"
         "solve_eg(vs, w, 1e-9)\n"
-        "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))\n"
+        f"assert ExperimentConfig.from_yaml({cfg!r}).model_spec.t == 64\n"
+        "print(sorted({'scipy', 'hypothesis', 'yaml'} & {m.split('.')[0] for m in sys.modules}))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def ci_configs():
+    """The YAML files CI's end-to-end step writes with ``cat > "$RUNNER_TEMP/NAME.yaml" <<'EOF'``, by name."""
+    found = re.findall(r"cat > \"\$RUNNER_TEMP/([\w-]+)\.yaml\" <<'EOF'\n(.*?)\n *EOF\n", WORKFLOW.read_text(), re.S)
+    return {name: textwrap.dedent(body) + "\n" for name, body in found}
+
+
+def test_the_program_runs_ci_configs_with_yaml_unimportable(tmp_path):
+    configs = ci_configs()
+    assert sorted(configs) == ["block", "corrupted", "csv", "e2e", "ergodic", "periodic", "wide"]
+    for name in ("periodic", "block", "corrupted"):
+        (tmp_path / f"{name}.yaml").write_text(configs[name])
+    commands = [["run", "periodic.yaml", "--out", "{}-periodic"],
+                ["gen", "--spec", "block.yaml", "--out", "{}-block.csv"],
+                ["gen", "--spec", "corrupted.yaml", "--out", "{}-corrupted.csv"]]
+    no_yaml = [sys.executable, "-c", "import sys; sys.modules['yaml'] = None; from fairpace.cli import program; program()"]
+    for command in commands:
+        for side, entry in (("noyaml", no_yaml), ("cli", CLI)):
+            r = subprocess.run(entry + [arg.format(side) for arg in command], capture_output=True, text=True, cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+    assert _files(tmp_path / "noyaml-periodic") == _files(tmp_path / "cli-periodic")
+    for name in ("block", "corrupted"):
+        assert (tmp_path / f"noyaml-{name}.csv").read_bytes() == (tmp_path / f"cli-{name}.csv").read_bytes()
 
 
 def test_cli_gen_and_solve_round_trip(tmp_path):
@@ -683,6 +714,17 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
         ("instance: {model: {type: iid, support: [[1, 0], [0, 1]], probs: [1e308, 1e308]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: iid model: probs must be nonnegative and sum to one"),
         ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[.nan, 1], [0.5, 0.5]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: ergodic model: transition rows must be distributions"),
         ("instance: {model: {type: ergodic, states: [[1, 0], [0, 1]], transitions: [[1e308, 1e308], [0.5, 0.5]]}, t: 4}\nweights: {equal: 2}\nvariants: [pace]\n", "error: ergodic model: transition rows must be distributions"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nvariants: [greedy]\n", "error: config is not valid YAML: duplicate key 'variants' (line 4)"),
+        ("instance: {csv: inst.csv, csv: inf.csv}\nweights: {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: duplicate key 'csv' (line 1)"),
+        ("instance:\n  model: {type: iid, support: [[1, 0], [0, 1]]}\n  t: 4\n  seed: 017\nweights: {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read '017' differently; quote it or write it otherwise (line 4)"),
+        ("instance:\n  model: {type: iid, support: [[1, 0], [0, 1]]}\n  t: 1:30\nweights: {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read '1:30' differently"),
+        ("instance:\n  model: {type: iid, support: [[1, 0], [0, 1]]}\n  t: 1_000\nweights: {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read '1_000' differently"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nsave_instances: yes\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read 'yes' differently; quote it or write it otherwise (line 4)"),
+        ("instance: {csv: inst.csv, normalize: off}\nweights: {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read 'off' differently"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\noutput_dir: 2024-01-01\n", "error: config is not valid YAML: YAML 1.1 and 1.2 read '2024-01-01' differently"),
+        ("instance: {csv: inst.csv}\nweights: &w {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: anchors are not read (line 2)"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n---\nvariants: [greedy]\n", "error: config is not valid YAML: more than one document, or a document end marker (line 4)"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nsave_instances: 'yes'\n", "error: config 'save_instances' must be true or false, not 'yes'"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -698,7 +740,9 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
          "model-with-t", "model-with-seed", "model-without-t", "iid-support-bool", "iid-probs-text",
          "ergodic-transitions-bool", "periodic-pool-text", "iid-support-huge-int", "weights-total-overflow",
          "weights-equal-negative", "iid-probs-nan", "iid-probs-overflow", "ergodic-transitions-nan",
-         "ergodic-transitions-overflow"],
+         "ergodic-transitions-overflow", "duplicate-key", "duplicate-flow-key", "seed-octal", "t-base-60",
+         "t-underscore", "save-instances-yes", "normalize-off", "output-dir-date", "anchor", "second-document",
+         "save-instances-quoted-yes"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -910,6 +954,8 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[true, 1]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': True is not a number"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[1e308, 1e308]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': agent weights and their total must be finite"),
         (["solve", "inst.csv", "--weights", "1e308,1e308"], {}, "error: agent weights and their total must be finite"),
+        (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nt: 5\n"}, "error: model spec is not valid YAML: duplicate key 't' (line 4)"),
+        (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nseed: 017\n"}, "error: model spec is not valid YAML: YAML 1.1 and 1.2 read '017' differently; quote it or write it otherwise (line 4)"),
     ],
     ids=["gen-yaml-syntax", "gen-spec-list", "plot-short-row", "eval-no-variant", "eval-variant-spec-list",
          "eval-changed-winner", "eval-short-trace", "eval-winners-number", "eval-weights-text",
@@ -919,7 +965,7 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
          "attack-envy-eps-1e-20", "attack-constrained-upper2-inf", "gen-seed-negative", "gen-seed-2-64",
          "gen-rep-negative", "run-seed-negative", "run-seed-2-70", "gen-t-1e15", "attack-constrained-t-1e15",
          "attack-cr-killer-phase-1e15", "run-t-1e15", "eval-weights-bool", "eval-weights-overflow",
-         "solve-weights-overflow"],
+         "solve-weights-overflow", "gen-spec-duplicate-key", "gen-spec-seed-octal"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
