@@ -30,9 +30,9 @@ from .eg import solve_eg
 from .harness import (
     ExperimentConfig,
     model_from_dict,
-    parse_checkpoints,
     parse_variant,
     plot_trajectories,
+    read_schedule,
     read_yaml_mapping,
     run_experiment,
 )
@@ -75,18 +75,17 @@ def _variant_arg(text: str) -> str:
     the only one that reads them."""
     try:
         parse_variant(text, AgentWeights.equal(1))
-    except (InstanceError, ValueError) as exc:
+    except InstanceError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 
-def _checkpoints_arg(text: str) -> str:
-    if text != "pow2":
-        try:
-            parse_checkpoints(text, t=1 << 62)
-        except (InstanceError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+def _checkpoints_arg(text: str):
+    """``text`` read by :func:`read_schedule`; a refusal is a usage error."""
+    try:
+        return read_schedule(text)
+    except InstanceError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pools", help="periodic pools, pools split by '|', rows by ';'")
     g.add_argument("--spec", help="YAML file with a full model spec (any model type)")
     g.add_argument("--t", type=int, help="horizon length")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, help="generator seed (default the spec's, else 0)")
     g.add_argument("--rep", type=int, default=0, help="repetition substream index")
     g.add_argument("--out", required=True, help="output CSV path")
 
@@ -151,23 +150,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     if args.spec:
         d = read_yaml_mapping(args.spec, "model spec")
-        if args.t is not None:
-            d["t"] = args.t
-        d.setdefault("seed", args.seed)
-        spec = model_from_dict(d)
     elif args.model == "iid":
         if args.support is None or args.t is None:
             raise InstanceError("iid model needs --support and --t")
-        d = {"type": "iid", "support": args.support, "probs": args.probs, "t": args.t, "seed": args.seed}
-        spec = model_from_dict(d)
+        d = {"type": "iid", "support": args.support, "probs": args.probs}
     elif args.model == "periodic":
         if args.pools is None or args.t is None:
             raise InstanceError("periodic model needs --pools and --t")
-        pools = [_parse_matrix(p) for p in args.pools.split("|")]
-        spec = model_from_dict({"type": "periodic", "pools": pools, "t": args.t, "seed": args.seed})
+        d = {"type": "periodic", "pools": [_parse_matrix(p) for p in args.pools.split("|")]}
     else:
         raise InstanceError("gen needs --spec or --model")
-    values = generate(spec, repetition=args.rep)
+    d.update({key: getattr(args, key) for key in ("t", "seed") if getattr(args, key) is not None})
+    values = generate(model_from_dict(d), repetition=args.rep)
     save_csv(args.out, values)
     print(f"wrote {values.t} items x {values.n} agents to {args.out}")
     return 0
@@ -175,22 +169,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_yaml(args.config)
-    changes = {}
-    if args.reps is not None:
-        changes["repetitions"] = args.reps
-    if args.tol is not None:
-        changes["tolerance"] = args.tol
-    if args.checkpoints is not None:
-        changes["checkpoints"] = args.checkpoints
-    if args.out is not None:
-        changes["output_dir"] = args.out
-    if args.seed is not None:
-        if config.model_spec is None:
-            raise InstanceError("--seed only applies to generated instances")
-        changes["model_spec"] = replace(config.model_spec, seed=args.seed)
-    if changes:
-        config = replace(config, **changes)
-    result = run_experiment(config)
+    if args.seed is not None and config.model_spec is None:
+        raise InstanceError("--seed only applies to generated instances")
+    changes = {"repetitions": args.reps, "tolerance": args.tol, "checkpoints": args.checkpoints, "output_dir": args.out,
+               "model_spec": None if args.seed is None else replace(config.model_spec, seed=args.seed)}
+    result = run_experiment(replace(config, **{k: v for k, v in changes.items() if v is not None}))
     print(f"wrote {result.trajectory_csv}")
     print(f"wrote {result.summary_json}")
     for f in result.svg_files:

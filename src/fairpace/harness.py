@@ -27,7 +27,7 @@ import json
 import math
 import os
 import shutil
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
@@ -60,7 +60,9 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
     """Parse ``name[,key=value,...]`` variant syntax.
 
     Names: pace, constrained, seeded, setaside, greedy, proportional.
-    Examples: ``seeded,seed_utility=0.5``; ``constrained,slack=0.1``.
+    Examples: ``seeded,seed_utility=0.5``; ``constrained,slack=0.1``.  A
+    value that is not a number is passed on as text, so the variant
+    refuses it as it refuses the mapping form's.
     """
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -69,50 +71,49 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
     for p in parts[1:]:
         if "=" not in p:
             raise InstanceError(f"malformed variant parameter {p!r}")
-        key, val = p.split("=", 1)
-        key = key.strip()
+        key, val = (s.strip() for s in p.split("=", 1))
         if key in params:
             raise InstanceError(f"repeated variant parameter {key!r}")
-        params[key] = float(val)
+        try:
+            params[key] = val if "_" in val else float(val)  # float() reads 1_0 as 10, which YAML leaves text
+        except ValueError:
+            params[key] = val  # refused by the variant, as the mapping form's text is
     return variant_from_dict({"type": name, **params}, weights)
 
 
-def parse_checkpoints(spec: Union[str, Sequence[int], None], t: int) -> Tuple[int, ...]:
-    """Resolve a checkpoint schedule against horizon ``t``.
-
-    ``pow2`` (default) is every power of two up to ``t`` plus ``t``
-    itself; an explicit comma list or int sequence is clipped to
-    ``[1, t]``.  The horizon is always included.
-    """
-    items = _schedule_items(spec)
-    if items is None:
-        cps = []
-        c = 1
-        while c <= t:
-            cps.append(c)
-            c *= 2
-        cps.append(t)
-        return tuple(sorted(set(cps)))
-    return tuple(sorted({c for c in items if c <= t} | {t}))
-
-
-def _schedule_items(spec: Union[str, Sequence[int], None]) -> Optional[List[int]]:
-    """The explicit rounds of a checkpoint schedule, or None for ``pow2``;
-    a schedule of the wrong shape raises :class:`InstanceError`."""
+def read_schedule(spec) -> Union[str, Tuple[int, ...]]:
+    """A checkpoint schedule: ``pow2`` (also for None), or a comma list or
+    sequence of rounds as the sorted tuple of its distinct rounds; a
+    schedule of any other shape, or a round below one, raises
+    :class:`InstanceError`."""
     if spec is None or spec == "pow2":
-        return None
+        return "pow2"
     try:
         if isinstance(spec, str):
-            items = [integral(float(s)) for s in spec.split(",") if s.strip()]
+            rounds = {integral(float(s)) for s in spec.split(",") if s.strip()}
         else:
-            items = [integral(x) for x in spec]
+            rounds = {integral(x) for x in spec}
     except (TypeError, ValueError):
         raise InstanceError(f"malformed checkpoint schedule {spec!r}") from None
-    if not items:
+    if not rounds:
         raise InstanceError("empty checkpoint schedule")
-    if any(c < 1 for c in items):
+    if min(rounds) < 1:
         raise InstanceError("checkpoints must be positive")
-    return items
+    return tuple(sorted(rounds))
+
+
+def parse_checkpoints(spec: Union[str, Sequence[int], None], t: int) -> Tuple[int, ...]:
+    """Resolve a checkpoint schedule, read by :func:`read_schedule`, against
+    horizon ``t``.
+
+    ``pow2`` (default) is every power of two up to ``t`` plus ``t``
+    itself; an explicit schedule is clipped to ``[1, t]``.  The horizon
+    is always included.
+    """
+    rounds = read_schedule(spec)
+    if rounds == "pow2":
+        rounds = [1 << k for k in range(t.bit_length())]
+    return tuple(sorted({c for c in rounds if c <= t} | {t}))
 
 
 def model_from_dict(d: dict) -> InputModelSpec:
@@ -139,7 +140,18 @@ def _generated(model: dict, d: dict, what: str) -> InputModelSpec:
 
 @record
 class ExperimentConfig:
-    """Declarative description of one experiment."""
+    """Declarative description of one experiment.
+
+    The constructor reads every field as a config's key is read, so
+    :meth:`from_dict`, the Python API and :func:`dataclasses.replace`
+    refuse the same values in one :class:`InstanceError` line:
+    ``repetitions`` is an integer of at least 1, ``tolerance`` a positive
+    finite number, ``normalize`` and ``save_instances`` booleans, the
+    paths strings, ``model_spec`` an :class:`InputModelSpec`, ``weights``
+    :class:`AgentWeights` and ``variants`` a nonempty sequence of variants
+    with distinct labels.  ``checkpoints``
+    is stored as :func:`read_schedule` reads it.
+    """
 
     weights: AgentWeights
     variants: Tuple[Variant, ...]
@@ -147,29 +159,46 @@ class ExperimentConfig:
     csv_path: Optional[str] = None
     model_spec: Optional[InputModelSpec] = None
     repetitions: int = 1
-    checkpoints: Union[str, Tuple[int, ...], None] = "pow2"
+    checkpoints: Union[str, Tuple[int, ...]] = "pow2"
     tolerance: float = 1e-6
     normalize: bool = False
     save_instances: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise InstanceError("repetitions must be at least 1")
+        if not isinstance(self.weights, AgentWeights):
+            raise InstanceError(f"config 'weights' must be agent weights, not {self.weights!r}")
+        if not isinstance(self.variants, (list, tuple)) or not all(isinstance(v, get_args(Variant)) for v in self.variants):
+            raise InstanceError(f"config 'variants' must be a list of variants, not {self.variants!r}")
         if not self.variants:
             raise InstanceError("need at least one variant")
+        repetitions = integral(self.repetitions, "config 'repetitions'")
+        if repetitions < 1:
+            raise InstanceError("repetitions must be at least 1")
+        for key in ("normalize", "save_instances"):
+            if not isinstance(getattr(self, key), bool):
+                raise InstanceError(f"config {key!r} must be true or false, not {getattr(self, key)!r}")
+        if not isinstance(self.output_dir, str):
+            raise InstanceError(f"config 'output_dir' must be a path, not {self.output_dir!r}")
+        if not isinstance(self.csv_path, (str, type(None))):
+            raise InstanceError(f"config 'instance.csv' must be a path, not {self.csv_path!r}")
+        if not isinstance(self.model_spec, (InputModelSpec, type(None))):
+            raise InstanceError(f"config 'instance.model' must be a model spec, not {self.model_spec!r}")
         if (self.csv_path is None) == (self.model_spec is None):
             raise InstanceError("config needs exactly one of a CSV path or a model spec")
-        check_tolerance(self.tolerance)
-        items = _schedule_items(self.checkpoints)  # refused here, before any output exists
-        if items is not None and not isinstance(self.checkpoints, str):
-            object.__setattr__(self, "checkpoints", tuple(items))
         labels = [v.label for v in self.variants]
         for label in labels:
             if labels.count(label) > 1:
                 raise InstanceError(f"two variants share the label {label!r}; results are keyed by it")
+        object.__setattr__(self, "variants", tuple(self.variants))
+        object.__setattr__(self, "repetitions", repetitions)
+        object.__setattr__(self, "tolerance", check_tolerance(real(self.tolerance, "config 'tolerance'")))
+        object.__setattr__(self, "checkpoints", read_schedule(self.checkpoints))
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: str = ".") -> "ExperimentConfig":
+        """Map a config's YAML layout onto the fields: ``instance`` holds the
+        source and ``normalize``, paths are taken from ``base_dir``, and a
+        key the config omits takes the field's default."""
         known_keys(d, "instance", "weights", "variants", "repetitions", "checkpoints", "tolerance",
                    "output_dir", "save_instances")
         inst = d.get("instance", {})
@@ -195,9 +224,6 @@ class ExperimentConfig:
             if not isinstance(v, (str, dict)):
                 raise InstanceError(f"variant entry {v!r} must be a string or a mapping")
             variants.append(parse_variant(v, weights) if isinstance(v, str) else variant_from_dict(v, weights))
-        csv_path = inst.get("csv")
-        if csv_path is not None:
-            csv_path = _path(csv_path, "instance.csv", base_dir)
         model = inst.get("model")
         spec = None
         if model is None:
@@ -208,17 +234,14 @@ class ExperimentConfig:
             raise InstanceError("config 'instance.model' must be a mapping")
         else:
             spec = _generated(model, inst, "config 'instance'")
+        fields = ("repetitions", "checkpoints", "tolerance", "save_instances", "normalize")
         return cls(
             weights=weights,
             variants=tuple(variants),
-            output_dir=_path(d.get("output_dir", "out"), "output_dir", base_dir),
-            csv_path=csv_path,
+            output_dir=_path(d.get("output_dir", "out"), base_dir),
+            csv_path=_path(inst.get("csv"), base_dir),
             model_spec=spec,
-            repetitions=integral(d.get("repetitions", 1), "config 'repetitions'"),
-            checkpoints=d.get("checkpoints", "pow2"),
-            tolerance=real(d.get("tolerance", 1e-6), "config 'tolerance'"),
-            normalize=_flag(inst, "normalize", False),
-            save_instances=_flag(d, "save_instances", False),
+            **{k: v for k, v in (*d.items(), *inst.items()) if k in fields},
         )
 
     @classmethod
@@ -243,19 +266,10 @@ def read_yaml_mapping(path, what: str) -> dict:
     return data
 
 
-def _path(value, key: str, base_dir: str) -> str:
-    """A config path, relative paths taken from ``base_dir``."""
-    if not isinstance(value, str):
-        raise InstanceError(f"config {key!r} must be a path, not {value!r}")
-    return value if os.path.isabs(value) else os.path.join(base_dir, value)
-
-
-def _flag(d: dict, key: str, default: bool) -> bool:
-    """``d[key]``, or ``default`` when absent; only a YAML boolean is read."""
-    value = d.get(key, default)
-    if not isinstance(value, bool):
-        raise InstanceError(f"config {key!r} must be true or false, not {value!r}")
-    return value
+def _path(value, base_dir: str):
+    """A config path, a relative one taken from ``base_dir``; a value that is
+    not a string is left for :class:`ExperimentConfig` to refuse."""
+    return os.path.join(base_dir, value) if isinstance(value, str) else value
 
 
 def _safe_name(label: str) -> str:
@@ -340,16 +354,12 @@ class _Repetition:
     files: Tuple[str, ...]
 
 
-def _run_repetition(
-    config: ExperimentConfig, rep: int, cps: Optional[Tuple[int, ...]], reps_dir: str
-) -> _Repetition:
-    """Run repetition ``rep`` and write its files into ``reps_dir``; the
-    checkpoints are read off this instance when ``cps`` is None.  Its
+def _run_repetition(config: ExperimentConfig, rep: int, reps_dir: str) -> _Repetition:
+    """Run repetition ``rep`` and write its files into ``reps_dir``.  Its
     instance, prefixes and traces are released on return, before the next
     instance is built."""
     values = _load_instance(config, rep)
-    if cps is None:
-        cps = parse_checkpoints(config.checkpoints, values.t)
+    cps = parse_checkpoints(config.checkpoints, values.t)
     if values.n != config.weights.n:
         raise InstanceError(
             f"repetition {rep}: {config.weights.n} weights for an instance of {values.n} agents"
@@ -385,12 +395,8 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
     labels = [v.label for v in config.variants]
     reps_dir = os.path.join(out_dir, "reps")
     os.mkdir(reps_dir)
-    records: List[_Repetition] = []
-    cps: Optional[Tuple[int, ...]] = None
-    for rep in range(config.repetitions):
-        records.append(_run_repetition(config, rep, cps, reps_dir))
-        cps = records[-1].checkpoints
-    agent_names = records[0].agents
+    records = [_run_repetition(config, rep, reps_dir) for rep in range(config.repetitions)]
+    agent_names, cps = records[0].agents, records[0].checkpoints
 
     # aggregate trajectories over repetitions
     rows: List[Tuple[int, str, str, float]] = []

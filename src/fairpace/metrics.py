@@ -123,12 +123,14 @@ def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -
 
     The objective is linear in the allocation, so the supremum hands each
     item wholly to the agent maximizing ``B_i v_i^tau / U_i``; the value is
-    computed in closed form as ``sum_tau max_i B_i v_i^tau / (||B||_1 U_i)``.
+    computed in closed form as ``sum_tau max_i (B_i / ||B||_1) v_i^tau / U_i``,
+    each agent's share scaled by its utility first, so no product of a
+    weight and a utility overflows.
     """
     u = np.asarray(utilities_alg, dtype=np.float64)
     if np.any(u <= 0):
         raise InstanceError("utility ratio needs positive algorithm utilities")
-    return float(values.per_round(_prices(values.points, weights.array / (weights.total * u))).sum())
+    return float(values.per_round(_prices(values.points, weights.array / weights.total / u)).sum())
 
 
 def seeded_utility_ratio(

@@ -1,11 +1,13 @@
 """Experiment harness and CLI: schemas, determinism, exit codes."""
 
+import copy
 import csv
 import json
 import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -58,6 +60,72 @@ def test_parse_checkpoints():
     assert parse_checkpoints([5, 5, 2], 8) == (2, 5, 8)
     with pytest.raises(InstanceError):
         parse_checkpoints("a,b", 10)
+
+
+_CONFIG = {"instance": {"csv": "inst.csv"}, "weights": {"equal": 2}, "variants": ["pace"]}
+
+
+# each value a config refuses, by field: the constructor and replace refuse
+# it with the config's line; a field of None has no config form
+@pytest.mark.parametrize(
+    "field, key, value, message",
+    [
+        ("normalize", ("instance", "normalize"), "no", "config 'normalize' must be true or false, not 'no'"),
+        ("save_instances", ("save_instances",), "no", "config 'save_instances' must be true or false, not 'no'"),
+        ("repetitions", ("repetitions",), True, "config 'repetitions' must be a number with an integer value, not True"),
+        ("repetitions", ("repetitions",), 2.7, "config 'repetitions' must be a number with an integer value, not 2.7"),
+        ("repetitions", ("repetitions",), 0, "repetitions must be at least 1"),
+        ("tolerance", ("tolerance",), True, "config 'tolerance' must be a number, not True"),
+        ("tolerance", ("tolerance",), float("nan"), "tolerance must be positive and finite, not nan"),
+        ("checkpoints", ("checkpoints",), [1.5, 3], "malformed checkpoint schedule [1.5, 3]"),
+        ("checkpoints", ("checkpoints",), [], "empty checkpoint schedule"),
+        ("checkpoints", ("checkpoints",), [0], "checkpoints must be positive"),
+        ("output_dir", ("output_dir",), 3, "config 'output_dir' must be a path, not 3"),
+        ("weights", None, [1.0, 1.0], "config 'weights' must be agent weights, not [1.0, 1.0]"),
+        ("variants", None, (), "need at least one variant"),
+        ("model_spec", None, {"type": "iid"}, "config 'instance.model' must be a model spec, not {'type': 'iid'}"),
+    ],
+    ids=["normalize-text", "save-instances-text", "repetitions-bool", "repetitions-fraction", "repetitions-zero",
+         "tolerance-bool", "tolerance-nan", "checkpoints-fraction", "checkpoints-empty", "checkpoints-zero",
+         "output-dir-int", "weights-list", "variants-empty", "model-spec-mapping"],
+)
+def test_the_config_constructor_and_replace_refuse_what_the_config_refuses(tmp_path, field, key, value, message):
+    config = ExperimentConfig(AgentWeights.equal(2), (Unconstrained(),), "out", csv_path="inst.csv")
+    fields = {"weights": config.weights, "variants": config.variants, "output_dir": "out", "csv_path": "inst.csv"}
+    with pytest.raises(InstanceError) as built:
+        ExperimentConfig(**{**fields, field: value})
+    with pytest.raises(InstanceError) as replaced:
+        replace(config, **{field: value})
+    assert str(built.value) == str(replaced.value) == message
+    if key is not None:
+        d = copy.deepcopy(_CONFIG)
+        parent = d
+        for k in key[:-1]:
+            parent = parent[k]
+        parent[key[-1]] = value
+        with pytest.raises(InstanceError) as read:
+            ExperimentConfig.from_dict(d, str(tmp_path))
+        assert str(read.value) == message
+
+
+def test_the_config_stores_a_schedule_as_pow2_or_its_sorted_rounds():
+    config = ExperimentConfig.from_dict(_CONFIG)
+    assert config.checkpoints == "pow2" and config.repetitions == 1 and config.tolerance == 1e-6
+    assert not config.normalize and not config.save_instances
+    assert replace(config, checkpoints=None).checkpoints == "pow2"
+    assert replace(config, checkpoints=[8, 2.0, 8]).checkpoints == (2, 8)
+    assert replace(config, checkpoints=" 64,8 ,8").checkpoints == (8, 64)
+    assert type(replace(config, repetitions=3.0).repetitions) is int
+    assert type(replace(config, tolerance=1).tolerance) is float
+
+
+def test_summary_records_repetitions_as_an_int(tmp_path):
+    (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
+    config = ExperimentConfig.from_dict(_CONFIG, str(tmp_path))
+    run_experiment(replace(config, repetitions=2.0))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["repetitions"] == 2 and type(summary["repetitions"]) is int
+    assert '"repetitions": 2,' in (tmp_path / "out" / "summary.json").read_text()
 
 
 def test_proportional_identity_instance_relative_regret(tmp_path):
@@ -452,6 +520,19 @@ seed: 3
     assert vs.matrix.tolist() == [[1, 0.2], [0.2, 1]] * 3
 
 
+def test_cli_gen_seed_overrides_the_specs_seed(tmp_path):
+    body = "type: iid\nsupport: [[1, 0.2], [0.3, 1], [0.5, 0.5]]\nt: 200\nseed: %d\n"
+    written = {}
+    for name, seed, args in (("own", 3, []), ("five", 3, ["--seed", "5"]), ("spec-five", 5, []), ("spec-three", 3, [])):
+        spec = _write_config(tmp_path / f"{name}.yaml", body % seed)
+        r = subprocess.run(CLI + ["gen", "--spec", spec, *args, "--out", str(tmp_path / f"{name}.csv")],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        written[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert written["five"] == written["spec-five"]
+    assert written["own"] == written["spec-three"] != written["five"]
+
+
 def test_cli_attack_prints_certified_bound(tmp_path):
     out = tmp_path / "kill.csv"
     r = subprocess.run(
@@ -571,6 +652,17 @@ def test_cli_usage_errors_exit_two(tmp_path):
     assert r.returncode == 2
     assert "repeated variant parameter" in r.stderr
     assert not (tmp_path / "x.csv").exists()
+    # the string form refuses a value the mapping form refuses, naming the variant
+    for value in ("abc", "1_0"):
+        r = subprocess.run(
+            CLI + ["attack", "--construction", "cr-killer", "--n", "2", "--phases", "10,100",
+                   "--variant", f"seeded,seed_utility={value}", "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 2
+        assert r.stderr.strip().splitlines()[-1].endswith(f"argument --variant: seeded variant: {value!r} is not a number")
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_attack_refuses_fractional_phase_ends(tmp_path):
@@ -725,6 +817,9 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
         ("instance: {csv: inst.csv}\nweights: &w {equal: 2}\nvariants: [pace]\n", "error: config is not valid YAML: anchors are not read (line 2)"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n---\nvariants: [greedy]\n", "error: config is not valid YAML: more than one document, or a document end marker (line 4)"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\nsave_instances: 'yes'\n", "error: config 'save_instances' must be true or false, not 'yes'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['seeded,seed_utility=abc']\n", "error: seeded variant: 'abc' is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['seeded,seed_utility=1_0']\n", "error: seeded variant: '1_0' is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['constrained,slack=x']\n", "error: constrained variant: 'x' is not a number"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -742,7 +837,7 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
          "weights-equal-negative", "iid-probs-nan", "iid-probs-overflow", "ergodic-transitions-nan",
          "ergodic-transitions-overflow", "duplicate-key", "duplicate-flow-key", "seed-octal", "t-base-60",
          "t-underscore", "save-instances-yes", "normalize-off", "output-dir-date", "anchor", "second-document",
-         "save-instances-quoted-yes"],
+         "save-instances-quoted-yes", "seeded-utility-text", "seeded-utility-underscore", "constrained-slack-text"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -799,6 +894,24 @@ def test_exponent_form_numbers_give_the_dotted_forms_outputs(tmp_path):
         r = subprocess.run(CLI + ["gen", "--spec", spec, "--out", str(tmp_path / f"{name}.csv")], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
     assert (tmp_path / "exp.csv").read_bytes() == (tmp_path / "dot.csv").read_bytes()
+
+
+def test_utility_ratio_is_finite_where_weight_times_utility_overflows(tmp_path):
+    # each agent's utility is near 1e308, so B_i * U_i with ||B||_1 = 2 overflows
+    (tmp_path / "inst.csv").write_text("a,b\n1e308,1\n1,1e308\n1e-320,1\n")
+    cfg = _write_config(
+        tmp_path / "c.yaml",
+        "instance: {csv: inst.csv}\nweights: {equal: 2}\n"
+        "variants: [pace, 'constrained,slack=0.5', 'seeded,seed_utility=0.5', setaside, greedy, proportional]\n",
+    )
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *CLI[1:], "run", cfg],
+                       capture_output=True, text=True, cwd=tmp_path)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    variants = json.loads((tmp_path / "out" / "summary.json").read_text())["variants"]
+    assert len(variants) == 6
+    for label, result in variants.items():
+        ratio = result["per_repetition"][0]["utility_ratio"]
+        assert ratio is not None and 0.5 < ratio < 3, (label, ratio)
 
 
 def test_cli_run_accepts_a_prefix_that_no_agent_values(tmp_path):
