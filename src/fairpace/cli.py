@@ -32,6 +32,7 @@ from .harness import (
     model_from_dict,
     parse_variant,
     plot_trajectories,
+    read_number,
     read_schedule,
     read_yaml_mapping,
     run_experiment,
@@ -49,7 +50,7 @@ from .model import AgentWeights, InstanceError, integral, load_csv, save_csv
 def _parse_matrix(text: str) -> np.ndarray:
     """Rows separated by ';', entries by ',': "1,0;0,1"."""
     try:
-        rows = [[float(x) for x in row.split(",")] for row in text.split(";") if row.strip()]
+        rows = [[read_number(x) for x in row.split(",")] for row in text.split(";") if row.strip()]
         return np.array(rows, dtype=np.float64)
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed matrix {text!r}") from None
@@ -57,14 +58,14 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 def _parse_floats(text: str) -> List[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [read_number(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed number list {text!r}") from None
 
 
 def _parse_rounds(text: str) -> List[int]:
     try:
-        return [integral(float(x)) for x in text.split(",") if x.strip()]
+        return [integral(read_number(x)) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed round list {text!r}") from None
 
@@ -96,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", choices=["iid", "periodic"], help="inline model type")
     g.add_argument("--support", type=_parse_matrix, help="support vectors, 'v11,v12;v21,v22'")
     g.add_argument("--probs", type=_parse_floats, help="support probabilities (default uniform)")
-    g.add_argument("--pools", help="periodic pools, pools split by '|', rows by ';'")
+    g.add_argument("--pools", type=lambda text: [_parse_matrix(p) for p in text.split("|")],
+                   help="periodic pools, pools split by '|', rows by ';'")
     g.add_argument("--spec", help="YAML file with a full model spec (any model type)")
     g.add_argument("--t", type=int, help="horizon length")
     g.add_argument("--seed", type=int, help="generator seed (default the spec's, else 0)")
@@ -157,7 +159,7 @@ def _cmd_gen(args) -> int:
     elif args.model == "periodic":
         if args.pools is None or args.t is None:
             raise InstanceError("periodic model needs --pools and --t")
-        d = {"type": "periodic", "pools": [_parse_matrix(p) for p in args.pools.split("|")]}
+        d = {"type": "periodic", "pools": args.pools}
     else:
         raise InstanceError("gen needs --spec or --model")
     d.update({key: getattr(args, key) for key in ("t", "seed") if getattr(args, key) is not None})
@@ -193,7 +195,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_solve(args) -> int:
     values = load_csv(args.instance)
-    weights = AgentWeights(args.weights) if args.weights else AgentWeights.equal(values.n)
+    weights = AgentWeights.equal(values.n) if args.weights is None else AgentWeights(args.weights)
     eq = solve_eg(values, weights, args.tol, include_allocation=args.include_allocation)
     text = json.dumps(eq.to_json_dict(), sort_keys=True, indent=1)
     _emit(text, args.out)

@@ -56,6 +56,15 @@ from .yamlread import loads
 # parsing helpers (shared with the CLI)
 
 
+def read_number(text: str) -> float:
+    """``float(text)``, except that text holding ``_`` raises
+    :class:`ValueError`: ``float()`` reads ``1_0`` as 10, which the config
+    reader leaves text."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
     """Parse ``name[,key=value,...]`` variant syntax.
 
@@ -67,7 +76,7 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise InstanceError("empty variant")
-    name, params = parts[0].lower(), {}
+    name, params = parts[0], {}
     for p in parts[1:]:
         if "=" not in p:
             raise InstanceError(f"malformed variant parameter {p!r}")
@@ -75,7 +84,7 @@ def parse_variant(text: str, weights: Optional[AgentWeights] = None) -> Variant:
         if key in params:
             raise InstanceError(f"repeated variant parameter {key!r}")
         try:
-            params[key] = val if "_" in val else float(val)  # float() reads 1_0 as 10, which YAML leaves text
+            params[key] = read_number(val)
         except ValueError:
             params[key] = val  # refused by the variant, as the mapping form's text is
     return variant_from_dict({"type": name, **params}, weights)
@@ -90,7 +99,7 @@ def read_schedule(spec) -> Union[str, Tuple[int, ...]]:
         return "pow2"
     try:
         if isinstance(spec, str):
-            rounds = {integral(float(s)) for s in spec.split(",") if s.strip()}
+            rounds = {integral(read_number(s)) for s in spec.split(",") if s.strip()}
         else:
             rounds = {integral(x) for x in spec}
     except (TypeError, ValueError):

@@ -388,24 +388,6 @@ def empirical_tv_delta(spec: InputModelSpec) -> float:
     return float(sum(rounds * (0.5 * np.abs(pmf - mixture).sum()) for rounds, pmf in pmfs()) / t)
 
 
-def ergodic_deviation(model: Ergodic, iota: int, t: int) -> float:
-    """Conservative mixing deviation of the chain at lag ``iota``:
-    the largest TV distance between any state's ``iota``-step transition
-    law and the horizon-averaged marginal distribution."""
-    if iota < 1:
-        raise InstanceError("iota must be at least 1")
-    m = model.states.shape[0]
-    mu = np.zeros(m)
-    mu[model.start] = 1.0
-    acc = np.zeros(m)
-    for _ in range(t):
-        acc += mu
-        mu = mu @ model.transitions
-    marg = acc / t
-    piota = np.linalg.matrix_power(model.transitions, iota)
-    return float(0.5 * np.abs(piota - marg).sum(axis=1).max())
-
-
 # --------------------------------------------------------------------------
 # adversarial constructions
 

@@ -1,10 +1,14 @@
 """Performance metrics for runs of the allocation dynamics.
 
 All metrics are exact functions of a run (or an explicit allocation
-matrix) plus a benchmark.  Multiplicative metrics on agents with zero
-utility return ``inf`` rather than raising, so adversarial experiments
-still produce comparable reports; the report records which agents were
-flagged.
+matrix) plus a benchmark.  A utility is zero only when it is exactly
+zero, so the metrics hold in any units: scaling an agent's values by a
+power of two scales its utilities exactly and leaves the envy ratios,
+the utility ratio and the flags as they were.  Multiplicative metrics
+on agents with zero utility return ``inf`` rather than raising, so
+adversarial experiments still produce comparable reports; the report
+records which agents were flagged.  A ratio past the float range is
+``inf`` too, without a warning.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from .eg import PrefixSolution, _prices
 from .model import AgentWeights, InstanceError, ValueSequence, record
 
 AllocationLike = Union[np.ndarray, RunTrace]
-
-_FLAG_FLOOR = 1e-12  # denominators below this count as zero
 
 
 def regret(avg_utilities, hindsight_avg_utilities) -> np.ndarray:
@@ -76,8 +78,8 @@ def multiplicative_envy(
 ) -> np.ndarray:
     """Per-agent ``max_{k != i} (B_i/B_k) * (u_ik / u_ii)``.
 
-    Agents with (numerically) zero own utility get ``inf`` unless they
-    value nobody's bundle, and a single agent gets 0 (no rival).
+    Agents with zero own utility get ``inf`` unless they value nobody's
+    bundle, and a single agent gets 0 (no rival).
     """
     return _multiplicative_envy(cross_utilities(values, allocation), weights.array)
 
@@ -85,17 +87,10 @@ def multiplicative_envy(
 def _multiplicative_envy(cu: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.size
     out = np.zeros(n)
-    for i in range(n):
-        others = [k for k in range(n) if k != i]
-        if not others:
-            out[i] = 0.0
-            continue
-        rivals = np.array([(b[i] / b[k]) * cu[i, k] for k in others])
-        own = cu[i, i]
-        if own <= _FLAG_FLOOR:
-            out[i] = math.inf if rivals.max() > 0 else 0.0
-        else:
-            out[i] = float(rivals.max() / own)
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        for i in range(n):
+            top = max(((b[i] / b[k]) * cu[i, k] for k in range(n) if k != i), default=0.0)
+            out[i] = top / cu[i, i] if cu[i, i] > 0 else (math.inf if top > 0 else 0.0)
     return out
 
 
@@ -113,9 +108,10 @@ def competitive_ratio(utilities_alg, utilities_hindsight, weights: AgentWeights)
     ua = np.asarray(utilities_alg, dtype=np.float64)
     uh = np.asarray(utilities_hindsight, dtype=np.float64)
     share = weights.array / weights.total
-    if np.any(ua <= _FLAG_FLOOR):
+    if np.any(ua <= 0):
         return math.inf
-    return float(np.exp(np.dot(share, np.log(uh / ua))))
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        return float(np.exp(np.dot(share, np.log(uh / ua))))
 
 
 def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -> float:
@@ -125,12 +121,17 @@ def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -
     item wholly to the agent maximizing ``B_i v_i^tau / U_i``; the value is
     computed in closed form as ``sum_tau max_i (B_i / ||B||_1) v_i^tau / U_i``,
     each agent's share scaled by its utility first, so no product of a
-    weight and a utility overflows.
+    weight and a utility overflows.  A zero utility, or a scaled share past
+    the float range, gives ``inf``.
     """
     u = np.asarray(utilities_alg, dtype=np.float64)
     if np.any(u <= 0):
-        raise InstanceError("utility ratio needs positive algorithm utilities")
-    return float(values.per_round(_prices(values.points, weights.array / weights.total / u)).sum())
+        return math.inf
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        share = weights.array / weights.total / u
+        if np.any(share == math.inf):  # inf times a zero value would be NaN
+            return math.inf
+        return float(values.per_round(_prices(values.points, share)).sum())
 
 
 def seeded_utility_ratio(
@@ -188,8 +189,9 @@ class TrajectoryPoint:
     """Relative time-averaged regret at one checkpoint.
 
     ``per_agent[i]`` is ``max(u*_i - ubar_i, 0)/u*_i`` against the prefix
-    benchmark; agents flagged by the benchmark (no value seen yet) are
-    NaN and excluded from ``max``/``mean``, with their count recorded.
+    benchmark; agents whose benchmark utility is zero (those the
+    benchmark flags: no value seen yet) are NaN and excluded from
+    ``max``/``mean``, with their count recorded.
     """
 
     tau: int
@@ -212,15 +214,10 @@ def relative_regret_trajectory(
             cum = cps[sol.tau]
         else:
             raise InstanceError(f"trace has no checkpoint at tau={sol.tau}")
-        ubar = cum / sol.tau
+        star, ubar = sol.avg_utilities, cum / sol.tau
+        ok = star != 0
         per = np.full(trace.n, np.nan)
-        ok = np.ones(trace.n, dtype=bool)
-        for i in range(trace.n):
-            star = sol.avg_utilities[i]
-            if i in sol.flagged or star <= _FLAG_FLOOR:
-                ok[i] = False
-                continue
-            per[i] = max(star - ubar[i], 0.0) / star
+        per[ok] = np.maximum(star[ok] - ubar[ok], 0.0) / star[ok]
         vals = per[ok]
         out.append(
             TrajectoryPoint(
@@ -283,26 +280,19 @@ def build_report(
     """
     uh = np.asarray(hindsight_utilities, dtype=np.float64)
     ua = trace.final_utilities
-    flagged = tuple(int(i) for i in np.nonzero(ua <= _FLAG_FLOOR)[0])
     cu = cross_utilities(values, trace)  # both envies read it
-    env_a = _additive_envy(cu, weights.array)
-    env_m = _multiplicative_envy(cu, weights.array)
-    if flagged:
-        ur = math.inf
-    else:
-        ur = utility_ratio(values, ua, weights)
     seeded = None
     if isinstance(trace.variant, Seeded):
         seeded = seeded_utility_ratio(values, ua, weights, trace.variant.seed_utility)
     return MetricsReport(
         variant=trace.variant.label,
         regret=regret(trace.final_avg_utilities, uh / trace.t),
-        additive_envy=env_a,
-        multiplicative_envy=env_m,
+        additive_envy=_additive_envy(cu, weights.array),
+        multiplicative_envy=_multiplicative_envy(cu, weights.array),
         nash_welfare_alg=nash_welfare(ua, weights),
         nash_welfare_hindsight=nash_welfare(uh, weights),
         competitive_ratio=competitive_ratio(ua, uh, weights),
-        utility_ratio=ur,
+        utility_ratio=utility_ratio(values, ua, weights),
         seeded_ratio=seeded,
-        flagged_agents=flagged,
+        flagged_agents=tuple(int(i) for i in np.nonzero(ua == 0)[0]),
     )

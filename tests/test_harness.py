@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from fairpace.harness import (
     parse_checkpoints,
     parse_variant,
     plot_trajectories,
+    read_number,
+    read_schedule,
     run_experiment,
 )
 from fairpace.dynamics import Constrained, Seeded, Unconstrained
@@ -44,6 +47,8 @@ def test_parse_variant_forms():
     assert v.upper == (2.0, 4.0)
     with pytest.raises(InstanceError):
         parse_variant("nosuch")
+    with pytest.raises(InstanceError, match="unknown variant type 'PACE'"):
+        parse_variant("PACE")  # as the mapping form {type: PACE} is refused
     with pytest.raises(InstanceError):
         parse_variant("seeded,oops")
     with pytest.raises(InstanceError, match="seed_utility"):
@@ -52,6 +57,17 @@ def test_parse_variant_forms():
         parse_variant("constrained")
     with pytest.raises(InstanceError, match="repeated variant parameter 'seed_utility'"):
         parse_variant("seeded,seed_utility=0.5,seed_utility=2")
+
+
+def test_read_number_refuses_what_the_config_reader_leaves_text():
+    assert read_number(" 1e-3 ") == 1e-3 and read_number("inf") == math.inf
+    for text in ("1_0", "0.5_0", "1e1_0", "abc", ""):
+        with pytest.raises(ValueError):
+            read_number(text)
+    # float() reads 1_0 as 10
+    with pytest.raises(InstanceError, match=r"malformed checkpoint schedule '1_0,20'"):
+        read_schedule("1_0,20")
+    assert read_schedule("10,20") == (10, 20)
 
 
 def test_parse_checkpoints():
@@ -665,6 +681,31 @@ def test_cli_usage_errors_exit_two(tmp_path):
         assert not (tmp_path / "x.csv").exists()
 
 
+# a number in a comma list is read as the config reads it: float() would read 1_0 as 10
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (["run", "c.yaml", "--checkpoints", "1_0"], "argument --checkpoints: malformed checkpoint schedule '1_0'"),
+        (["gen", "--model", "iid", "--support", "1_0,0;0,1", "--t", "3"], "argument --support: malformed matrix '1_0,0;0,1'"),
+        (["gen", "--model", "iid", "--support", "1,0;0,1", "--probs", "0.5,0.5_0", "--t", "3"],
+         "argument --probs: malformed number list '0.5,0.5_0'"),
+        (["gen", "--model", "periodic", "--pools", "1,0|0,1_0", "--t", "3"], "argument --pools: malformed matrix '0,1_0'"),
+        (["solve", "inst.csv", "--weights", "1_0,1"], "argument --weights: malformed number list '1_0,1'"),
+        (["attack", "--construction", "cr-killer", "--n", "2", "--phases", "1_0,20"],
+         "argument --phases: malformed round list '1_0,20'"),
+    ],
+    ids=["run-checkpoints", "gen-support", "gen-probs", "gen-pools", "solve-weights", "attack-phases"],
+)
+def test_cli_number_lists_refuse_underscores(tmp_path, command, expected):
+    (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
+    r = subprocess.run(CLI + command + ["--out", "x"], capture_output=True, text=True, cwd=tmp_path)
+    lines = r.stderr.strip().splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:], r.stderr
+    assert lines[-1].endswith(expected)
+    assert r.returncode == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.csv"]
+
+
 def test_cli_attack_refuses_fractional_phase_ends(tmp_path):
     # a phase ends at a whole round: 10.7 is a usage error, not round 10
     out = tmp_path / "k.csv"
@@ -820,6 +861,8 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['seeded,seed_utility=abc']\n", "error: seeded variant: 'abc' is not a number"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['seeded,seed_utility=1_0']\n", "error: seeded variant: '1_0' is not a number"),
         ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['constrained,slack=x']\n", "error: constrained variant: 'x' is not a number"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: ['PACE']\n", "error: unknown variant type 'PACE'"),
+        ("instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [{type: PACE}]\n", "error: unknown variant type 'PACE'"),
     ],
     ids=["yaml-syntax", "instance-list", "variant-number", "weights-length", "model-list",
          "checkpoints-int", "tolerance-list", "output-dir-list", "csv-list", "t-list", "seed-list",
@@ -837,7 +880,8 @@ def test_cli_attack_reads_a_slack_variant_against_the_constructions_weights(tmp_
          "weights-equal-negative", "iid-probs-nan", "iid-probs-overflow", "ergodic-transitions-nan",
          "ergodic-transitions-overflow", "duplicate-key", "duplicate-flow-key", "seed-octal", "t-base-60",
          "t-underscore", "save-instances-yes", "normalize-off", "output-dir-date", "anchor", "second-document",
-         "save-instances-quoted-yes", "seeded-utility-text", "seeded-utility-underscore", "constrained-slack-text"],
+         "save-instances-quoted-yes", "seeded-utility-text", "seeded-utility-underscore", "constrained-slack-text",
+         "variant-upper-case", "variant-type-upper-case"],
 )
 def test_cli_run_reports_malformed_configs_in_one_line(tmp_path, body, expected):
     (tmp_path / "inst.csv").write_text("a,b\n1,0\n0,1\n")
@@ -1067,6 +1111,7 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[true, 1]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': True is not a number"),
         (["eval", "tr.json", "--instance", "inst.csv"], {"tr.json": _PACE_TRACE.replace("[1, 1]", "[1e308, 1e308]") % "[0, 1, 0, 1]"}, "error: trace JSON 'weights': agent weights and their total must be finite"),
         (["solve", "inst.csv", "--weights", "1e308,1e308"], {}, "error: agent weights and their total must be finite"),
+        (["solve", "inst.csv", "--weights", ","], {}, "error: need at least one agent weight"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nt: 5\n"}, "error: model spec is not valid YAML: duplicate key 't' (line 4)"),
         (["gen", "--spec", "s.yaml", "--out", "x.csv"], {"s.yaml": "type: iid\nsupport: [[1, 0]]\nt: 3\nseed: 017\n"}, "error: model spec is not valid YAML: YAML 1.1 and 1.2 read '017' differently; quote it or write it otherwise (line 4)"),
     ],
@@ -1078,7 +1123,7 @@ def test_cli_plot_redraws_the_run_chart(tmp_path):
          "attack-envy-eps-1e-20", "attack-constrained-upper2-inf", "gen-seed-negative", "gen-seed-2-64",
          "gen-rep-negative", "run-seed-negative", "run-seed-2-70", "gen-t-1e15", "attack-constrained-t-1e15",
          "attack-cr-killer-phase-1e15", "run-t-1e15", "eval-weights-bool", "eval-weights-overflow",
-         "solve-weights-overflow", "gen-spec-duplicate-key", "gen-spec-seed-octal"],
+         "solve-weights-overflow", "solve-weights-empty", "gen-spec-duplicate-key", "gen-spec-seed-octal"],
 )
 def test_cli_reports_malformed_inputs_in_one_line(tmp_path, command, files, expected):
     (tmp_path / "inst.csv").write_text(_TWO_AGENTS)

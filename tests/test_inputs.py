@@ -31,7 +31,6 @@ from fairpace.inputs import (
     adv_cr_killer,
     adv_envy_worstcase,
     empirical_tv_delta,
-    ergodic_deviation,
     gen,
 )
 from fairpace.model import AgentWeights, InstanceError, extremity, validate_instance
@@ -305,15 +304,6 @@ def test_ergodic_walk_visits_states_deterministically():
     spec = InputModelSpec(Ergodic(states, trans, start=0), t=5, seed=8)
     vs = gen(spec)
     assert np.array_equal(vs.matrix, [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0]])
-
-
-def test_ergodic_deviation_of_fast_mixing_chain():
-    states = np.array([[1.0, 0.0], [0.0, 1.0]])
-    uniform = np.full((2, 2), 0.5)
-    model = Ergodic(states, uniform, start=0)
-    assert ergodic_deviation(model, iota=1, t=100) == pytest.approx(0.005, abs=1e-12)
-    slow = Ergodic(states, np.array([[1.0, 0.0], [0.0, 1.0]]), start=0)
-    assert ergodic_deviation(slow, iota=3, t=100) == pytest.approx(1.0)
 
 
 def test_corrupted_rounds_replaced():

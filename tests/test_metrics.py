@@ -1,6 +1,7 @@
 """Metric formulas, flags, and cross-checks against enumeration."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -338,3 +339,76 @@ def test_build_report_computes_cross_utilities_once():
     # the same envies as the public functions, bit for bit
     assert np.array_equal(report.additive_envy, additive_envy(vs, trace, w))
     assert np.array_equal(report.multiplicative_envy, multiplicative_envy(vs, trace, w))
+
+
+@st.composite
+def _scaled_instances(draw):
+    """An instance with exact zeros, each agent valuing some item, its
+    weights, and one power of two 2^k per agent with k in [-60, 60]."""
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, 40))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    m = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=t, max_size=t)))
+    for i, tau in enumerate(draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n))):
+        if not np.any(m[:, i] > 0):
+            m[tau, i] = 1.0
+    w = AgentWeights(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    scale = np.ldexp(1.0, draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)))
+    return m, w, scale
+
+
+_SCALE_TOL = 1e-9
+
+
+def _within(a, b, rel):
+    """Equal where either is NaN or infinite, else within ``rel`` of each other."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    exact = ~np.isfinite(a) | ~np.isfinite(b)
+    return np.array_equal(a[exact], b[exact], equal_nan=True) and np.all(np.abs(a[~exact] - b[~exact]) <= rel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scaled_instances())
+# the hand trace's instance in units of 2**-60: every utility was flagged below 1e-12
+@example((np.ones((3, 2)), W2, np.ldexp(1.0, [-60, -60])))
+def test_metrics_hold_in_any_units(instance):
+    # seeded and constrained are left out: their seed and bounds are absolute
+    m, w, scale = instance
+    vs, scaled = ValueSequence(m), ValueSequence(m * scale)
+    cps = list(range(1, vs.t + 1))
+    # each solve's utilities lie within a factor 1 +- eps of the exact ones
+    # (ROADMAP item 3), so two solves' lie within rho = (1 + eps)/(1 - eps)
+    eps = math.sqrt(2 * _SCALE_TOL * w.total / w.array.min())
+    rho = (1 + eps) / (1 - eps)
+    prefixes = hindsight_prefix(vs, w, cps, _SCALE_TOL)
+    prefixes_s = hindsight_prefix(scaled, w, cps, _SCALE_TOL)
+    for variant in (Unconstrained(), OneStepGreedy(), SetAside(), Proportional()):
+        trace, trace_s = run(vs, w, variant, cps), run(scaled, w, variant, cps)
+        assert np.array_equal(trace_s.winners, trace.winners), variant
+        assert trace_s.final_utilities.tobytes() == (trace.final_utilities * scale).tobytes(), variant
+        report = build_report(trace, vs, w, prefixes[-1].avg_utilities * vs.t)
+        report_s = build_report(trace_s, scaled, w, prefixes_s[-1].avg_utilities * vs.t)
+        assert report_s.multiplicative_envy.tobytes() == report.multiplicative_envy.tobytes(), variant
+        assert np.float64(report_s.utility_ratio).tobytes() == np.float64(report.utility_ratio).tobytes(), variant
+        assert report_s.flagged_agents == report.flagged_agents, variant
+        assert _within(math.log(report_s.competitive_ratio), math.log(report.competitive_ratio), math.log(rho)), variant
+        for p, p_s in zip(relative_regret_trajectory(trace, prefixes), relative_regret_trajectory(trace_s, prefixes_s)):
+            assert p_s.excluded == p.excluded, (variant, p.tau)
+            for a, b in ((p.per_agent, p_s.per_agent), (p.max_value, p_s.max_value), (p.mean_value, p_s.mean_value)):
+                assert _within(a, b, rho - 1), (variant, p.tau)
+
+
+def test_ratios_past_the_float_range_are_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the share 0.5/5e-324 overflows: the ratio is past the float range
+        assert utility_ratio(ValueSequence([[1, 1], [1e-310, 1]]), [5e-324, 1.0], W2) == math.inf
+        assert competitive_ratio([1e-300, 1], [1, 1], W2) == pytest.approx(1e150)
+        assert competitive_ratio([5e-324, 1], [1, 1], W2) == math.inf
+        # agent 1 holds only its 1e-300 item and envies the 1e300 one
+        assert multiplicative_envy(ValueSequence([[1e300, 1], [1e-300, 1]]), np.array([[0, 1], [1, 0]]), W2)[0] == math.inf
+        # an exactly zero utility still gives inf
+        assert competitive_ratio([0.0, 1.0], [1.0, 1.0], W2) == math.inf
+        assert utility_ratio(ALL_ONES_3, [0.0, 3.0], W2) == math.inf
+        assert multiplicative_envy(ValueSequence([[1.0, 1.0]]), np.array([[1.0, 0.0]]), W2)[1] == math.inf
+
