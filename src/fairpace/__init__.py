@@ -14,15 +14,12 @@ from .dynamics import (
     new_state,
     pace_bid,
     pace_step,
-    restrict_instance,
     run,
 )
 from .eg import (
     ConvergenceError,
     MarketEquilibrium,
     UnderlyingMarket,
-    check_equilibrium,
-    dual_objective,
     hindsight_prefix,
     solve_eg,
     solve_underlying,
@@ -47,7 +44,6 @@ from .metrics import (
     additive_envy,
     build_report,
     competitive_ratio,
-    expenditure_deviation,
     multiplicative_envy,
     nash_welfare,
     regret,

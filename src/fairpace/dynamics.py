@@ -86,10 +86,11 @@ every agent of its row in its ``_scan``, so it reports the
 speculate.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
-cut also at every checkpoint, and only one block at a time is held as
-Python floats, so a run needs memory on the order of its input.  A
-generated instance's block is gathered from its points
-(``ValueSequence.rows``), so its matrix is never built.  A
+cut also at every checkpoint and at every power of two below ``_CHUNK``
+(so a guess that misses early hands the loop only a short block), and
+only one block at a time is held as Python floats, so a run needs memory
+on the order of its input.  A generated instance's block is gathered
+from its points (``ValueSequence.rows``), so its matrix is never built.  A
 kernel advances a whole block: the auctions step it row by row;
 proportional, whose update ignores the state, adds the block's weight
 shares as running column sums in one ``np.cumsum``, which rounds
@@ -859,7 +860,10 @@ def run(
     utilities, multipliers, and expenditures are snapshotted; the final
     round is always captured in the ``final_*`` fields.  The rows are
     read (gathered, in point form) in segments that end at every
-    checkpoint, at every multiple of ``_CHUNK`` and at the horizon.
+    checkpoint, at every power of two below ``_CHUNK``, at every multiple
+    of ``_CHUNK`` and at the horizon.  Each segment is speculated afresh,
+    so a guess that misses while the multipliers settle hands the loop
+    only the rest of a short segment.
     """
     report = validate_instance(values, weights)
     if not report.ok:
@@ -873,7 +877,8 @@ def run(
     cp = np.zeros((3, len(cps), n))  # utilities, multipliers and spend at each checkpoint
 
     start = cp_iter = 0
-    for end in sorted(set(cps).union(range(_CHUNK, t, _CHUNK), (t,))):
+    pow2 = (1 << k for k in range(_CHUNK.bit_length() - 1))
+    for end in sorted(set(cps).union((p for p in pow2 if p < t), range(_CHUNK, t, _CHUNK), (t,))):
         winners[start:end] = kernel.advance(values.rows(start, end))
         if cp_iter < len(cps) and cps[cp_iter] == end:
             cp[:, cp_iter] = kernel.u, kernel.beta(), kernel.spend
@@ -895,28 +900,3 @@ def run(
         final_spend=np.array(kernel.spend),
         infinite_spend_rounds=tuple(kernel.infinite_spend_round),
     )
-
-
-def restrict_instance(
-    values: ValueSequence, trace: RunTrace, subset: Sequence[int]
-) -> ValueSequence:
-    """Drop agents outside ``subset`` and the items they won.
-
-    ``trace`` must come from the unconstrained pacing dynamic on
-    ``values``; re-running on the restriction reproduces the kept
-    agents' utilities exactly.
-    """
-    if not isinstance(trace.variant, Unconstrained):
-        raise InstanceError("instance restriction is defined for the unconstrained dynamic")
-    agents = sorted({int(i) for i in subset})
-    if not agents:
-        raise InstanceError("agent subset must be nonempty")
-    if agents[0] < 0 or agents[-1] >= values.n:
-        raise InstanceError("agent subset out of range")
-    keep_rows = np.isin(trace.winners, agents)
-    if not keep_rows.any():
-        raise InstanceError("restriction removed every item")
-    names = tuple(values.agents[i] for i in agents)
-    if values.index is None:
-        return ValueSequence(values.points[keep_rows][:, agents], names)
-    return ValueSequence(values.points[:, agents], names, values.index[keep_rows])

@@ -27,7 +27,7 @@ recovers an exact split of the tied items (``_tie_split``) and certifies
 that.  The gap is always measured by the same unsmoothed certificate.
 A solution's ``iterations`` counts evaluations of the smoothed dual: one
 per Newton trial point, backtracking included, and one at the start of
-each stage; ``max_iters`` bounds that count.
+each stage; ``_MAX_ITERS`` bounds that count.
 
 Items with identical value vectors are merged internally (supplies add
 up); the expanded allocation splits each duplicate identically, which
@@ -56,14 +56,10 @@ from .model import (AgentWeights, FiniteDistribution, InstanceError, ValueSequen
 __all__ = [
     "MarketEquilibrium",
     "UnderlyingMarket",
-    "EquilibriumReport",
     "PrefixSolution",
     "ConvergenceError",
     "solve_eg",
-    "dual_objective",
-    "primal_objective",
     "solve_underlying",
-    "check_equilibrium",
     "check_tolerance",
     "hindsight_prefix",
 ]
@@ -133,14 +129,6 @@ class UnderlyingMarket:
     gap: float
 
 
-def primal_objective(utilities: np.ndarray, weights: AgentWeights) -> float:
-    """Weighted log welfare; -inf if some agent has zero utility."""
-    u = np.asarray(utilities, dtype=np.float64)
-    if np.any(u <= 0):
-        return -math.inf
-    return float(np.dot(weights.array, np.log(u)))
-
-
 def _prices(matrix: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """``max_i beta_i v_i`` for each row ``v`` of ``matrix``, the maximum
     taken column by column, without the ``t x n`` temporary of
@@ -159,20 +147,6 @@ def _dual_value(beta: np.ndarray, prices: np.ndarray, weights: AgentWeights) -> 
     b = weights.array
     const = float(np.dot(b, np.log(b)) - b.sum())
     return float(prices.sum() - np.dot(b, np.log(beta)) + const)
-
-
-def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
-    """Dual program value at ``beta`` (constants included).
-
-    With the ``sum_i (B_i log B_i - B_i)`` constant the value
-    upper-bounds the primal log welfare for every positive ``beta``.
-    """
-    arr = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if arr.size != values.n:
-        raise InstanceError("beta length does not match agent count")
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise InstanceError("beta entries must be positive and finite")
-    return _dual_value(arr, values.per_round(_prices(values.points, arr)), weights)
 
 
 def check_tolerance(tol: float) -> float:
@@ -405,7 +379,6 @@ def _solve_dual(
     supplies: np.ndarray,
     weights: AgentWeights,
     tol_abs: float,
-    max_iters: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Solve the program on items scaled by their supplies.
 
@@ -447,7 +420,7 @@ def _solve_dual(
         # y + (y - y_prev) / 4
         start = y if y_prev is None else y + 0.25 * (y - y_prev)
         y_prev = y
-        y, s, k = _newton_stage(logv_t, c, b, start, q, stop, max_iters - steps)
+        y, s, k = _newton_stage(logv_t, c, b, start, q, stop, _MAX_ITERS - steps)
         x = s.T
         steps += k
         utilities, gap = certify(x)
@@ -463,7 +436,7 @@ def _solve_dual(
                 u_split, gap_split = certify(split)
                 if gap_split < gap:
                     x, utilities, gap = split, u_split, gap_split
-        if gap <= tol_abs or steps >= max_iters or q >= _Q_MAX:
+        if gap <= tol_abs or steps >= _MAX_ITERS or q >= _Q_MAX:
             break
         q *= 4.0
     if not gap <= tol_abs:  # and is never a certificate
@@ -482,7 +455,6 @@ def solve_eg(
     weights: AgentWeights,
     tol: float = 1e-9,
     *,
-    max_iters: int = _MAX_ITERS,
     include_allocation: bool = True,
 ) -> MarketEquilibrium:
     """Solve the hindsight program to certified gap ``tol * ||B||_1``.
@@ -495,9 +467,7 @@ def solve_eg(
     if weights.n != values.n:
         raise InstanceError("weights length does not match agent count")
     uniq, counts, inverse = _compress(values.points, values.index)
-    x_u, utilities, beta, gap, iters = _solve_dual(
-        uniq, counts, weights, tol * weights.total, max_iters
-    )
+    x_u, utilities, beta, gap, iters = _solve_dual(uniq, counts, weights, tol * weights.total)
     allocation = x_u[inverse] if include_allocation else None
     prices = values.per_round(_prices(values.points, beta))
     return MarketEquilibrium(
@@ -515,8 +485,6 @@ def solve_underlying(
     probs,
     weights: AgentWeights,
     tol: float = 1e-9,
-    *,
-    max_iters: int = _MAX_ITERS,
 ) -> UnderlyingMarket:
     """Equilibrium with item supplies equal to their probabilities.
 
@@ -530,92 +498,8 @@ def solve_underlying(
         raise InstanceError("weights length does not match agent count")
     uniq, _, inverse = _compress(dist.support)
     supplies = np.bincount(inverse, weights=dist.probs)
-    _, utilities, beta, gap, _ = _solve_dual(uniq, supplies, weights, tol * weights.total, max_iters)
+    _, utilities, beta, gap, _ = _solve_dual(uniq, supplies, weights, tol * weights.total)
     return UnderlyingMarket(support=dist.support, probs=dist.probs, utilities=utilities, beta=beta, gap=gap)
-
-
-@record
-class EquilibriumReport:
-    """Named verification checks for a solved equilibrium."""
-
-    envy_free: bool
-    proportional: bool
-    market_clearing: bool
-    budget_exhausted: bool
-    multiplier_consistent: bool
-    failures: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.envy_free
-            and self.proportional
-            and self.market_clearing
-            and self.budget_exhausted
-            and self.multiplier_consistent
-        )
-
-
-def check_equilibrium(
-    eq: MarketEquilibrium,
-    values: ValueSequence,
-    weights: AgentWeights,
-    tol: float = 1e-6,
-) -> EquilibriumReport:
-    """Verify the competitive-equilibrium properties of a solution.
-
-    Checks weight-adjusted envy-freeness, proportionality against the
-    weight share of the whole sequence, market clearing wherever the
-    price is positive, budget exhaustion, and multiplier-utility
-    consistency (beta_i u_i = B_i), all at absolute tolerance ``tol``.
-    """
-    if eq.allocation is None:
-        raise InstanceError("equilibrium check needs the allocation matrix")
-    failures: List[str] = []
-    m, x, b = values.matrix, eq.allocation, weights.array
-    n = values.n
-    bundle_value = m.T @ x  # bundle_value[i, j] = <v_i, x_j>
-    own = np.diag(bundle_value)
-
-    envy_free = True
-    for i in range(n):
-        best = (bundle_value[i] / b).max()
-        if own[i] / b[i] < best - tol:
-            envy_free = False
-            failures.append(f"agent {i + 1} envies another bundle")
-            break
-
-    share = b / weights.total
-    fair_share = share * m.sum(axis=0)
-    proportional = bool(np.all(own >= fair_share - tol))
-    if not proportional:
-        failures.append("proportionality violated")
-
-    row_sums = x.sum(axis=1)
-    priced = eq.prices > 0
-    market_clearing = bool(
-        np.all(np.abs(row_sums[priced] - 1.0) <= tol) and np.all(row_sums <= 1.0 + tol)
-    )
-    if not market_clearing:
-        failures.append("market clearing violated")
-
-    spend = x.T @ eq.prices
-    budget_exhausted = bool(np.all(np.abs(spend - b) <= tol))
-    if not budget_exhausted:
-        failures.append("budget exhaustion violated")
-
-    multiplier_consistent = bool(np.all(np.abs(eq.beta * eq.utilities - b) <= tol))
-    if not multiplier_consistent:
-        failures.append("beta * u != B")
-
-    return EquilibriumReport(
-        envy_free=envy_free,
-        proportional=proportional,
-        market_clearing=market_clearing,
-        budget_exhausted=budget_exhausted,
-        multiplier_consistent=multiplier_consistent,
-        failures=tuple(failures),
-    )
 
 
 @record
@@ -670,7 +554,7 @@ def hindsight_prefix(
         if idx.size:
             sub_w = AgentWeights(weights.array[idx])
             _, utilities, _, gap, iters = _solve_dual(
-                rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total, _MAX_ITERS
+                rows[:, idx], counts[keep].astype(np.float64), sub_w, tol * sub_w.total
             )
             u[idx] = utilities / tau
         flagged = tuple(int(i) for i in np.nonzero(~present)[0])

@@ -104,14 +104,22 @@ def nash_welfare(utilities, weights: AgentWeights) -> float:
 
 
 def competitive_ratio(utilities_alg, utilities_hindsight, weights: AgentWeights) -> float:
-    """Hindsight-over-algorithm Nash welfare ratio (inf if an agent got 0)."""
+    """Hindsight-over-algorithm Nash welfare ratio (inf if an agent got 0,
+    0 if a hindsight utility is 0).  A ratio that underflows to zero is
+    taken as the difference of the two logarithms."""
     ua = np.asarray(utilities_alg, dtype=np.float64)
     uh = np.asarray(utilities_hindsight, dtype=np.float64)
     share = weights.array / weights.total
     if np.any(ua <= 0):
         return math.inf
+    if np.any(uh == 0):
+        return 0.0
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
-        return float(np.exp(np.dot(share, np.log(uh / ua))))
+        ratio = uh / ua
+    under = ratio == 0
+    logs = np.log(np.where(under, 1.0, ratio))
+    logs[under] = np.log(uh[under]) - np.log(ua[under])
+    return float(np.exp(np.dot(share, logs)))
 
 
 def utility_ratio(values: ValueSequence, utilities_alg, weights: AgentWeights) -> float:
@@ -146,42 +154,6 @@ def seeded_utility_ratio(
     denom = u + seed_utility
     prices = values.per_round(_prices(values.points, b / denom))
     return float(np.dot(b, seed_utility / denom)) + float(prices.sum())
-
-
-@record
-class ExpenditureDeviation:
-    """Squared distance of post-warm-up average spend from the weights.
-
-    ``flagged`` marks traces where an infinite (unserved-state) spend
-    falls after the warm-up window; the finite-part value is still
-    reported for inspection.
-    """
-
-    value: float
-    flagged: bool
-    infinite_rounds_after_warmup: Tuple[int, ...] = ()
-
-
-def expenditure_deviation(trace: RunTrace, weights: AgentWeights, warmup: int) -> ExpenditureDeviation:
-    """``|| (1/t) sum_{tau > warmup} spend^tau - B ||^2`` for pacing runs.
-
-    ``warmup`` must be 0 or one of the trace's checkpoints so the
-    cumulative spend at the cut is known exactly.
-    """
-    if not trace.variant.kernel(trace.weights).pays:
-        raise InstanceError("expenditure deviation is defined for pacing variants")
-    if not (0 <= warmup < trace.t):
-        raise InstanceError("warmup must lie in [0, t)")
-    if warmup == 0:
-        spend_at_warmup = np.zeros(trace.n)
-    elif warmup in trace.checkpoints:
-        spend_at_warmup = trace.checkpoint_spend[trace.checkpoints.index(warmup)]
-    else:
-        raise InstanceError("warmup must be 0 or one of the trace checkpoints")
-    late = [r for r in trace.infinite_spend_rounds if r > warmup]
-    avg = (trace.final_spend - spend_at_warmup) / trace.t
-    value = float(((avg - weights.array) ** 2).sum())
-    return ExpenditureDeviation(value=value, flagged=bool(late), infinite_rounds_after_warmup=tuple(late))
 
 
 @record

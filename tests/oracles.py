@@ -3,7 +3,9 @@
 Each oracle derives expected values by a different route than the code
 under test: exhaustive grid search / enumeration, closed-form one-item
 splits, or direct objective evaluation.  They are deliberately slow and
-simple.
+simple.  The checks and measures that only the tests read live here
+too: the equilibrium verifier, the primal and dual objectives, the
+instance restriction and the expenditure deviation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
+
+from fairpace.dynamics import RunTrace, Unconstrained
+from fairpace.eg import MarketEquilibrium, _dual_value, _prices
+from fairpace.model import AgentWeights, InstanceError, ValueSequence, record
 
 
 def eg_grid_oracle(matrix: np.ndarray, weights: np.ndarray, grid: int = 1000) -> np.ndarray:
@@ -296,6 +302,173 @@ def pace_reference_trace(
                 lower, upper = interval[0][i], interval[1][i]
                 beta[i] = min(max(b[i] / avg, lower), upper) if avg > 0 else upper
     return winners, u
+
+
+def primal_objective(utilities: np.ndarray, weights: AgentWeights) -> float:
+    """Weighted log welfare; -inf if some agent has zero utility."""
+    u = np.asarray(utilities, dtype=np.float64)
+    if np.any(u <= 0):
+        return -math.inf
+    return float(np.dot(weights.array, np.log(u)))
+
+
+def dual_objective(beta, values: ValueSequence, weights: AgentWeights) -> float:
+    """Dual program value at ``beta`` (constants included).
+
+    With the ``sum_i (B_i log B_i - B_i)`` constant the value
+    upper-bounds the primal log welfare for every positive ``beta``.
+    """
+    arr = np.asarray(beta, dtype=np.float64).reshape(-1)
+    if arr.size != values.n:
+        raise InstanceError("beta length does not match agent count")
+    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+        raise InstanceError("beta entries must be positive and finite")
+    return _dual_value(arr, values.per_round(_prices(values.points, arr)), weights)
+
+
+@record
+class EquilibriumReport:
+    """Named verification checks for a solved equilibrium."""
+
+    envy_free: bool
+    proportional: bool
+    market_clearing: bool
+    budget_exhausted: bool
+    multiplier_consistent: bool
+    failures: Tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.envy_free
+            and self.proportional
+            and self.market_clearing
+            and self.budget_exhausted
+            and self.multiplier_consistent
+        )
+
+
+def check_equilibrium(
+    eq: MarketEquilibrium,
+    values: ValueSequence,
+    weights: AgentWeights,
+    tol: float = 1e-6,
+) -> EquilibriumReport:
+    """Verify the competitive-equilibrium properties of a solution.
+
+    Checks weight-adjusted envy-freeness, proportionality against the
+    weight share of the whole sequence, market clearing wherever the
+    price is positive, budget exhaustion, and multiplier-utility
+    consistency (beta_i u_i = B_i), all at absolute tolerance ``tol``.
+    """
+    if eq.allocation is None:
+        raise InstanceError("equilibrium check needs the allocation matrix")
+    failures: List[str] = []
+    m, x, b = values.matrix, eq.allocation, weights.array
+    n = values.n
+    bundle_value = m.T @ x  # bundle_value[i, j] = <v_i, x_j>
+    own = np.diag(bundle_value)
+
+    envy_free = True
+    for i in range(n):
+        best = (bundle_value[i] / b).max()
+        if own[i] / b[i] < best - tol:
+            envy_free = False
+            failures.append(f"agent {i + 1} envies another bundle")
+            break
+
+    share = b / weights.total
+    fair_share = share * m.sum(axis=0)
+    proportional = bool(np.all(own >= fair_share - tol))
+    if not proportional:
+        failures.append("proportionality violated")
+
+    row_sums = x.sum(axis=1)
+    priced = eq.prices > 0
+    market_clearing = bool(
+        np.all(np.abs(row_sums[priced] - 1.0) <= tol) and np.all(row_sums <= 1.0 + tol)
+    )
+    if not market_clearing:
+        failures.append("market clearing violated")
+
+    spend = x.T @ eq.prices
+    budget_exhausted = bool(np.all(np.abs(spend - b) <= tol))
+    if not budget_exhausted:
+        failures.append("budget exhaustion violated")
+
+    multiplier_consistent = bool(np.all(np.abs(eq.beta * eq.utilities - b) <= tol))
+    if not multiplier_consistent:
+        failures.append("beta * u != B")
+
+    return EquilibriumReport(
+        envy_free=envy_free,
+        proportional=proportional,
+        market_clearing=market_clearing,
+        budget_exhausted=budget_exhausted,
+        multiplier_consistent=multiplier_consistent,
+        failures=tuple(failures),
+    )
+
+
+def restrict_instance(
+    values: ValueSequence, trace: RunTrace, subset: Sequence[int]
+) -> ValueSequence:
+    """Drop agents outside ``subset`` and the items they won.
+
+    ``trace`` must come from the unconstrained pacing dynamic on
+    ``values``; re-running on the restriction reproduces the kept
+    agents' utilities exactly.
+    """
+    if not isinstance(trace.variant, Unconstrained):
+        raise InstanceError("instance restriction is defined for the unconstrained dynamic")
+    agents = sorted({int(i) for i in subset})
+    if not agents:
+        raise InstanceError("agent subset must be nonempty")
+    if agents[0] < 0 or agents[-1] >= values.n:
+        raise InstanceError("agent subset out of range")
+    keep_rows = np.isin(trace.winners, agents)
+    if not keep_rows.any():
+        raise InstanceError("restriction removed every item")
+    names = tuple(values.agents[i] for i in agents)
+    if values.index is None:
+        return ValueSequence(values.points[keep_rows][:, agents], names)
+    return ValueSequence(values.points[:, agents], names, values.index[keep_rows])
+
+
+@record
+class ExpenditureDeviation:
+    """Squared distance of post-warm-up average spend from the weights.
+
+    ``flagged`` marks traces where an infinite (unserved-state) spend
+    falls after the warm-up window; the finite-part value is still
+    reported for inspection.
+    """
+
+    value: float
+    flagged: bool
+    infinite_rounds_after_warmup: Tuple[int, ...] = ()
+
+
+def expenditure_deviation(trace: RunTrace, weights: AgentWeights, warmup: int) -> ExpenditureDeviation:
+    """``|| (1/t) sum_{tau > warmup} spend^tau - B ||^2`` for pacing runs.
+
+    ``warmup`` must be 0 or one of the trace's checkpoints so the
+    cumulative spend at the cut is known exactly.
+    """
+    if not trace.variant.kernel(trace.weights).pays:
+        raise InstanceError("expenditure deviation is defined for pacing variants")
+    if not (0 <= warmup < trace.t):
+        raise InstanceError("warmup must lie in [0, t)")
+    if warmup == 0:
+        spend_at_warmup = np.zeros(trace.n)
+    elif warmup in trace.checkpoints:
+        spend_at_warmup = trace.checkpoint_spend[trace.checkpoints.index(warmup)]
+    else:
+        raise InstanceError("warmup must be 0 or one of the trace checkpoints")
+    late = [r for r in trace.infinite_spend_rounds if r > warmup]
+    avg = (trace.final_spend - spend_at_warmup) / trace.t
+    value = float(((avg - weights.array) ** 2).sum())
+    return ExpenditureDeviation(value=value, flagged=bool(late), infinite_rounds_after_warmup=tuple(late))
 
 
 def _as_pmf(support, probs) -> Dict[tuple, float]:

@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import eg_grid_oracle, utility_ratio_enum
+from oracles import check_equilibrium, eg_grid_oracle, restrict_instance, utility_ratio_enum
 
 from fairpace.dynamics import (
     Constrained,
     SetAside,
     Seeded,
     Unconstrained,
-    restrict_instance,
     run,
 )
-from fairpace.eg import check_equilibrium, hindsight_prefix, solve_eg, solve_underlying
+from fairpace.eg import hindsight_prefix, solve_eg, solve_underlying
 from fairpace.harness import parse_checkpoints
 from fairpace.inputs import (
     FiniteDistribution,

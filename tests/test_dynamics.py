@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import greedy_reference_winners, pace_reference_trace
+from oracles import greedy_reference_winners, pace_reference_trace, restrict_instance
 from test_eg import EIGHT_POINT_SUPPORT
 from tracing import traced_peak
 
@@ -28,7 +28,6 @@ from fairpace.dynamics import (
     new_state,
     pace_bid,
     pace_step,
-    restrict_instance,
     run,
     variant_from_dict,
 )
@@ -520,6 +519,24 @@ def test_checkpoint_choice_does_not_affect_the_run():
     assert np.array_equal(bare.winners, dense.winners)
     assert np.array_equal(bare.final_utilities, dense.final_utilities)
     assert np.array_equal(bare.final_spend, dense.final_spend)
+
+
+@pytest.mark.parametrize("variant", [Unconstrained(), Seeded(seed_utility=0.5), OneStepGreedy()])
+def test_a_run_without_checkpoints_leaves_the_loop_few_rows(variant):
+    # a guess that misses while the multipliers settle hands the loop the
+    # rest of its block; blocks end at every power of two below _CHUNK, so
+    # speculation starts again long before the first 4096 rows are out
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform([[1, 0.2], [0.3, 1]])), 20_000, 1))
+    rows = []
+    loop = dynamics._PaceKernel._rounds
+
+    def counted(self, block):
+        rows.append(len(block))
+        return loop(self, block)
+
+    with mock.patch.object(dynamics._PaceKernel, "_rounds", counted):
+        run(vs, AgentWeights.equal(2), variant)
+    assert sum(rows) <= 10
 
 
 def test_tie_break_is_purely_positional():

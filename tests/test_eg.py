@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eg_grid_oracle, eg_split_oracle
+from oracles import check_equilibrium, dual_objective, eg_grid_oracle, eg_split_oracle, primal_objective
 from tracing import traced_peak
 
 from fairpace.eg import (
     ConvergenceError,
     _solve_normal,
     _tie_split,
-    check_equilibrium,
-    dual_objective,
     hindsight_prefix,
-    primal_objective,
     solve_eg,
     solve_underlying,
 )
@@ -230,11 +227,12 @@ def test_equal_split_proportionality_is_tight():
     assert check_equilibrium(eq, vs, W2, 1e-6).proportional
 
 
-def test_nonconvergence_error_carries_gap():
+def test_nonconvergence_error_carries_gap(monkeypatch):
     rng = np.random.default_rng(105)
     vs = ValueSequence(rng.random((6, 3)) + 1e-3)
+    monkeypatch.setattr("fairpace.eg._MAX_ITERS", 2)
     with pytest.raises(ConvergenceError) as exc_info:
-        solve_eg(vs, AgentWeights.equal(3), 1e-12, max_iters=2)
+        solve_eg(vs, AgentWeights.equal(3), 1e-12)
     assert exc_info.value.gap > 0
     assert exc_info.value.iterations == 2
 

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import eg_threshold_oracle, nnls_enum
+from oracles import check_equilibrium, dual_objective, eg_threshold_oracle, nnls_enum, primal_objective
 
 from fairpace import model
 from fairpace.eg import (
     _nnls,
-    check_equilibrium,
-    dual_objective,
     hindsight_prefix,
-    primal_objective,
     solve_eg,
     solve_underlying,
 )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cross_utilities_by_column_sums, utility_ratio_enum
+from oracles import cross_utilities_by_column_sums, expenditure_deviation, utility_ratio_enum
 
 from fairpace import metrics
 from fairpace.dynamics import (
@@ -27,7 +27,6 @@ from fairpace.metrics import (
     build_report,
     competitive_ratio,
     cross_utilities,
-    expenditure_deviation,
     multiplicative_envy,
     nash_welfare,
     regret,
@@ -96,6 +95,14 @@ def test_nash_welfare_and_cr_examples():
     assert competitive_ratio([1.5, 1.5], [1.5, 1.5], W2) == pytest.approx(1.0)
     assert competitive_ratio([2.0, 1.0], [1.5, 1.5], W2) == pytest.approx(math.sqrt(1.125))
     assert competitive_ratio([0.0, 1.0], [1.0, 1.0], W2) == math.inf
+
+
+def test_competitive_ratio_of_a_zero_or_underflowed_ratio_takes_no_log_of_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert competitive_ratio([1.0, 1.0], [0.0, 1.0], W2) == 0.0
+        # uh / ua underflows to zero; the weighted geometric mean is sqrt(1e-600)
+        assert competitive_ratio([1e300, 1.0], [1e-300, 1.0], W2) == pytest.approx(1e-300, rel=1e-12)
 
 
 def test_utility_ratio_hand_trace(hand_trace):

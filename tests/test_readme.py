@@ -4,10 +4,12 @@ import dataclasses
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import yaml
 
+import fairpace
 from fairpace.dynamics import VARIANTS, variant_from_dict
 from fairpace.harness import parse_variant
 from fairpace.inputs import MODELS, FiniteDistribution
@@ -49,3 +51,10 @@ def test_readme_model_list_names_each_model_and_the_keys_it_reads():
         # iid's config keys are its distribution's
         reader = FiniteDistribution if kind == "iid" else MODELS[kind]
         assert sorted(k.strip() for k in keys.split(",")) == sorted(f.name for f in dataclasses.fields(reader)), kind
+
+
+def test_readme_api_list_is_what_the_package_exports():
+    bullets = re.findall(r"^- `fairpace\.\w+`: (.*(?:\n  .*)*)", _section("## Public API"), re.M)
+    listed = re.findall(r"`(\w+)`", " ".join(bullets))
+    exported = [name for name, obj in vars(fairpace).items() if not name.startswith("_") and not isinstance(obj, types.ModuleType)]
+    assert sorted(listed) == sorted(exported)

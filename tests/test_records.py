@@ -33,7 +33,7 @@ SHARED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delatt
 
 
 def test_every_record_shares_one_set_of_methods_and_compiles_none():
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 29
     shared = [getattr(AgentWeights, name) for name in SHARED]
     for cls in RECORDS:
         own = {"__eq__": vars(ValueSequence)["__eq__"]} if cls is ValueSequence else {}  # compares rounds
