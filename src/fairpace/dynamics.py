@@ -43,23 +43,29 @@ and ``_resume`` builds a kernel from one.  An auction kernel's round is
 one loop (``_rounds``), with no call per row, and the five auctions
 share it: it takes a block in windows of ``_WINDOW`` rows and scores in
 each row only its candidates, by the kernel's ``_scan``.  Two ``_bids``
-passes per window bound every agent's score from above (the window's
-starting state) and below (the agent credited every earlier row of the
-window), and an agent whose upper bound is below the row's largest lower
-bound cannot win it.  Rounding is monotonic and every score is
-nonincreasing in the accumulator, so for pacing the bounds hold bit for
-bit and pruning changes no winner; greedy's bounds are widened by its
-``_margin`` (below).  Pace, constrained, seeded and set-aside share one
-``_scan`` too: plain pacing is seeded pacing at seed zero whose round one
-is the unserved state rather than unit multipliers, and whose
-multipliers are projected to ``[0, inf]`` where constrained's are
-projected to its intervals.  The loop projects each multiplier from the
-utilities as it bids, so it stores no multipliers.  An average that
-underflows to zero, or a multiplier that overflows to ``inf``, is the
-unserved state.
+passes per window bound every agent's score on each distinct point of
+the window, once however often the point arrives (a matrix's row is its
+own point): from above at the window's starting state, the rounds
+advanced to the point's last arrival, and from below with the agent
+credited every row of the window before that arrival, the rounds at the
+point's first.  An agent whose upper bound is below the point's largest
+lower bound cannot win a row where the point arrives.  Rounding is
+monotonic and every score is nonincreasing in the accumulator and
+nondecreasing in the rounds, so for pacing the bounds hold bit for bit
+at every arrival and pruning changes no winner; greedy's bounds are
+widened by its ``_margin`` (below).  The rows of a point share one list
+of its candidates' ``(agent, value)`` pairs; where no point of a window
+repeats, each row takes its pairs in turn from one window-wide ``zip``.
+Pace, constrained, seeded and set-aside share one ``_scan`` too: plain
+pacing is seeded pacing at seed zero whose round one is the unserved
+state rather than unit multipliers, and whose multipliers are projected
+to ``[0, inf]`` where constrained's are projected to its intervals.  The
+loop projects each multiplier from the utilities as it bids, so it
+stores no multipliers.  An average that underflows to zero, or a
+multiplier that overflows to ``inf``, is the unserved state.
 
 Every auction block is speculated first: a kernel guesses a window of
-winners from the state at the window's start, builds the state before
+winners from the multipliers at the window's start, builds the state before
 every row from the guesses by one ``np.cumsum``, scores all rows at once
 with ``_bids`` and keeps the rows up to the first guess that was wrong,
 whose argmax is exact because the state before it is.  The loop takes
@@ -82,28 +88,31 @@ margin, so the loop's winner stays a candidate.  ``pace_step`` resumes a
 kernel from its state, advances it by one row and reads the scores of
 that vector pass; ``pace_bid`` returns them.  Greedy's single step scans
 every agent of its row in its ``_scan``, so it reports the
-``math.log1p`` scores.  Proportional's cumulative sum does not
+``math.log1p`` scores.  Proportional's running sum does not
 speculate.
 
 ``run`` streams the value matrix in blocks of at most ``_CHUNK`` rows,
 cut also at every checkpoint and at every power of two below ``_CHUNK``
 (so a guess that misses early hands the loop only a short block), and
 only one block at a time is held as Python floats, so a run needs memory
-on the order of its input.  A generated instance's block is gathered
-from its points (``ValueSequence.rows``), so its matrix is never built.  A
-kernel advances a whole block: the auctions step it row by row;
+on the order of its input.  A generated instance reaches a kernel as its
+points and the block's point ids, and the kernel gathers the block's
+rows, so its matrix is never built; a matrix reaches it as the block's
+rows.  A kernel advances a whole block: the auctions step it row by row;
 proportional, whose update ignores the state, adds the block's weight
-shares as running column sums in one ``np.cumsum``, which rounds
-exactly as the row-by-row sums would, and set-aside adds its utilities
-the same way once its auction has picked the block's winners.  The
-single-step API advances a one-row block.
+shares to the utilities in one sum over the rows, which numpy adds one
+after another (``_total``), as the row-by-row sums would, and set-aside
+adds its utilities the same way once its auction has picked the block's
+winners.  Set-aside divides a run's points by its monopoly utilities
+once.  The single-step API advances a one-row block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, replace
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_args
+from itertools import islice, repeat
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 
@@ -116,6 +125,18 @@ INF = math.inf
 _CHUNK = 4096
 # rows whose candidates one pair of ``_bids`` calls bounds; changes no result
 _WINDOW = 512
+
+
+def _rows(points: np.ndarray, ids: Optional[np.ndarray]) -> np.ndarray:
+    """The rows ``points[ids]``; ``points`` itself when ``ids`` is None."""
+    return points if ids is None else points[ids]
+
+
+def _total(steps: np.ndarray) -> np.ndarray:
+    """``np.cumsum(steps, axis=0)[-1]`` bit for bit: numpy adds the rows of a
+    C-contiguous matrix of two or more columns one after another, as
+    ``np.add.reduce``, but sums a single column pairwise."""
+    return np.add.reduce(steps, axis=0) if steps.shape[1] > 1 else np.cumsum(steps, axis=0)[-1]
 
 
 class _PaceKernel:
@@ -136,7 +157,7 @@ class _PaceKernel:
 
     ``_rounds`` is the rule: one loop over a block's rows that scores
     each row's candidates (the agents that ``_candidates`` finds can hold
-    the row's largest score), picks the smallest index holding the
+    the largest score of a row of the point that arrives), picks the smallest index holding the
     largest score (a strict ``>`` scan, as ``max`` then ``index`` picks)
     and credits the winner ``top`` times its value in ``acc``.  ``_bids``
     scores many rows at once by the same operations, for ``_speculate``
@@ -180,89 +201,118 @@ class _PaceKernel:
             aux=None if self.aux is None else np.array(self.aux),
         )
 
-    def advance(self, block: np.ndarray, out: Optional[List[float]] = None) -> Sequence[int]:
-        """Advance over the rows of ``block`` in order; returns the winners
-        (-1 for none).  A list passed as ``out`` collects the scores of a
-        one-row block.  Speculation takes the leading rows, the loop the
-        rest."""
+    def advance(self, points: np.ndarray, ids: Optional[np.ndarray] = None,
+                out: Optional[List[float]] = None) -> Sequence[int]:
+        """Advance over the rows ``points[ids]`` in order, or over the rows of
+        ``points`` when ``ids`` is None (a matrix is its own points); returns
+        the winners (-1 for none).  A list passed as ``out`` collects the
+        scores of a one-row block.  Speculation takes the leading rows, the
+        loop the rest."""
+        block = _rows(points, ids)
         head = self._speculate(block, out)
-        if len(head) == len(block):
+        if (k := len(head)) == len(block):
             return head
-        return np.concatenate((head, self._rounds(block[len(head) :])))
+        return np.concatenate((head, self._rounds(block[k:], None if ids is None else ids[k:])))
 
-    def _rounds(self, block: np.ndarray) -> List[int]:
-        """The rule's loop over ``block``, one window of ``_WINDOW`` rows at a
-        time, each scanning only the candidates that :meth:`_candidates`
-        finds for its rows."""
+    def _rounds(self, block: np.ndarray, ids: Optional[np.ndarray]) -> np.ndarray:
+        """The rule's loop over ``block`` (whose point ids are ``ids``, or
+        None), one window of ``_WINDOW`` rows at a time, each row scanning only
+        the candidates that :meth:`_candidates` finds for its point."""
         winners = []
         # the scan is a short method of its own, and the lists are made here:
         # under tracemalloc an object costs time in proportion to how far
         # into its function it is made
         for start in range(0, len(block), _WINDOW):
-            winners += self._scan(*map(np.ndarray.tolist, self._candidates(block[start : start + _WINDOW])))
-        return winners
+            window = slice(start, start + _WINDOW)
+            agents, values, counts, point = self._candidates(block[window], None if ids is None else ids[window])
+            pairs = zip(agents.tolist(), values.tolist())
+            if point is None:  # each row its own point: the rows take their pairs in turn
+                winners += self._scan(map(islice, repeat(pairs), counts.tolist()))
+            else:  # the rows of a point share its list
+                lists = [list(islice(pairs, c)) for c in counts.tolist()]
+                winners += self._scan(map(lists.__getitem__, point.tolist()))
+        return np.fromiter(winners, np.intp, len(winners))  # a dtype given: ``np.array`` inspects every entry
 
-    def _scan(self, agents: List[int], values: List[float], last: List[bool]) -> List[int]:
+    def _scan(self, rows: Iterable[Iterable[Tuple[int, float]]]) -> List[int]:
         """Pacing hands the whole item over at the winning bid, the
         multiplier projected to ``[floor, cap]``; an unserved agent (a zero
         average, or a multiplier that overflows) bids ``cap`` times any
         value it has (``inf`` unless constrained), and an infinite winning
-        bid is flagged, not spent.  The candidates come row after row, in
-        index order, each row's ``last`` closing it; a strict ``>`` scan
-        keeps the smallest index holding the largest score."""
-        b, xi, top, floor, cap, acc = self.b, self.xi, self.top, self.floor, self.cap, self.acc
-        tau, best, winners = self.tau, -1.0, []
-        for i, x, closes in zip(agents, values, last):
-            if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
-                s = (floor[i] if m < floor[i] else (cap[i] if m > cap[i] else m)) * x
-            else:
-                s = cap[i] * x if x > 0.0 else 0.0
-            if s > best:
-                best, w, won = s, i, x
-            if closes:
-                tau += 1
-                acc[w] += top * won
-                if best == INF:
-                    self.infinite_spend_round[w] = tau
+        bid is flagged, not spent.  Each row gives its candidates as
+        ``(agent, value)`` pairs in index order; a strict ``>`` scan keeps
+        the smallest index holding the largest score."""
+        b, xi, top, floor, cap, acc, spend = self.b, self.xi, self.top, self.floor, self.cap, self.acc, self.spend
+        tau, winners = self.tau, []
+        for row in rows:
+            best = -1.0
+            for i, x in row:
+                if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
+                    s = (floor[i] if m < floor[i] else (cap[i] if m > cap[i] else m)) * x
                 else:
-                    self.spend[w] += best
-                winners.append(w)
-                best = -1.0
+                    s = cap[i] * x if x > 0.0 else 0.0
+                if s > best:
+                    best, w, won = s, i, x
+            tau += 1
+            acc[w] += top * won
+            if best == INF:
+                self.infinite_spend_round[w] = tau
+            else:
+                spend[w] += best
+            winners.append(w)
         self.tau = tau
         return winners
 
-    def _candidates(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The agents of every row of ``v`` that can hold the row's largest
-        score, row after row in index order: each one's index and value,
-        and whether it is its row's last.
+    def _candidates(self, v: np.ndarray, ids: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+        """The agents of each point of the window ``v`` (rows whose point ids
+        are ``ids``; each row its own point when None) that can hold the
+        largest score of a row where the point arrives: their indices and
+        values, point after point in index order, each point's count, and
+        each row's point, or None when no point repeats and the points are
+        the rows.
 
-        ``_bids`` gives every agent's score at the state before ``v``
-        (``hi``, only ``tau`` advancing), and as if it had been credited
-        every earlier row of ``v``, from the sequential ``np.cumsum`` of
-        those credits (``lo``).  IEEE rounding is monotonic and a score is
-        nonincreasing in ``acc``, which lies between the two, so
-        ``lo <= score <= hi`` bit for bit and only agents with
+        A point arrives first at row ``f`` of ``v`` and last at row ``l``.
+        ``_bids`` gives every agent's score on it at the state before ``v``
+        with ``tau`` advanced to row ``l`` (``hi``), and as if the agent had
+        been credited every row of ``v`` before row ``l``, from the
+        sequential ``np.cumsum`` of those credits, with ``tau`` at row ``f``
+        (``lo``).  IEEE rounding is monotonic, and a score is nonincreasing
+        in ``acc`` and nondecreasing in ``tau``, so ``lo <= score <= hi`` bit
+        for bit at every arrival of the point, and only agents with
         ``hi >= max(lo)`` can reach the row's maximum; ties stay in.
         ``max(lo)`` is first lowered by twice ``_margin``."""
+        first = last = slice(0, len(v))
+        pv, point = v, None
+        if ids is not None:
+            order = ids.argsort(kind="stable")
+            s = ids[order]
+            starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))  # each point's first place in id order
+            if len(starts) < len(v):  # some point repeats
+                first, last = order[starts], order[np.append(starts[1:], len(v)) - 1]
+                pv, point = v[first], s[starts].searchsorted(ids)
         tau = np.arange(self.tau, self.tau + len(v), dtype=np.float64)[:, None]
         steps = np.empty((len(v) + 1, self.n))
         steps[0] = self.acc
         np.multiply(self.top, v, out=steps[1:])
         m = self._margin
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lo = self._bids(np.cumsum(steps, axis=0, out=steps)[:-1], tau, v).max(axis=1, keepdims=True)
+            lo = self._bids(np.cumsum(steps, axis=0, out=steps)[last], tau[first], pv)
             # bit for bit ``lo`` at ``m = 0``; an infinite ``lo`` stays infinite, and
-            # only the unserved, whose numpy and ``math`` scores are both ``inf``, can win there
-            rows, cols = np.nonzero(self._bids(np.array([self.acc]), tau, v) >= lo * (1 - 2 * m) - m * 2**-1000)
-        return cols, v[rows, cols], np.append(rows[1:] != rows[:-1], True)
+            # only the unserved, whose numpy and ``math`` scores are both ``inf``, can win there;
+            # a transposed copy gives each point's maximum faster than ``max(axis=1)``
+            lo = lo.T.copy().max(axis=0)[:, None] * (1 - 2 * m) - m * 2**-1000
+            keep = self._bids(np.array([self.acc]), tau[last], pv) >= lo
+        rows, cols = np.nonzero(keep)
+        return cols, pv[rows, cols], np.bincount(rows, minlength=len(pv)), point
 
     def _bids(self, acc: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The scores ``_rounds`` computes on the rows ``v``, given the
         accumulators before each row (``acc``: one row per row of ``v``, or
-        one row for all) and the rounds before each (``tau``, a column that
-        starts at ``self.tau``).  Every multiplier lies in ``[0, inf]``: a
-        zero or underflowed average gives ``b/0 = inf``, the unserved state,
-        and round one's ``0/0`` is replaced by ``beta0``; so ``m * v`` is the
+        one row for all) and the rounds before each (``tau``: a column, one
+        entry per row or one for all).  Every multiplier lies in
+        ``[0, inf]``: a zero or underflowed average gives ``b/0 = inf``, the
+        unserved state, and before round one (``self.tau == 0``, where only
+        the first row is round one) the first row's ``0/0`` is replaced by
+        ``beta0``; so ``m * v`` is the
         loop's score wherever ``v > 0``, and ``0.0`` where ``v == 0``.
         Called inside ``np.errstate``."""
         m = self._multipliers(acc, tau)
@@ -275,8 +325,9 @@ class _PaceKernel:
         window's guess gets right, plus the first row it gets wrong; returns
         their winners, and ``out`` collects their scores.
 
-        A window's winners are guessed from the accumulators at its start,
-        held fixed while ``tau`` advances.  The state before every row then
+        A window's winners are guessed from the multipliers at its start,
+        one vector for every row: a guess only decides how many rows are
+        kept, never a winner.  The state before every row then
         comes from one ``np.cumsum`` over the guessed credits, and ``_bids``
         scores all rows.  Every row up to the first whose argmax is not the
         guess is kept, that row too: the state before it is exact, so its
@@ -293,7 +344,7 @@ class _PaceKernel:
                 v = block[done : done + size]
                 tau = np.arange(self.tau, self.tau + size, dtype=np.float64)[:, None]
                 rows = np.arange(size)
-                guess = self._bids(np.array([acc]), tau, v).argmax(axis=1)
+                guess = self._bids(np.array([acc]), tau[:1], v).argmax(axis=1)
                 steps = np.zeros((size + 1, n))
                 steps[0] = acc
                 steps[rows + 1, guess] = top * v[rows, guess]
@@ -316,7 +367,7 @@ class _PaceKernel:
                     paid = np.zeros((kept + 1, n))
                     paid[0] = spend
                     paid[rows + 1, won] = np.where(best < INF, best, 0.0)  # a win from the unserved state adds zero
-                    spend[:] = np.cumsum(paid, axis=0, out=paid)[-1].tolist()
+                    spend[:] = _total(paid).tolist()
                     for k in np.flatnonzero(best == INF).tolist():
                         flagged[won[k]] = self.tau + k + 1
                 if kept:  # the last kept row is credited to its argmax, which a wrong guess is not
@@ -395,22 +446,31 @@ class _SetAsideKernel(_SeededKernel):
         self.mono = mono
         self.base = [self.xi] * self.n
         self.aux = [0.0] * self.n
+        self._points = self._normalized = None
 
     @property
     def acc(self):
         return self.aux
 
-    def advance(self, block, out=None):
-        """The auction is seeded pacing on the normalized values and ``aux``;
-        the utilities then add, round by round, each agent's ``base`` share
-        and the winner's ``top`` half, as one ``np.cumsum`` over the block."""
-        winners = super().advance(np.divide(block, self.mono), out)
+    def advance(self, points, ids=None, out=None):
+        """The auction is seeded pacing on the normalized values and ``aux``:
+        a run's points are divided by the monopoly utilities once, a
+        matrix's rows block by block.  The utilities then add, round by
+        round, each agent's ``base`` share and the winner's ``top`` half,
+        summed over the block as ``np.cumsum`` would."""
+        if points is not self._points:
+            # the monopoly utilities sum the values that arrive, so only a point
+            # that never does (or a caller's lower prediction) overflows to ``inf``
+            with np.errstate(over="ignore"):
+                self._points, self._normalized = points, np.divide(points, self.mono)
+        winners = super().advance(self._normalized, ids, out)
+        block = _rows(points, ids)
         rows = np.arange(len(block))
         steps = np.zeros((2 * len(block) + 1, self.n))
         steps[0] = self.u
         steps[1::2] = np.multiply(self.base, block)
         steps[2::2][rows, winners] = self.top * block[rows, winners]
-        self.u = np.cumsum(steps, axis=0, out=steps)[-1].tolist()
+        self.u = _total(steps).tolist()
         return winners
 
     def averages(self):
@@ -429,30 +489,30 @@ class _GreedyKernel(_PaceKernel):
         # a single step is not speculated: it scores every agent of its one row in the loop
         if out is None:
             return super()._speculate(block, out)
-        return self._scan(list(range(self.n)), block[0].tolist(), [False] * (self.n - 1) + [True], out)
+        return self._scan([zip(range(self.n), block[0].tolist())], out)
 
-    def _scan(self, agents, values, last, out=None):
+    def _scan(self, rows, out=None):
         """The increment ``B log(1 + v/U)`` is infinite only for ``U == 0``:
         where ``v/U`` overflows, ``log(v) - log(U)`` is that logarithm."""
         b, u, log, log1p = self.b, self.u, math.log, math.log1p
-        best, winners = -1.0, []
-        for i, v, closes in zip(agents, values, last):
-            if v <= 0.0:
-                s = 0.0
-            elif (ui := u[i]) == 0.0:
-                s = INF
-            elif (x := v / ui) < INF:
-                s = b[i] * log1p(x)
-            else:
-                s = b[i] * (log(v) - log(ui))
-            if out is not None:  # a single step's scores
-                out.append(s)
-            if s > best:
-                best, w, won = s, i, v
-            if closes:
-                u[w] += won
-                winners.append(w)
-                best = -1.0
+        winners = []
+        for row in rows:
+            best = -1.0
+            for i, v in row:
+                if v <= 0.0:
+                    s = 0.0
+                elif (ui := u[i]) == 0.0:
+                    s = INF
+                elif (x := v / ui) < INF:
+                    s = b[i] * log1p(x)
+                else:
+                    s = b[i] * (log(v) - log(ui))
+                if out is not None:  # a single step's scores
+                    out.append(s)
+                if s > best:
+                    best, w, won = s, i, v
+            u[w] += won
+            winners.append(w)
         self.tau += len(winners)
         return winners
 
@@ -480,15 +540,15 @@ class _ProportionalKernel(_PaceKernel):
         total = sum(self.b)
         self.base = [x / total for x in self.b]
 
-    def advance(self, block, out=None):
-        # row k of the cumulative sum is u + base*row_1 + ... + base*row_k,
-        # added in round order: the IEEE operations of ``u[i] += s * row[i]``
-        u = np.cumsum(np.vstack((self.u, np.multiply(self.base, block))), axis=0)
-        self.u = u[-1].tolist()
+    def advance(self, points, ids=None, out=None):
+        # u + base*row_1 + ... + base*row_k, added in round order: the IEEE
+        # operations of ``u[i] += s * row[i]``
+        block = _rows(points, ids)
+        self.u = _total(np.vstack((self.u, np.multiply(self.base, block)))).tolist()
         self.tau += len(block)
         if out is not None:
             out.extend([0.0] * block.size)  # nobody bids
-        return [-1] * len(block)
+        return np.full(len(block), -1)
 
 
 class _Variant(Spec):
@@ -727,7 +787,7 @@ def pace_step(state: PaceState, value_row: Sequence[float]) -> Tuple[PaceState, 
         raise InstanceError(f"value row length {block.shape[1]} does not match agent count {state.n}")
     k = _resume(state)
     scores: List[float] = []  # the scores the round compares
-    (w,) = k.advance(block, scores)
+    (w,) = k.advance(block, out=scores)
     alloc = np.array(k.base)
     util = alloc * block[0]
     exp = np.zeros(k.n)
@@ -876,10 +936,12 @@ def run(
     winners = np.empty(t, dtype=np.int32)
     cp = np.zeros((3, len(cps), n))  # utilities, multipliers and spend at each checkpoint
 
+    points, index = values.points, values.index
     start = cp_iter = 0
     pow2 = (1 << k for k in range(_CHUNK.bit_length() - 1))
     for end in sorted(set(cps).union((p for p in pow2 if p < t), range(_CHUNK, t, _CHUNK), (t,))):
-        winners[start:end] = kernel.advance(values.rows(start, end))
+        block = (points[start:end],) if index is None else (points, index[start:end])
+        winners[start:end] = kernel.advance(*block)
         if cp_iter < len(cps) and cps[cp_iter] == end:
             cp[:, cp_iter] = kernel.u, kernel.beta(), kernel.spend
             cp_iter += 1

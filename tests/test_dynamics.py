@@ -417,6 +417,23 @@ def test_run_is_a_fold_of_pace_step(matrix, weights, which, chunk, cps):
     _assert_run_is_fold(vs, w, variant, trace)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_block_sums_add_the_rows_one_after_another(n):
+    # proportional's utilities, set-aside's utilities and the spend of a
+    # speculated window are each one sum over many rows; numpy adds the rows of
+    # two or more columns one after another, but sums a single column pairwise,
+    # which the fold's row-by-row sums would not match.  Values three orders of
+    # magnitude apart make the order of the additions show in the last bits
+    rng = np.random.default_rng(40 + n)
+    points = rng.random((3, n)) * np.array([[1.0], [1e-3], [1e3]])
+    points[0] = 1.0 + rng.random(n)  # one point every agent values
+    vs = ValueSequence(points, index=rng.integers(0, 3, 2000))
+    w = AgentWeights.equal(n)
+    for variant in (Unconstrained(), SetAside(), Proportional()):
+        trace = run(vs, w, variant)
+        _assert_aux(vs, trace, _assert_run_is_fold(vs, w, trace.variant, trace))
+
+
 @pytest.mark.parametrize(
     "row, fault",
     [([1.0], "length"), ([math.nan, 1.0], "non-finite"), ([1.0, math.inf], "non-finite"),
@@ -530,9 +547,9 @@ def test_a_run_without_checkpoints_leaves_the_loop_few_rows(variant):
     rows = []
     loop = dynamics._PaceKernel._rounds
 
-    def counted(self, block):
+    def counted(self, block, ids):
         rows.append(len(block))
-        return loop(self, block)
+        return loop(self, block, ids)
 
     with mock.patch.object(dynamics._PaceKernel, "_rounds", counted):
         run(vs, AgentWeights.equal(2), variant)
@@ -836,11 +853,81 @@ def test_greedy_in_the_pruned_loop_is_a_fold_of_pace_step(values):
     w = AgentWeights([0.5, 1.0, 2.0] * 3 + [1.0])
     scanned = []
     scan = dynamics._GreedyKernel._scan
-    with mock.patch.object(dynamics._GreedyKernel, "_scan", lambda k, *a: scanned.append(sum(a[2])) or scan(k, *a)):
+
+    def counted(self, rows, out=None):
+        rows = list(rows)
+        scanned.append(len(rows))
+        return scan(self, rows, out)
+
+    with mock.patch.object(dynamics._GreedyKernel, "_scan", counted):
         trace = run(vs, w, OneStepGreedy(), parse_checkpoints("pow2", vs.t))
     assert sum(scanned) > vs.t // 2  # rows the loop took
     _assert_run_is_fold(vs, w, trace.variant, trace)
     assert trace.winners.tolist() == greedy_reference_winners(vs.matrix, w.array)
+
+
+def test_the_loop_bounds_each_point_of_a_window_once():
+    # with no row speculated past round one, the loop takes every later row of
+    # an eight-point instance; its two bound passes per window score each
+    # distinct point of the window once, not each of the window's rows
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 3000, 3))
+    w = AgentWeights([0.5, 1.0, 2.0] * 3 + [1.0])
+    speculate = dynamics._PaceKernel._speculate
+
+    def first_round_only(self, block, out):  # the pacing loop never starts at round one
+        return speculate(self, block[:1], out) if self.tau == 0 and not self._margin else np.empty(0, dtype=np.intp)
+
+    for kernel in (dynamics._PaceKernel, dynamics._GreedyKernel):
+        scored = []
+        bids = kernel._bids
+
+        def counted(self, acc, tau, v, bids=bids, scored=scored):
+            scored.append(len(v))
+            return bids(self, acc, tau, v)
+
+        for variant in _all_variants(vs, w)[:5]:  # the five auctions
+            if isinstance(variant.kernel(w), kernel):
+                with mock.patch.object(dynamics._PaceKernel, "_speculate", first_round_only):
+                    with mock.patch.object(kernel, "_bids", counted):
+                        looped = run(vs, w, variant, [1, 512, vs.t])
+                trace = run(vs, w, variant, [1, 512, vs.t])
+                assert looped.winners.tolist() == trace.winners.tolist(), variant.label
+                assert looped.final_spend.tolist() == trace.final_spend.tolist(), variant.label
+                assert looped.checkpoint_utilities.tolist() == trace.checkpoint_utilities.tolist(), variant.label
+        assert len(scored) > 2 * (vs.t // dynamics._WINDOW)  # the loop bounded every window
+        assert max(scored) <= 8
+
+
+# up to twelve points over tie-heavy levels with a subnormal one, for 1 to 4
+# agents, and an arrival index long enough that windows of 512 rows repeat
+# points; the runs' short blocks and few points leave windows that do not
+@settings(max_examples=30, deadline=None)
+@given(
+    points=st.tuples(st.integers(1, 12), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_TINY_LEVELS)
+    ),
+    t=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+    weights=_WEIGHTS,
+    window=st.sampled_from([8, 512]),
+)
+def test_a_point_form_runs_as_its_gathered_matrix(points, t, seed, weights, window):
+    # the loop bounds and lists the candidates of each point of a window once
+    # in point form, and of each row of a matrix; both must give the same run
+    index = np.random.default_rng(seed).integers(0, len(points), t)
+    points[index[0], points[index].max(axis=0) == 0] = 1.0  # every agent values an item that arrives
+    forms = ValueSequence(points, index=index), ValueSequence(points[index])
+    w = AgentWeights(weights[: points.shape[1]])
+    variants = (Unconstrained(), Constrained.from_slack(w, 0.3), Seeded(0.4), SetAside(), OneStepGreedy(),
+                Proportional())
+    cps = parse_checkpoints("pow2", t)
+    for variant in variants:
+        with mock.patch.object(dynamics, "_WINDOW", window):
+            a, b = (run(vs, w, variant, cps) for vs in forms)
+        for field in ("winners", "checkpoint_utilities", "checkpoint_beta", "checkpoint_spend",
+                      "final_utilities", "final_beta", "final_spend"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (variant.label, field)
+        assert a.infinite_spend_rounds == b.infinite_spend_rounds, variant.label
 
 
 @pytest.mark.parametrize(

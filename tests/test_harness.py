@@ -482,7 +482,7 @@ def ci_configs():
 
 def test_the_program_runs_ci_configs_with_yaml_unimportable(tmp_path):
     configs = ci_configs()
-    assert sorted(configs) == ["block", "corrupted", "csv", "e2e", "ergodic", "periodic", "wide"]
+    assert sorted(configs) == ["block", "corrupted", "csv", "e2e", "ergodic", "periodic", "wide", "wide-csv"]
     for name in ("periodic", "block", "corrupted"):
         (tmp_path / f"{name}.yaml").write_text(configs[name])
     commands = [["run", "periodic.yaml", "--out", "{}-periodic"],
