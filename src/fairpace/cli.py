@@ -197,7 +197,7 @@ def _cmd_solve(args) -> int:
     values = load_csv(args.instance)
     weights = AgentWeights.equal(values.n) if args.weights is None else AgentWeights(args.weights)
     eq = solve_eg(values, weights, args.tol, include_allocation=args.include_allocation)
-    text = json.dumps(eq.to_json_dict(), sort_keys=True, indent=1)
+    text = json.dumps(eq.to_json_dict(), sort_keys=True, indent=1, allow_nan=False)
     _emit(text, args.out)
     return 0
 

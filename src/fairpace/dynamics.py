@@ -45,24 +45,28 @@ share it: it takes a block in windows of ``_WINDOW`` rows and scores in
 each row only its candidates, by the kernel's ``_scan``.  Two ``_bids``
 passes per window bound every agent's score on each distinct point of
 the window, once however often the point arrives (a matrix's row is its
-own point): from above at the window's starting state, the rounds
-advanced to the point's last arrival, and from below with the agent
-credited every row of the window before that arrival, the rounds at the
-point's first.  An agent whose upper bound is below the point's largest
-lower bound cannot win a row where the point arrives.  Rounding is
-monotonic and every score is nonincreasing in the accumulator and
-nondecreasing in the rounds, so for pacing the bounds hold bit for bit
-at every arrival and pruning changes no winner; greedy's bounds are
-widened by its ``_margin`` (below).  The rows of a point share one list
+own point; a point's first and last rows are found by counting over the
+block's point ids, made dense where they reach the block's length):
+from above at the window's starting state, the rounds advanced to the
+point's last arrival, and from below with the agent credited every row
+of the window before that arrival, the rounds at the point's first.  An
+agent whose upper bound is below the point's largest lower bound cannot
+win a row where the point arrives.  Rounding is monotonic and every
+score is nonincreasing in the accumulator and nondecreasing in the
+rounds, so for pacing the bounds hold bit for bit at every arrival and
+pruning changes no winner; greedy's bounds are widened by its
+``_margin`` (below).  The rows of a point share one list
 of its candidates' ``(agent, value)`` pairs; where no point of a window
 repeats, each row takes its pairs in turn from one window-wide ``zip``.
 Pace, constrained, seeded and set-aside share one ``_scan`` too: plain
 pacing is seeded pacing at seed zero whose round one is the unserved
 state rather than unit multipliers, and whose multipliers are projected
-to ``[0, inf]`` where constrained's are projected to its intervals.  The
-loop projects each multiplier from the utilities as it bids, so it
-stores no multipliers.  An average that underflows to zero, or a
-multiplier that overflows to ``inf``, is the unserved state.
+to ``[0, inf]`` where constrained's are projected to its intervals.
+Only constrained's intervals can bind a served multiplier, so only its
+kernel (``_projects``) clamps one in the loop.  The loop computes each
+multiplier from the utilities as it bids, so it stores no multipliers.
+An average that underflows to zero, or a multiplier that overflows to
+``inf``, is the unserved state.
 
 Every auction block is speculated first: a kernel guesses a window of
 winners from the multipliers at the window's start, builds the state before
@@ -139,6 +143,25 @@ def _total(steps: np.ndarray) -> np.ndarray:
     return np.add.reduce(steps, axis=0) if steps.shape[1] > 1 else np.cumsum(steps, axis=0)[-1]
 
 
+def _arrivals(ids: np.ndarray, k: int) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Where the distinct points of a window arrive, from its rows' point ids
+    ``ids`` (each below ``k``): the row of each point's first and of its last
+    arrival, points in ascending id order, and each row's place among the
+    points; None when no point repeats.  Found by counting: ``np.minimum.at``
+    and ``np.maximum.at`` give each id its first and last row, and the count
+    of ids below an id that arrive gives its place."""
+    rows = np.arange(len(ids))
+    last = np.full(k, -1)
+    np.maximum.at(last, ids, rows)
+    arrived = last >= 0
+    place = np.cumsum(arrived) - 1
+    if place[-1] + 1 == len(ids):  # as many points as rows
+        return None
+    first = np.full(k, len(ids))
+    np.minimum.at(first, ids, rows)
+    return first[arrived], last[arrived], place[ids]
+
+
 class _PaceKernel:
     """Pacing's rule bound to the agent weights, and one run's state: each
     multiplier is the agent's weight over its tracked average
@@ -171,6 +194,7 @@ class _PaceKernel:
     _margin = 0.0  # how far ``_bids`` may round from ``_scan``, relative to a score; zero where exact
     xi = 0.0  # the seed utility in every tracked average
     beta0 = INF  # the multipliers before round one
+    _projects = False  # whether ``[floor, cap]`` can bind a served multiplier; ``[0, inf]`` cannot
 
     def __init__(self, variant: Variant, weights: AgentWeights):
         self.variant = variant
@@ -217,14 +241,21 @@ class _PaceKernel:
     def _rounds(self, block: np.ndarray, ids: Optional[np.ndarray]) -> np.ndarray:
         """The rule's loop over ``block`` (whose point ids are ``ids``, or
         None), one window of ``_WINDOW`` rows at a time, each row scanning only
-        the candidates that :meth:`_candidates` finds for its point."""
-        winners = []
+        the candidates that :meth:`_candidates` finds for its point.  Ids that
+        reach the block's length are first made dense, in their order, so no
+        window's bookkeeping grows with the instance's points."""
+        winners, k = [], 0
+        if ids is not None:
+            k = int(ids.max()) + 1  # the ids lie below ``k``
+            if k > len(ids):
+                uniq, ids = np.unique(ids, return_inverse=True)
+                k = len(uniq)
         # the scan is a short method of its own, and the lists are made here:
         # under tracemalloc an object costs time in proportion to how far
         # into its function it is made
         for start in range(0, len(block), _WINDOW):
             window = slice(start, start + _WINDOW)
-            agents, values, counts, point = self._candidates(block[window], None if ids is None else ids[window])
+            agents, values, counts, point = self._candidates(block[window], None if ids is None else ids[window], k)
             pairs = zip(agents.tolist(), values.tolist())
             if point is None:  # each row its own point: the rows take their pairs in turn
                 winners += self._scan(map(islice, repeat(pairs), counts.tolist()))
@@ -240,55 +271,58 @@ class _PaceKernel:
         value it has (``inf`` unless constrained), and an infinite winning
         bid is flagged, not spent.  Each row gives its candidates as
         ``(agent, value)`` pairs in index order; a strict ``>`` scan keeps
-        the smallest index holding the largest score."""
+        the smallest index holding the largest score.
+
+        Only a kernel whose interval can bind (``_projects``) projects: a
+        served ``m = b/a`` lies in ``[0, inf)``, so at ``[0, inf]`` the
+        score ``m * x`` is the projected one bit for bit.  ``tau`` is
+        carried as a float, exact below ``2**53``."""
         b, xi, top, floor, cap, acc, spend = self.b, self.xi, self.top, self.floor, self.cap, self.acc, self.spend
-        tau, winners = self.tau, []
+        free = not self._projects
+        tau, winners = float(self.tau), []
         for row in rows:
             best = -1.0
             for i, x in row:
                 if (a := (acc[i] + xi) / tau) > 0.0 and (m := b[i] / a) < INF:
-                    s = (floor[i] if m < floor[i] else (cap[i] if m > cap[i] else m)) * x
+                    s = m * x if free else (floor[i] if m < floor[i] else (cap[i] if m > cap[i] else m)) * x
                 else:
                     s = cap[i] * x if x > 0.0 else 0.0
                 if s > best:
                     best, w, won = s, i, x
-            tau += 1
+            tau += 1.0
             acc[w] += top * won
             if best == INF:
-                self.infinite_spend_round[w] = tau
+                self.infinite_spend_round[w] = int(tau)
             else:
                 spend[w] += best
             winners.append(w)
-        self.tau = tau
+        self.tau = int(tau)
         return winners
 
-    def _candidates(self, v: np.ndarray, ids: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    def _candidates(self, v: np.ndarray, ids: Optional[np.ndarray], k: int) -> Tuple[np.ndarray, ...]:
         """The agents of each point of the window ``v`` (rows whose point ids
-        are ``ids``; each row its own point when None) that can hold the
-        largest score of a row where the point arrives: their indices and
-        values, point after point in index order, each point's count, and
-        each row's point, or None when no point repeats and the points are
-        the rows.
+        are ``ids``, each below ``k``; each row its own point when None)
+        that can hold the largest score of a row where the point arrives:
+        their indices and values, point after point in index order, each
+        point's count, and each row's point, or None when no point repeats
+        and the points are the rows.
 
-        A point arrives first at row ``f`` of ``v`` and last at row ``l``.
-        ``_bids`` gives every agent's score on it at the state before ``v``
-        with ``tau`` advanced to row ``l`` (``hi``), and as if the agent had
-        been credited every row of ``v`` before row ``l``, from the
-        sequential ``np.cumsum`` of those credits, with ``tau`` at row ``f``
-        (``lo``).  IEEE rounding is monotonic, and a score is nonincreasing
-        in ``acc`` and nondecreasing in ``tau``, so ``lo <= score <= hi`` bit
-        for bit at every arrival of the point, and only agents with
-        ``hi >= max(lo)`` can reach the row's maximum; ties stay in.
-        ``max(lo)`` is first lowered by twice ``_margin``."""
+        A point arrives first at row ``f`` of ``v`` and last at row ``l``
+        (:func:`_arrivals` counts them).  ``_bids`` gives every agent's
+        score on it at the state before ``v`` with ``tau`` advanced to row
+        ``l`` (``hi``), and as if the agent had been credited every row of
+        ``v`` before row ``l``, from the sequential ``np.cumsum`` of those
+        credits, with ``tau`` at row ``f`` (``lo``).  IEEE rounding is
+        monotonic, and a score is nonincreasing in ``acc`` and
+        nondecreasing in ``tau``, so ``lo <= score <= hi`` bit for bit at
+        every arrival of the point, and only agents with ``hi >= max(lo)``
+        can reach the row's maximum; ties stay in.  ``max(lo)`` is first
+        lowered by twice ``_margin``."""
         first = last = slice(0, len(v))
         pv, point = v, None
-        if ids is not None:
-            order = ids.argsort(kind="stable")
-            s = ids[order]
-            starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))  # each point's first place in id order
-            if len(starts) < len(v):  # some point repeats
-                first, last = order[starts], order[np.append(starts[1:], len(v)) - 1]
-                pv, point = v[first], s[starts].searchsorted(ids)
+        if ids is not None and (arrivals := _arrivals(ids, k)) is not None:  # some point repeats
+            first, last, point = arrivals
+            pv = v[first]
         tau = np.arange(self.tau, self.tau + len(v), dtype=np.float64)[:, None]
         steps = np.empty((len(v) + 1, self.n))
         steps[0] = self.acc
@@ -407,6 +441,7 @@ class _ConstrainedKernel(_PaceKernel):
     utilities is stored: the loop projects each multiplier as it bids."""
 
     beta0 = 1.0
+    _projects = True
 
     def __init__(self, variant: Constrained, weights: AgentWeights):
         super().__init__(variant, weights)

@@ -442,7 +442,7 @@ def _run_experiment_inner(config: ExperimentConfig, out_dir: str) -> List[str]:
             means[key] = [float(v) for v in stacked.mean(axis=0)]
         summary["variants"][label] = {"mean": means, "per_repetition": per_rep}
     with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+        json.dump(summary, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
     _write_regret_chart(os.path.join(out_dir, "relative_regret.svg"), rows)

@@ -146,14 +146,20 @@ def seeded_utility_ratio(
     values: ValueSequence, utilities_alg, weights: AgentWeights, seed_utility: float
 ) -> float:
     """Seeded variant of the utility ratio, with unnormalized weights:
-    ``sum_i B_i xi/(U_i+xi) + sum_tau max_i B_i v_i^tau/(U_i+xi)``."""
+    ``sum_i B_i xi/(U_i+xi) + sum_tau max_i B_i v_i^tau/(U_i+xi)``.  A
+    share ``B_i/(U_i+xi)`` past the float range gives ``inf``: every agent
+    values some item, so some price is infinite."""
     if not (0 < seed_utility < math.inf):
         raise InstanceError("seed_utility must be positive and finite")
     u = np.asarray(utilities_alg, dtype=np.float64)
     b = weights.array
     denom = u + seed_utility
-    prices = values.per_round(_prices(values.points, b / denom))
-    return float(np.dot(b, seed_utility / denom)) + float(prices.sum())
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        share = b / denom
+        if np.any(share == math.inf):  # inf times a zero value would be NaN
+            return math.inf
+        prices = values.per_round(_prices(values.points, share))
+        return float(np.dot(b, seed_utility / denom)) + float(prices.sum())
 
 
 @record
@@ -236,7 +242,9 @@ class MetricsReport:
         }
 
     def to_json(self, **kw) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, **kw)
+        """Strict JSON: a NaN raises ``ValueError`` rather than writing a
+        token no JSON reader accepts (an infinity is written as null)."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False, **kw)
 
 
 def build_report(

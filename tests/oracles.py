@@ -5,7 +5,8 @@ under test: exhaustive grid search / enumeration, closed-form one-item
 splits, or direct objective evaluation.  They are deliberately slow and
 simple.  The checks and measures that only the tests read live here
 too: the equilibrium verifier, the primal and dual objectives, the
-instance restriction and the expenditure deviation.
+instance restriction and the expenditure deviation; and the pruned
+loop's sort-based window bookkeeping, the reference for its counting.
 """
 
 from __future__ import annotations
@@ -302,6 +303,20 @@ def pace_reference_trace(
                 lower, upper = interval[0][i], interval[1][i]
                 beta[i] = min(max(b[i] / avg, lower), upper) if avg > 0 else upper
     return winners, u
+
+
+def window_arrivals_by_sorting(ids: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Where the distinct points of a window arrive, found by a stable sort
+    of its point ids (the pruned loop's bookkeeping before it counted): the
+    row of each point's first and of its last arrival, points in ascending
+    id order, and each row's place among the points; None when no point
+    repeats."""
+    order = ids.argsort(kind="stable")
+    s = ids[order]
+    starts = np.flatnonzero(np.append(True, s[1:] != s[:-1]))  # each point's first place in id order
+    if len(starts) == len(ids):
+        return None
+    return order[starts], order[np.append(starts[1:], len(ids)) - 1], s[starts].searchsorted(ids)
 
 
 def primal_objective(utilities: np.ndarray, weights: AgentWeights) -> float:

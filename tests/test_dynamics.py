@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import greedy_reference_winners, pace_reference_trace, restrict_instance
+from oracles import greedy_reference_winners, pace_reference_trace, restrict_instance, window_arrivals_by_sorting
 from test_eg import EIGHT_POINT_SUPPORT
 from tracing import traced_peak
 
@@ -896,6 +896,56 @@ def test_the_loop_bounds_each_point_of_a_window_once():
                 assert looped.checkpoint_utilities.tolist() == trace.checkpoint_utilities.tolist(), variant.label
         assert len(scored) > 2 * (vs.t // dynamics._WINDOW)  # the loop bounded every window
         assert max(scored) <= 8
+
+
+def test_pruning_leaves_the_loop_the_candidates_it_had():
+    # pace on wide-stream's support (n=10, T=20k, seed 1): the loop's rows scan
+    # 87748 candidates in all, 4.40 a row, as with the sort-based bookkeeping;
+    # a rewrite that loosened a bound would scan more and change no winner
+    vs = gen(InputModelSpec(IID(FiniteDistribution.uniform(EIGHT_POINT_SUPPORT)), 20_000, 1))
+    scanned, rows = [], []
+    candidates = dynamics._PaceKernel._candidates
+
+    def counted(self, v, *args):
+        found = candidates(self, v, *args)
+        counts, point = found[2], found[3]
+        scanned.append(int(counts.sum() if point is None else counts[point].sum()))
+        rows.append(len(v))
+        return found
+
+    with mock.patch.object(dynamics._PaceKernel, "_candidates", counted):
+        run(vs, AgentWeights.equal(10), Unconstrained(), parse_checkpoints("pow2", vs.t))
+    assert (sum(scanned), sum(rows)) == (87748, 19925)
+
+
+# one to twelve point ids, up to above a block's 4096 rows, arriving in a
+# window of 1 to 512 rows, or each once; ``k`` bounds the ids, as the
+# block's largest id does
+@example(points=[7], length=512, seed=0, distinct=False, extra=0)
+@example(points=list(range(4085, 4097)), length=1, seed=1, distinct=True, extra=3)
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.integers(0, 5000), min_size=1, max_size=12, unique=True),
+    length=st.integers(1, 512),
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.booleans(),
+    extra=st.integers(0, 100),
+)
+def test_a_windows_arrivals_counted_are_those_sorted(points, length, seed, distinct, extra):
+    rng = np.random.default_rng(seed)
+    ids = (rng.permutation(points) if distinct else rng.choice(points, length)).astype(np.intp)
+    sorted_ = window_arrivals_by_sorting(ids)
+    counted = dynamics._arrivals(ids, int(ids.max()) + 1 + extra)
+    if sorted_ is None:
+        assert counted is None
+        assert len(set(ids.tolist())) == len(ids)
+        return
+    first, last, point = counted
+    for a, b in zip(counted, sorted_):
+        assert a.tolist() == b.tolist()
+    assert ids[first].tolist() == sorted(set(ids.tolist()))  # the points in ascending id order
+    assert ids[last].tolist() == ids[first].tolist()
+    assert ids[first][point].tolist() == ids.tolist()  # each row's point
 
 
 # up to twelve points over tie-heavy levels with a subnormal one, for 1 to 4

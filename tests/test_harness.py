@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
@@ -1216,6 +1217,56 @@ def test_cli_accepted_inputs_are_pinned(tmp_path, monkeypatch, capsys, command, 
             assert path.is_file(), name
         else:
             assert path.read_text() == expected, name
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_seeded_run_past_the_float_range_writes_strict_json(tmp_path, monkeypatch, capsys):
+    # agent 2 wins nothing at seed 1e-310, so its share of the seeded ratio
+    # overflows: the ratio is inf, written null, where it was a warning and NaN
+    from fairpace.cli import main
+
+    (tmp_path / "s.csv").write_text("a1,a2\n1,1\n1,0\n")
+    (tmp_path / "c.yaml").write_text('instance: {csv: s.csv}\nweights: {equal: 2}\nvariants: ["seeded,seed_utility=1e-310"]\n')
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "c.yaml", "--out", "out"]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_strict)
+    (report,) = summary["variants"]["seeded(seed_utility=1e-310)"]["per_repetition"]
+    assert report["seeded_ratio"] is None
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        (["run", "c.yaml", "--out", "out"], {"c.yaml": "instance: {csv: inst.csv}\nweights: {equal: 2}\nvariants: [pace]\n"}),
+        (["eval", "tr.json", "--instance", "inst.csv", "--out", "out"], {"tr.json": _PACE_TRACE % "[0, 1, 0, 1]"}),
+        (["solve", "inst.csv", "--out", "out"], {}),
+    ],
+    ids=["run", "eval", "solve"],
+)
+def test_a_nan_that_reaches_a_report_is_one_error_and_no_output(tmp_path, monkeypatch, capsys, command, files):
+    # reports are strict JSON: a NaN is refused, not written as a token that
+    # no JSON reader accepts
+    import fairpace.cli as cli
+    from fairpace import metrics
+
+    (tmp_path / "inst.csv").write_text(_TWO_AGENTS)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(metrics, "utility_ratio", lambda *args: math.nan)
+    solve = cli.solve_eg
+    monkeypatch.setattr(cli, "solve_eg", lambda *args, **kw: replace(solve(*args, **kw), gap=math.nan))
+    assert cli.main(command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "JSON" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["inst.csv", *files])
 
 
 # the installed script's form: the program entry, called with the arguments after -c

@@ -418,4 +418,10 @@ def test_ratios_past_the_float_range_are_inf_without_a_warning():
         assert competitive_ratio([0.0, 1.0], [1.0, 1.0], W2) == math.inf
         assert utility_ratio(ALL_ONES_3, [0.0, 3.0], W2) == math.inf
         assert multiplicative_envy(ValueSequence([[1.0, 1.0]]), np.array([[1.0, 0.0]]), W2)[1] == math.inf
-
+        # agent 2 wins nothing at seed 1e-310: its seeded share 0.5/1e-310
+        # overflows, and its price on the item it values at zero was NaN
+        vs = ValueSequence([[1.0, 1.0], [1.0, 0.0]])
+        assert run(vs, W2, Seeded(1e-310)).final_utilities.tolist() == [2.0, 0.0]
+        assert seeded_utility_ratio(vs, [2.0, 0.0], W2, 1e-310) == math.inf
+        # a finite seeded share whose price overflows
+        assert seeded_utility_ratio(ValueSequence([[1e300, 1.0]]), [0.0, 1.0], W2, 1e-10) == math.inf
