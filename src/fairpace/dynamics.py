@@ -72,10 +72,14 @@ Every auction block is speculated first: a kernel guesses a window of
 winners from the multipliers at the window's start, builds the state before
 every row from the guesses by one ``np.cumsum``, scores all rows at once
 with ``_bids`` and keeps the rows up to the first guess that was wrong,
-whose argmax is exact because the state before it is.  The loop takes
-the rest of the block after a wrong guess, so speculation changes no
-winner and no bit of the state; it only pays when the winners repeat,
-as they do once stationary input has settled the multipliers.  A kernel's
+whose argmax is exact because the state before it is.  A window of more
+rows than the instance has points guesses each point once, and its rows
+take their point's guess and credit by their point ids.  The kept rows'
+spend is added per winner: one ``np.bincount`` adds each agent's wins,
+in round order, to its spend before the window, as the loop does.  The
+loop takes the rest of the block after a wrong guess, so speculation
+changes no winner and no bit of the state; it only pays when the winners
+repeat, as they do once stationary input has settled the multipliers.  A kernel's
 ``_margin`` says how far, relative to a score, its ``_bids`` may round
 from its ``_scan``.  For pace, constrained, seeded and set-aside it is
 zero: ``_bids`` computes the loop's scores by the same IEEE operations
@@ -233,7 +237,7 @@ class _PaceKernel:
         scores of a one-row block.  Speculation takes the leading rows, the
         loop the rest."""
         block = _rows(points, ids)
-        head = self._speculate(block, out)
+        head = self._speculate(block, points, ids, out)
         if (k := len(head)) == len(block):
             return head
         return np.concatenate((head, self._rounds(block[k:], None if ids is None else ids[k:])))
@@ -354,21 +358,32 @@ class _PaceKernel:
             m[0] = self.beta0
         return np.where(v > 0.0, m * v, 0.0)
 
-    def _speculate(self, block: np.ndarray, out: Optional[List[float]]) -> np.ndarray:
+    def _speculate(self, block: np.ndarray, points: np.ndarray, ids: Optional[np.ndarray],
+                   out: Optional[List[float]]) -> np.ndarray:
         """Advance over the leading rows of ``block`` whose winners a
         window's guess gets right, plus the first row it gets wrong; returns
         their winners, and ``out`` collects their scores.
 
-        A window's winners are guessed from the multipliers at its start,
-        one vector for every row: a guess only decides how many rows are
-        kept, never a winner.  The state before every row then
-        comes from one ``np.cumsum`` over the guessed credits, and ``_bids``
-        scores all rows.  Every row up to the first whose argmax is not the
-        guess is kept, that row too: the state before it is exact, so its
-        argmax is.  A kernel with a ``_margin`` keeps no row from the first
-        whose top score leads by no more than it.  A window is twice the
-        rows the last one kept, within the block; after a wrong guess or an
-        uncertain row the loop takes the rest of the block.
+        ``block`` is the rows ``points[ids]``, or ``points`` itself when
+        ``ids`` is None.  A window's winners are guessed from the
+        multipliers at its start, one vector for every row: a guess only
+        decides how many rows are kept, never a winner.  A window of more
+        rows than there are points scores each point once and gathers its
+        guess and guessed credit by the rows' ids, by the operations a
+        per-row guess makes on the same values; set-aside's normalized
+        points may hold ``inf`` where a point never arrives, which no row
+        gathers.  The state before every row then comes from one
+        ``np.cumsum`` over the guessed credits, and ``_bids`` scores all
+        rows.  Every row up to the first whose argmax is not the guess is
+        kept, that row too: the state before it is exact, so its argmax is.
+        A kernel with a ``_margin`` keeps no row from the first whose top
+        score leads by no more than it.  The spend is one ``np.bincount``
+        over each agent's spend and then the kept rows' winning scores (an
+        infinite one weighing ``0.0``): it adds in input order from ``0.0``,
+        so each agent's spend is the loop's sum in round order, bit for bit.
+        A window is twice the rows the last one kept, within the block;
+        after a wrong guess or an uncertain row the loop takes the rest of
+        the block.
         """
         n, top, acc, spend, flagged, m = self.n, self.top, self.acc, self.spend, self.infinite_spend_round, self._margin
         winners, done = [], 0
@@ -378,10 +393,13 @@ class _PaceKernel:
                 v = block[done : done + size]
                 tau = np.arange(self.tau, self.tau + size, dtype=np.float64)[:, None]
                 rows = np.arange(size)
-                guess = self._bids(np.array([acc]), tau[:1], v).argmax(axis=1)
+                # a window of more rows than points guesses each point once, gathered by the ids
+                src, at = (v, slice(None)) if ids is None or len(points) >= size else (points, ids[done : done + size])
+                pick = self._bids(np.array([acc]), tau[:1], src).argmax(axis=1)
+                guess, credit = pick[at], (top * src[np.arange(len(src)), pick])[at]
                 steps = np.zeros((size + 1, n))
                 steps[0] = acc
-                steps[rows + 1, guess] = top * v[rows, guess]
+                steps[rows + 1, guess] = credit
                 before = np.cumsum(steps, axis=0, out=steps)[:-1]
                 scores = self._bids(before, tau, v)
                 won = scores.argmax(axis=1)
@@ -396,12 +414,10 @@ class _PaceKernel:
                 won, rows = won[:kept], rows[:kept]
                 if out is not None:
                     out.extend(scores[:kept].ravel().tolist())
-                if self.pays:
+                if self.pays:  # each agent's spend, then its wins in round order
                     best = scores[rows, won]
-                    paid = np.zeros((kept + 1, n))
-                    paid[0] = spend
-                    paid[rows + 1, won] = np.where(best < INF, best, 0.0)  # a win from the unserved state adds zero
-                    spend[:] = _total(paid).tolist()
+                    paid = np.where(best < INF, best, 0.0)  # a win from the unserved state adds zero
+                    spend[:] = np.bincount(np.append(np.arange(n), won), np.append(spend, paid)).tolist()
                     for k in np.flatnonzero(best == INF).tolist():
                         flagged[won[k]] = self.tau + k + 1
                 if kept:  # the last kept row is credited to its argmax, which a wrong guess is not
@@ -520,10 +536,10 @@ class _GreedyKernel(_PaceKernel):
     pays = False
     _margin = 2.0**-40
 
-    def _speculate(self, block, out):
+    def _speculate(self, block, points, ids, out):
         # a single step is not speculated: it scores every agent of its one row in the loop
         if out is None:
-            return super()._speculate(block, out)
+            return super()._speculate(block, points, ids, out)
         return self._scan([zip(range(self.n), block[0].tolist())], out)
 
     def _scan(self, rows, out=None):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from functools import partialmethod
 from unittest import mock
 
 import numpy as np
@@ -796,7 +797,7 @@ _GREEDY_MATRICES = st.one_of(
 )
 
 
-def _no_row(self, block, out):
+def _no_row(self, block, points, ids, out):
     return np.empty(0, dtype=np.intp)
 
 
@@ -874,8 +875,10 @@ def test_the_loop_bounds_each_point_of_a_window_once():
     w = AgentWeights([0.5, 1.0, 2.0] * 3 + [1.0])
     speculate = dynamics._PaceKernel._speculate
 
-    def first_round_only(self, block, out):  # the pacing loop never starts at round one
-        return speculate(self, block[:1], out) if self.tau == 0 and not self._margin else np.empty(0, dtype=np.intp)
+    def first_round_only(self, block, points, ids, out):  # the pacing loop never starts at round one
+        if self.tau == 0 and not self._margin:
+            return speculate(self, block[:1], points, None if ids is None else ids[:1], out)
+        return np.empty(0, dtype=np.intp)
 
     for kernel in (dynamics._PaceKernel, dynamics._GreedyKernel):
         scored = []
@@ -916,6 +919,78 @@ def test_pruning_leaves_the_loop_the_candidates_it_had():
     with mock.patch.object(dynamics._PaceKernel, "_candidates", counted):
         run(vs, AgentWeights.equal(10), Unconstrained(), parse_checkpoints("pow2", vs.t))
     assert (sum(scanned), sum(rows)) == (87748, 19925)
+
+
+# perfbench's iid-variants workload: two points, n=2, T=20k, pow2 checkpoints
+_IID_VARIANTS_SPEC = InputModelSpec(IID(FiniteDistribution.uniform([[1.0, 0.25], [0.5, 1.0]])), 20_000, 1)
+
+
+def _iid_variants_auctions(w):
+    """The workload's five auctions."""
+    return Unconstrained(), Constrained.from_slack(w, 0.5), Seeded(0.5), SetAside(), OneStepGreedy()
+
+
+def test_speculation_guesses_each_point_of_a_window_once():
+    # once the winners settle, a speculated window spans up to 2048 rows of
+    # two points; its guess scores the two points, not the window's rows.
+    # A guess is a ``_bids`` call at one row of ``acc`` and of ``tau``, as is
+    # the loop's upper bound on a window of one point, which scores one row
+    vs, w = gen(_IID_VARIANTS_SPEC), AgentWeights.equal(2)
+    cps = parse_checkpoints("pow2", vs.t)
+    for variant in _iid_variants_auctions(w):
+        calls = []
+
+        def counted(self, acc, tau, v, bids):
+            calls.append((len(acc), len(tau), len(v)))
+            return bids(self, acc, tau, v)
+
+        pace, greedy = (partialmethod(counted, bids=k._bids) for k in (dynamics._PaceKernel, dynamics._GreedyKernel))
+        with mock.patch.object(dynamics._PaceKernel, "_bids", pace):
+            with mock.patch.object(dynamics._GreedyKernel, "_bids", greedy):
+                counted_run = run(vs, w, variant, cps)
+        assert counted_run.to_json_dict() == run(vs, w, variant, cps).to_json_dict(), variant.label
+        assert max(rows for acc, tau, rows in calls if acc > 1) >= 1024, variant.label  # long windows
+        assert max(rows for acc, tau, rows in calls if acc == tau == 1) <= len(vs.points), variant.label
+
+
+@pytest.mark.parametrize("form", ["points", "matrix"])
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_speculated_spend_adds_each_win_in_round_order(n, form):
+    # each agent alone values two points, at 1e-8 and 1e8, so every guess is
+    # right and an agent wins scores at least 16 orders of magnitude apart in
+    # each long speculated window; its spend must be the round-by-round sum,
+    # which the window's wins summed first and then added to the old spend
+    # round otherwise
+    points = np.zeros((2 * n, n))
+    points[np.arange(0, 2 * n, 2), np.arange(n)] = 1e-8
+    points[np.arange(1, 2 * n, 2), np.arange(n)] = 1e8
+    ids = np.random.default_rng(n).integers(0, 2 * n, 1500)
+    vs = ValueSequence(points, index=ids) if form == "points" else ValueSequence(points[ids])
+    w = AgentWeights.equal(n)
+    for variant in _all_variants(vs, w)[:4]:  # the four that spend
+        trace = run(vs, w, variant, parse_checkpoints("pow2", vs.t))
+        _assert_run_is_fold(vs, w, trace.variant, trace)
+
+
+def test_speculation_leaves_the_loop_the_rows_it_had():
+    # the rows each auction's loop takes on the workload's three repetitions,
+    # measured when every window's guess scored each of its rows; a guess that
+    # missed more often would hand the loop more rows and change no winner
+    w = AgentWeights.equal(2)
+    looped = []
+    rounds = dynamics._PaceKernel._rounds
+
+    def counted(self, block, ids):
+        looped[-1] += len(block)
+        return rounds(self, block, ids)
+
+    for rep in range(3):
+        vs = gen(_IID_VARIANTS_SPEC, repetition=rep)
+        for variant in _iid_variants_auctions(w):
+            looped.append(0)
+            with mock.patch.object(dynamics._PaceKernel, "_rounds", counted):
+                run(vs, w, variant, parse_checkpoints("pow2", vs.t))
+    assert looped == [5, 0, 6, 0, 9, 2, 0, 8, 0, 9, 15, 0, 11, 0, 24]
 
 
 # one to twelve point ids, up to above a block's 4096 rows, arriving in a
